@@ -69,7 +69,6 @@ func run(args []string, out io.Writer) error {
 		seed      = flag.Int64("seed", 0, "random-walk seed (results are seed-independent)")
 		workers   = flag.Int("workers", 0, "worker pool size for the parallel phases (0 = all CPUs, 1 = sequential; results are identical for every value)")
 		cacheMax  = flag.Int64("max-cache-bytes", 0, "PLI cache byte budget (0 = default, -1 = unbudgeted); over budget the cache sheds and recomputes, results are identical for every value")
-		sampleChk = flag.Bool("sample-check", false, "arm the sampled refutation prefilter on validation checks (results are identical either way)")
 		naryArity = flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 		approxEps = flag.Float64("approx", 0, "also discover approximate FDs with g3 error ≤ eps (0 = off)")
 		asJSON    = flag.Bool("json", false, "deprecated alias for -format json")
@@ -120,7 +119,7 @@ func run(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := core.Options{Seed: *seed, Workers: *workers, MaxCacheBytes: *cacheMax, SampleCheck: *sampleChk}
+	opts := core.Options{Seed: *seed, Workers: *workers, MaxCacheBytes: *cacheMax}
 	if *appendCSV != "" || *snapPath != "" {
 		return runIncremental(ctx, src, *algorithm, opts, incrementalOptions{
 			appendCSV: *appendCSV,
@@ -227,7 +226,7 @@ func printText(out io.Writer, rel *relation.Relation, res *core.Result, o textOp
 	}
 
 	if o.approxEps > 0 {
-		approx := fd.ApproximateFDs(pli.NewProvider(rel, 0), o.approxEps, 3)
+		approx := fd.ApproximateFDs(pli.NewProvider(rel, nil), o.approxEps, 3)
 		printf("\nApproximate FDs with g3 ≤ %.3f (lhs ≤ 3 columns):\n", o.approxEps)
 		for _, f := range approx {
 			if f.Error == 0 {

@@ -182,7 +182,7 @@ func NaryINDs(rel *Relation, opts INDOptions, maxArity int) []NaryIND {
 // (eps = 0 gives the exact minimal FDs). maxLHS bounds the left-hand-side
 // size (0 = unbounded).
 func ApproximateFDs(rel *Relation, eps float64, maxLHS int) []ApproxFD {
-	return fd.ApproximateFDs(pli.NewProvider(rel, 0), eps, maxLHS)
+	return fd.ApproximateFDs(pli.NewProvider(rel, nil), eps, maxLHS)
 }
 
 // Statistics computes single-column statistics (type inference, distinct

@@ -133,7 +133,7 @@ func TestShadowedPaperExample(t *testing.T) {
 func verifyMudsMatchesOracles(t *testing.T, rel *relation.Relation, seed int64) {
 	t.Helper()
 	res := Muds(rel, Options{Seed: seed})
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	wantFDs := fd.BruteForce(p)
 	wantUCCs := ucc.BruteForce(p)
 	if !reflect.DeepEqual(res.FDs, wantFDs) {
@@ -217,7 +217,7 @@ func TestQuickMudsMatchesOracles(t *testing.T) {
 	}
 	if err := quick.Check(func(rel *relation.Relation, seed int64) bool {
 		res := Muds(rel, Options{Seed: seed})
-		p := pli.NewProvider(rel, 0)
+		p := pli.NewProvider(rel, nil)
 		return reflect.DeepEqual(res.FDs, fd.BruteForce(p)) &&
 			reflect.DeepEqual(res.UCCs, ucc.BruteForce(p))
 	}, cfg); err != nil {

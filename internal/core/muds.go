@@ -33,18 +33,8 @@ type Options struct {
 	// per-right-hand-side R\Z and completion-sweep walks of MUDS. <= 0
 	// selects runtime.GOMAXPROCS(0). The discovered IND/UCC/FD sets are
 	// identical for every value; only wall time (and cache statistics)
-	// varies. With Workers > 1 the strategies back the shared PLI provider
-	// with a ShardedCache so it is safe to share across the pool.
+	// varies. It also sets the shard count of the shared PLI cache.
 	Workers int
-	// SampleCheck arms the sampled refutation prefilter of the PLI
-	// provider's validation fast path: boolean questions (uniqueness, FD
-	// refinement) first run against a deterministic stride sample of the
-	// rows and fall through to the exact check only when the sample finds no
-	// counterexample. A sampled counterexample is exact evidence, so the
-	// discovered IND/UCC/FD sets are identical with and without sampling;
-	// only the work per check changes. Relations below the effective sample
-	// threshold (see pli.Provider.WithSampleCheck) run unsampled regardless.
-	SampleCheck bool
 }
 
 // workerCount resolves Workers to an effective pool width.
@@ -63,20 +53,14 @@ func (o Options) cacheBudget() int64 {
 	}
 }
 
-// NewProvider builds the PLI provider for one strategy run: sharded and
-// concurrency-safe when the run fans out, the cheaper single-goroutine
-// MapCache when it stays sequential. Both are byte-budgeted (the memory
-// governor) per cacheBudget. It is exported for the incremental layer, which
-// must construct providers with exactly the engine's cache and sampling
-// configuration so that patched and from-scratch runs are comparable.
+// NewProvider builds the PLI provider for one strategy run over a cache with
+// one shard per worker (a single shard when the run stays sequential),
+// byte-budgeted (the memory governor) per cacheBudget. It is exported for
+// the incremental layer, which must construct providers with exactly the
+// engine's cache configuration so that patched and from-scratch runs are
+// comparable.
 func (o Options) NewProvider(rel *relation.Relation) *pli.Provider {
-	var p *pli.Provider
-	if w := o.workerCount(); w > 1 {
-		p = pli.NewProviderWithCache(rel, pli.NewShardedCacheBudget(w, o.CacheEntries, o.cacheBudget()))
-	} else {
-		p = pli.NewProviderWithCache(rel, pli.NewMapCacheBudget(o.CacheEntries, o.cacheBudget()))
-	}
-	return p.WithSampleCheck(o.SampleCheck)
+	return pli.NewProvider(rel, pli.NewCache(o.workerCount(), o.CacheEntries, o.cacheBudget()))
 }
 
 // Muds runs the full holistic MUDS algorithm (paper Sec. 5) on a loaded

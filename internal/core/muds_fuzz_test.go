@@ -49,7 +49,7 @@ func FuzzMudsMatchesOracles(f *testing.F) {
 			t.Fatal(err)
 		}
 		res := Muds(rel, Options{Seed: seed})
-		p := pli.NewProvider(rel, 0)
+		p := pli.NewProvider(rel, nil)
 		if want := fd.BruteForce(p); !reflect.DeepEqual(res.FDs, want) {
 			t.Fatalf("FDs mismatch:\n got %v\nwant %v\nrows %v", res.FDs, want, table)
 		}

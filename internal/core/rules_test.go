@@ -17,7 +17,7 @@ func testFD(t *testing.T) *mudsFD {
 		{"2", "x", "p", "r"},
 		{"3", "y", "q", "q"},
 	})
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	return newMudsFD(p, rel.AllColumns(), []bitset.Set{bitset.New(0)}, fd.NewStore(), 1)
 }
 

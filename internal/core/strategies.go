@@ -99,7 +99,7 @@ func baselineProfile(ctx context.Context, rel *relation.Relation, opts Options, 
 	}
 	err = timePhase(ctx, obs, PhaseUCCDiscovery, func() error {
 		obs.Parallelism(PhaseUCCDiscovery, 1)
-		p := pli.NewProviderWithCache(duccRel, pli.NewMapCacheBudget(opts.CacheEntries, opts.cacheBudget()))
+		p := pli.NewProvider(duccRel, pli.NewCache(1, opts.CacheEntries, opts.cacheBudget()))
 		defer func() { obs.CacheStats(p.CacheStats()) }()
 		r, err := ucc.DuccContext(ctx, p, opts.Seed)
 		res.UCCs = r.Minimal

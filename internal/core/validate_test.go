@@ -11,9 +11,9 @@ import (
 
 // TestFastPathConfigEquivalence is the validation fast path's determinism
 // contract at engine level: every strategy discovers identical IND/UCC/FD
-// sets no matter how the checks are answered — sampled prefilter on or off,
-// one worker or many, default cache or a starved one that forces constant
-// re-planning and eviction of the fast path's promoted ancestors. Run under
+// sets no matter how the checks are answered — one worker or many, default
+// cache or a starved one that forces constant re-planning and eviction of
+// the fast path's promoted ancestors, on one cache shard or several. Run under
 // -race this also exercises concurrent fast checks against the sharded
 // cache. (Check counts are NOT compared across cache configurations: how
 // often the engine asks is part of the plan; what it discovers must not be.)
@@ -27,10 +27,9 @@ func TestFastPathConfigEquivalence(t *testing.T) {
 		opts Options
 	}
 	configs := []config{
-		{"sampled", Options{Seed: 11, Workers: 1, SampleCheck: true}},
 		{"parallel", Options{Seed: 11, Workers: 4}},
-		{"parallel-sampled", Options{Seed: 11, Workers: 4, SampleCheck: true}},
 		{"starved-cache", Options{Seed: 11, Workers: 1, CacheEntries: 8, MaxCacheBytes: 1 << 16}},
+		{"parallel-starved-cache", Options{Seed: 11, Workers: 4, CacheEntries: 8, MaxCacheBytes: 1 << 16}},
 	}
 	for _, rel := range rels {
 		src := RelationSource{Rel: rel}

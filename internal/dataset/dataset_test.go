@@ -43,7 +43,7 @@ func TestColumnKinds(t *testing.T) {
 		t.Errorf("MixedRadix cardinality = %d, want 3", rel.Cardinality(3))
 	}
 	// Derived column: rnd → drv must hold.
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	if !p.CheckFD(bitset.New(1), 4) {
 		t.Error("planted FD rnd → drv does not hold")
 	}
@@ -82,7 +82,7 @@ func TestUniprotShape(t *testing.T) {
 		t.Errorf("rows = %d, want ≈2000", rel.NumRows())
 	}
 	// Planted FDs hold: organism → tax_id, {tax_id, evidence} → reviewed.
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	if !p.CheckFD(bitset.New(1), 2) {
 		t.Error("organism → tax_id missing")
 	}
@@ -111,7 +111,7 @@ func TestNCVoterShape(t *testing.T) {
 	if rel.NumColumns() != 20 {
 		t.Fatalf("columns = %d, want 20", rel.NumColumns())
 	}
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	// Planted pairs: county_id → county_desc, status_cd → status_desc.
 	ci, cd := rel.ColumnIndex("county_id"), rel.ColumnIndex("county_desc")
 	if ci < 0 || cd < 0 || !p.CheckFD(bitset.New(ci), cd) {
@@ -136,7 +136,7 @@ func TestBalanceExactlyOneFD(t *testing.T) {
 	if rel.NumRows() != 625 {
 		t.Fatalf("rows = %d, want 625 (full crossing)", rel.NumRows())
 	}
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	fds := fd.Tane(p, false).FDs
 	if len(fds) != 1 {
 		t.Fatalf("balance FDs = %v, want exactly 1", fds)
@@ -151,7 +151,7 @@ func TestIrisFewFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	n := len(fd.Tane(p, false).FDs)
 	if n == 0 || n > 40 {
 		t.Errorf("iris FD count = %d, want a small positive number", n)

@@ -40,10 +40,9 @@ type ValidateMeasurement struct {
 
 	// Cache-admission counters of one fast run of the workload on a fresh
 	// provider. HitRate = FastChecks / (FastChecks + Materializations).
-	FastChecks         int64   `json:"fast_checks,omitempty"`
-	Materializations   int64   `json:"materializations,omitempty"`
-	HitRate            float64 `json:"fast_check_hit_rate,omitempty"`
-	SampledRefutations int64   `json:"sampled_refutations,omitempty"`
+	FastChecks       int64   `json:"fast_checks,omitempty"`
+	Materializations int64   `json:"materializations,omitempty"`
+	HitRate          float64 `json:"fast_check_hit_rate,omitempty"`
 }
 
 // validateReport is the top-level BENCH_validate.json document.
@@ -140,11 +139,12 @@ func taneSweepMat(p *pli.Provider, cols int) int {
 }
 
 // engineProvider builds a provider the way a sequential engine run does
-// (core.Options.newProvider): a map cache under the production byte budget.
+// (core.Options.NewProvider): a one-shard cache under the production byte
+// budget.
 // Benchmarking against an unbudgeted cache would hide exactly the flooding
 // behaviour the admission control exists to prevent.
 func engineProvider(rel *relation.Relation) *pli.Provider {
-	return pli.NewProviderWithCache(rel, pli.NewMapCacheBudget(0, pli.DefaultCacheBytes))
+	return pli.NewProvider(rel, pli.NewCache(1, 0, pli.DefaultCacheBytes))
 }
 
 // ValidateBench benchmarks the validation fast path against the
@@ -219,24 +219,6 @@ func ValidateBench(w io.Writer, jsonPath string, rows int, seed int64) ([]Valida
 				},
 				fastOnce: func() pli.CacheStats {
 					p := engineProvider(rel)
-					duccWalk(rel, seed, p.IsUnique)
-					return p.CacheStats()
-				},
-			},
-			{
-				op: "ducc_walk_sampled",
-				fast: func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						p := engineProvider(rel).WithSampleCheck(true)
-						if duccWalk(rel, seed, p.IsUnique) != wantUCCs {
-							b.Fatal("bad result")
-						}
-					}
-				},
-				mat: nil, // compared against the ducc_walk materializing row
-				fastOnce: func() pli.CacheStats {
-					p := engineProvider(rel).WithSampleCheck(true)
 					duccWalk(rel, seed, p.IsUnique)
 					return p.CacheStats()
 				},
@@ -331,7 +313,6 @@ func ValidateBench(w io.Writer, jsonPath string, rows int, seed int64) ([]Valida
 			},
 		})
 
-		var walkMat *ValidateMeasurement
 		for _, pair := range pairs {
 			fr := testing.Benchmark(pair.fast)
 			m := ValidateMeasurement{
@@ -343,16 +324,10 @@ func ValidateBench(w io.Writer, jsonPath string, rows int, seed int64) ([]Valida
 				FastBytesPerOp:  fr.AllocedBytesPerOp(),
 				FastAllocsPerOp: fr.AllocsPerOp(),
 			}
-			if pair.mat != nil {
-				mr := testing.Benchmark(pair.mat)
-				m.MatNsPerOp = float64(mr.NsPerOp())
-				m.MatBytesPerOp = mr.AllocedBytesPerOp()
-				m.MatAllocsPerOp = mr.AllocsPerOp()
-			} else if walkMat != nil {
-				m.MatNsPerOp = walkMat.MatNsPerOp
-				m.MatBytesPerOp = walkMat.MatBytesPerOp
-				m.MatAllocsPerOp = walkMat.MatAllocsPerOp
-			}
+			mr := testing.Benchmark(pair.mat)
+			m.MatNsPerOp = float64(mr.NsPerOp())
+			m.MatBytesPerOp = mr.AllocedBytesPerOp()
+			m.MatAllocsPerOp = mr.AllocsPerOp()
 			if m.MatNsPerOp > 0 && m.FastNsPerOp > 0 {
 				m.Speedup = m.MatNsPerOp / m.FastNsPerOp
 			}
@@ -360,13 +335,9 @@ func ValidateBench(w io.Writer, jsonPath string, rows int, seed int64) ([]Valida
 				st := pair.fastOnce()
 				m.FastChecks = st.FastChecks
 				m.Materializations = st.Materializations
-				m.SampledRefutations = st.SampledRefutations
 				if total := st.FastChecks + st.Materializations; total > 0 {
 					m.HitRate = float64(st.FastChecks) / float64(total)
 				}
-			}
-			if pair.op == "ducc_walk" {
-				walkMat = &m
 			}
 			out = append(out, m)
 			fmt.Fprintf(w, "%-18s %-14s %12.0f %10d %12.0f %10d %7.1fx %8.2f\n",
@@ -379,8 +350,7 @@ func ValidateBench(w io.Writer, jsonPath string, rows int, seed int64) ([]Valida
 		doc := validateReport{
 			Note: "validation fast path (early-exit check kernels, cache-admission control) vs the " +
 				"materializing Get-based validation on the same workloads; fresh provider per timed " +
-				"run, so numbers include first-visit planning and admission. ducc_walk_sampled reuses " +
-				"the ducc_walk materializing baseline. holistic_phases is the engine-faithful " +
+				"run, so numbers include first-visit planning and admission. holistic_phases is the engine-faithful " +
 				"validation-dominated run: one provider carried from the DUCC random walk into the " +
 				"TANE per-level FD sweep, so walk-time admissions serve as sweep-time ancestors. " +
 				"hit rate = fast_checks / (fast_checks + materializations).",

@@ -14,7 +14,7 @@ import (
 // synthetic relation and requires a prompt return with the context error.
 func TestTaneContextDeadline(t *testing.T) {
 	rel := dataset.NCVoter(1000, 18)
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -32,7 +32,7 @@ func TestTaneContextDeadline(t *testing.T) {
 // traversal.
 func TestFunContextDeadline(t *testing.T) {
 	rel := dataset.NCVoter(1000, 18)
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -48,8 +48,8 @@ func TestFunContextDeadline(t *testing.T) {
 
 func TestTaneContextBackgroundMatchesPlain(t *testing.T) {
 	rel := dataset.NCVoter(200, 8)
-	plain := Tane(pli.NewProvider(rel, 0), true)
-	ctxed, err := TaneContext(context.Background(), pli.NewProvider(rel, 0), true, 1)
+	plain := Tane(pli.NewProvider(rel, nil), true)
+	ctxed, err := TaneContext(context.Background(), pli.NewProvider(rel, nil), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

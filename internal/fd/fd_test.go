@@ -19,7 +19,7 @@ func provider(t *testing.T, names []string, rows [][]string) *pli.Provider {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pli.NewProvider(r, 0)
+	return pli.NewProvider(r, nil)
 }
 
 func letters(fds []FD) []string {
@@ -225,7 +225,7 @@ func randomProvider(rnd *rand.Rand, maxCols, maxRows, maxCard int) *pli.Provider
 		}
 		data[i] = row
 	}
-	return pli.NewProvider(relation.MustNew("rand", names, data), 0)
+	return pli.NewProvider(relation.MustNew("rand", names, data), nil)
 }
 
 // Property: TANE and FUN agree with the brute-force oracle.

@@ -264,9 +264,8 @@ func (a *Appender) rebuild(cols []int, s *Scratch) *PLI {
 // relation.Append extended it in place: the single-column PLIs and the
 // empty-set PLI are rebuilt over the extended columns, every cached
 // multi-column PLI is patched through the AppendRows merge path and re-Put
-// (so the cache's Put-time byte ledger tracks the new sizes), and the
-// sampled-refutation prefilter, if armed, is re-armed against the new row
-// count. oldRows is the relation's row count before the append.
+// (so the cache's put-time byte ledger tracks the new sizes). oldRows is the
+// relation's row count before the append.
 //
 // Refresh is an exclusive operation: like relation.Append, it must not run
 // concurrently with any other method of the Provider.
@@ -291,7 +290,7 @@ func (p *Provider) Refresh(oldRows int) {
 		pli *PLI
 	}
 	var entries []entry
-	p.cache.ForEach(func(s bitset.Set, q *PLI) bool {
+	p.cache.forEach(func(s bitset.Set, q *PLI) bool {
 		entries = append(entries, entry{s, q})
 		return true
 	})
@@ -299,9 +298,5 @@ func (p *Provider) Refresh(oldRows int) {
 	s.Ensure(maxCard)
 	for _, e := range entries {
 		p.cachePut(e.set, e.pli.AppendRows(a, e.set.Columns(), s))
-	}
-
-	if p.sampleWanted {
-		p.WithSampleCheck(true)
 	}
 }

@@ -159,66 +159,3 @@ func TestAppendRowsRebuildFallback(t *testing.T) {
 			canonicalClusters(merged), canonicalClusters(rebuilt))
 	}
 }
-
-// TestProviderRefresh pins the full provider patch: after an append and a
-// Refresh, every previously cached set answers exactly like a fresh provider
-// over the extended relation, and the cache byte ledger matches the patched
-// contents.
-func TestProviderRefresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, cacheKind := range []string{"map", "sync", "sharded"} {
-		t.Run(cacheKind, func(t *testing.T) {
-			rel := appendTestRelation(t, rng, 80, 4, 4)
-			var cache Cache
-			switch cacheKind {
-			case "map":
-				cache = NewMapCache(0)
-			case "sync":
-				cache = NewSyncCache(nil)
-			default:
-				cache = NewShardedCache(4, 0)
-			}
-			p := NewProviderWithCache(rel, cache)
-			sets := []bitset.Set{
-				bitset.Single(0).With(1),
-				bitset.Single(1).With(2).With(3),
-				bitset.Single(0).With(2),
-				bitset.Single(0).With(1).With(2).With(3),
-			}
-			for _, s := range sets {
-				p.Get(s)
-			}
-			oldRows := rel.NumRows()
-			batch := [][]string{
-				{"v0", "v1", "v2", "fresh"},
-				{"v0", "v1", "v2", "fresh"},
-				{"z", "z", "z", "z"},
-			}
-			if _, err := rel.Append(batch); err != nil {
-				t.Fatal(err)
-			}
-			p.Refresh(oldRows)
-
-			fresh := NewProvider(rel, 0)
-			for _, s := range sets {
-				if !reflect.DeepEqual(canonicalClusters(p.Get(s)), canonicalClusters(fresh.Get(s))) {
-					t.Fatalf("set %v: patched provider disagrees with fresh provider", s)
-				}
-			}
-			for c := 0; c < rel.NumColumns(); c++ {
-				if !reflect.DeepEqual(canonicalClusters(p.SingleColumn(c)), canonicalClusters(fresh.SingleColumn(c))) {
-					t.Fatalf("single column %d not rebuilt", c)
-				}
-			}
-			// The byte ledger must equal a re-summation of the cached PLIs.
-			var want int64
-			cache.ForEach(func(_ bitset.Set, q *PLI) bool {
-				want += q.ApproxBytes()
-				return true
-			})
-			if got := cache.Bytes(); got != want {
-				t.Fatalf("cache bytes ledger %d, recomputed %d", got, want)
-			}
-		})
-	}
-}

@@ -183,7 +183,7 @@ func BenchmarkCheckRefinesMany(b *testing.B) {
 // kernel) on uncached sets, the per-probe cost of a DUCC walk step.
 func BenchmarkProviderIsUnique(b *testing.B) {
 	rel := benchRelation(20000, 6, 50)
-	p := NewProvider(rel, 0)
+	p := NewProvider(rel, nil)
 	sets := []bitset.Set{
 		bitset.New(0, 1), bitset.New(1, 2, 3), bitset.New(0, 2, 4), bitset.New(3, 4, 5),
 	}
@@ -197,7 +197,7 @@ func BenchmarkProviderIsUnique(b *testing.B) {
 // BenchmarkProviderGet measures cached multi-column PLI retrieval.
 func BenchmarkProviderGet(b *testing.B) {
 	rel := benchRelation(20000, 6, 50)
-	p := NewProvider(rel, 0)
+	p := NewProvider(rel, nil)
 	sets := []bitset.Set{
 		bitset.New(0, 1), bitset.New(1, 2, 3), bitset.New(0, 2, 4), bitset.New(3, 4, 5),
 	}

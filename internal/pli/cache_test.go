@@ -1,7 +1,11 @@
 package pli
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"holistic/internal/bitset"
@@ -24,43 +28,444 @@ func cacheTestRelation(t *testing.T) *relation.Relation {
 	return r
 }
 
+// TestCache runs every cache property over shard counts × byte budgets. The
+// entry bound is small in every cell so random replacement always fires; the
+// tiny budget (2 KiB, 256 B per shard at 8 shards) makes byte shedding fire
+// as well.
+func TestCache(t *testing.T) {
+	const entries = 16
+	budgets := []struct {
+		name     string
+		maxBytes int64
+	}{
+		{"unbudgeted", 0},
+		{"tiny", 2 << 10},
+		{"default", -1},
+	}
+	for _, shards := range []int{1, 2, 8} {
+		for _, b := range budgets {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, b.name), func(t *testing.T) {
+				newCache := func() *Cache { return NewCache(shards, entries, b.maxBytes) }
+				t.Run("bounds", func(t *testing.T) { checkBounds(t, shards, b.maxBytes) })
+				t.Run("evicts", func(t *testing.T) { checkEviction(t, newCache(), entries) })
+				t.Run("oversize", func(t *testing.T) { checkOversize(t, newCache()) })
+				t.Run("refresh", func(t *testing.T) { checkRefresh(t, newCache()) })
+				t.Run("concurrent", func(t *testing.T) { checkConcurrent(t, newCache) })
+			})
+		}
+	}
+}
+
+// checkBounds pins how NewCache resolves its arguments: the shard count
+// rounds up to a power of two, and the default entry bound and the byte
+// budget (< 0 = DefaultCacheBytes, 0 = none) split equally across shards.
+func checkBounds(t *testing.T, shards int, maxBytes int64) {
+	wantBytes := maxBytes
+	if wantBytes < 0 {
+		wantBytes = DefaultCacheBytes
+	}
+	for _, req := range []int{shards, shards + 1} {
+		c := NewCache(req, 0, maxBytes)
+		n := len(c.shards)
+		if n < req || n >= 2*req || n&(n-1) != 0 {
+			t.Fatalf("NewCache(%d, …): %d shards, want the next power of two", req, n)
+		}
+		for i := range c.shards {
+			sh := &c.shards[i]
+			if sh.maxEntries != DefaultCacheEntries/n || sh.maxBytes != wantBytes/int64(n) {
+				t.Fatalf("NewCache(%d, 0, %d) shard %d: %d entries / %d bytes, want %d / %d",
+					req, maxBytes, i, sh.maxEntries, sh.maxBytes, DefaultCacheEntries/n, wantBytes/int64(n))
+			}
+		}
+	}
+}
+
+// budgetOf returns the total byte budget of c (0 = none) as the sum of its
+// per-shard budgets.
+func budgetOf(c *Cache) int64 {
+	var total int64
+	for i := range c.shards {
+		total += c.shards[i].maxBytes
+	}
+	return total
+}
+
+// checkLedger requires the byte ledger to equal a re-summation of the
+// cached PLIs' sizes.
+func checkLedger(t *testing.T, c *Cache) {
+	t.Helper()
+	var want int64
+	c.forEach(func(_ bitset.Set, q *PLI) bool {
+		want += q.ApproxBytes()
+		return true
+	})
+	if got := c.stats().Bytes; got != want {
+		t.Fatalf("byte ledger %d, re-summed ApproxBytes %d", got, want)
+	}
+}
+
+// checkEviction fills c with 64 fresh keys: the entry bound must hold, every
+// insert must be either resident or counted as evicted, the byte budget must
+// hold after every store without shedding the store itself, and the ledger
+// must survive replacements with differently sized PLIs.
+func checkEviction(t *testing.T, c *Cache, entries int) {
+	budget := budgetOf(c)
+	const inserts = 64
+	for i := 0; i < inserts; i++ {
+		key := bitset.New(i%32, 32+i)
+		c.put(key, FromAllRows(10+i%5))
+		if budget > 0 && c.stats().Bytes > budget {
+			t.Fatalf("after put %d: %d bytes cached, budget %d", i, c.stats().Bytes, budget)
+		}
+		if _, ok := c.get(key); !ok {
+			t.Fatalf("put %d was shed by its own store", i)
+		}
+	}
+	st := c.stats()
+	if st.Entries > entries || st.Evictions == 0 {
+		t.Fatalf("%d entries and %d evictions after %d inserts, want <= %d entries and some evictions",
+			st.Entries, st.Evictions, inserts, entries)
+	}
+	if st.Entries+int(st.Evictions) != inserts {
+		t.Fatalf("entries+evictions = %d+%d, want %d inserts", st.Entries, st.Evictions, inserts)
+	}
+	checkLedger(t, c)
+	var resident []bitset.Set
+	c.forEach(func(s bitset.Set, _ *PLI) bool {
+		resident = append(resident, s)
+		return true
+	})
+	for i, s := range resident {
+		c.put(s, FromAllRows(11+i%3))
+	}
+	checkLedger(t, c)
+	if got := c.stats().Entries; got > len(resident) {
+		t.Fatalf("replacing %d resident keys grew the cache to %d entries", len(resident), got)
+	}
+}
+
+// checkOversize requires a PLI above the byte budget to be refused without
+// evicting resident entries, both as a fresh key and as a replacement; an
+// unbudgeted cache must keep it. Overflowing a default-budget shard
+// (32–256 MiB) would take that much heap, so there checkBounds pins the
+// budget instead.
+func checkOversize(t *testing.T, c *Cache) {
+	small := bitset.New(0, 1)
+	c.put(small, FromAllRows(10))
+	big := FromAllRows(1000) // ~4 KiB, above the tiny budget
+	switch budgetOf(c) {
+	case DefaultCacheBytes:
+		return
+	case 0:
+		c.put(bitset.New(2, 3), big)
+		if _, ok := c.get(bitset.New(2, 3)); !ok {
+			t.Fatal("unbudgeted cache refused a large PLI")
+		}
+	default:
+		before := c.stats()
+		c.put(bitset.New(2, 3), big)
+		if _, ok := c.get(bitset.New(2, 3)); ok {
+			t.Fatal("oversize PLI was cached")
+		}
+		if _, ok := c.get(small); !ok {
+			t.Fatal("refusing the oversize PLI evicted a resident entry")
+		}
+		if after := c.stats(); after.Entries != before.Entries || after.Evictions != before.Evictions+1 {
+			t.Fatalf("refusal: entries %d→%d, evictions %d→%d; want unchanged and +1",
+				before.Entries, after.Entries, before.Evictions, after.Evictions)
+		}
+		c.put(small, big)
+		if _, ok := c.get(small); ok {
+			t.Fatal("oversize replacement stayed cached")
+		}
+	}
+	checkLedger(t, c)
+}
+
+// checkRefresh pins the full provider patch: after an append and a Refresh,
+// every previously requested set answers exactly like a fresh provider over
+// the extended relation, and the cache byte ledger matches the patched
+// contents.
+func checkRefresh(t *testing.T, c *Cache) {
+	rel := appendTestRelation(t, rand.New(rand.NewSource(3)), 80, 4, 4)
+	p := NewProvider(rel, c)
+	sets := []bitset.Set{
+		bitset.New(0, 1),
+		bitset.New(1, 2, 3),
+		bitset.New(0, 2),
+		bitset.New(0, 1, 2, 3),
+	}
+	for _, s := range sets {
+		p.Get(s)
+	}
+	oldRows := rel.NumRows()
+	batch := [][]string{
+		{"v0", "v1", "v2", "fresh"},
+		{"v0", "v1", "v2", "fresh"},
+		{"z", "z", "z", "z"},
+	}
+	if _, err := rel.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	p.Refresh(oldRows)
+	checkLedger(t, c)
+
+	fresh := NewProvider(rel, nil)
+	for _, s := range sets {
+		if !reflect.DeepEqual(canonicalClusters(p.Get(s)), canonicalClusters(fresh.Get(s))) {
+			t.Fatalf("set %v: patched provider disagrees with fresh provider", s)
+		}
+	}
+	for col := 0; col < rel.NumColumns(); col++ {
+		if !reflect.DeepEqual(canonicalClusters(p.SingleColumn(col)), canonicalClusters(fresh.SingleColumn(col))) {
+			t.Fatalf("single column %d not rebuilt", col)
+		}
+	}
+}
+
+// checkConcurrent shares one cache, and then one Provider over a fresh
+// cache, across goroutines while a reader snapshots the stats (as the
+// server's per-job stats path does). Under -race this covers the locking of
+// every shard count, one shard included. Probe counters must balance
+// exactly: every get is a hit or a miss, and every insert is resident or
+// evicted.
+func checkConcurrent(t *testing.T, newCache func() *Cache) {
+	const (
+		goroutines = 8
+		keysPerG   = 32
+		getsPerKey = 3
+	)
+	c := newCache()
+	seed := FromAllRows(3)
+	var hits, misses atomic.Int64
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.stats()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < keysPerG; i++ {
+				key := bitset.New(g, goroutines+i)
+				for k := 0; k < getsPerKey; k++ {
+					if _, ok := c.get(key); ok {
+						hits.Add(1)
+					} else {
+						misses.Add(1)
+					}
+				}
+				c.put(key, seed)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	st := c.stats()
+	if st.Hits != hits.Load() || st.Misses != misses.Load() {
+		t.Fatalf("counters %d hits / %d misses, observed %d / %d", st.Hits, st.Misses, hits.Load(), misses.Load())
+	}
+	if got := st.Entries + int(st.Evictions); got != goroutines*keysPerG {
+		t.Fatalf("entries+evictions = %d, want %d inserts", got, goroutines*keysPerG)
+	}
+
+	rel := cacheTestRelation(t)
+	p := NewProvider(rel, newCache())
+	ref := NewProvider(rel, nil)
+	var sets []bitset.Set
+	for m := 1; m < 1<<rel.NumColumns(); m++ {
+		var s bitset.Set
+		for col := 0; col < rel.NumColumns(); col++ {
+			if m&(1<<col) != 0 {
+				s = s.With(col)
+			}
+		}
+		sets = append(sets, s)
+	}
+	wantCount := make([]int, len(sets))
+	for i, s := range sets {
+		wantCount[i] = ref.Get(s).DistinctCount()
+	}
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4*len(sets); i++ {
+				k := (i + g) % len(sets)
+				s := sets[k]
+				if got := p.Get(s).DistinctCount(); got != wantCount[k] {
+					t.Errorf("Get(%v).DistinctCount = %d, want %d", s, got, wantCount[k])
+					return
+				}
+				if got := p.IsUnique(s); got != (wantCount[k] == rel.NumRows()) {
+					t.Errorf("IsUnique(%v) = %v", s, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// The one-shard tests below pin exact counts of the replacement policy and
+// the byte ledger, where TestCache checks invariants only.
+
 func TestMapCacheCounters(t *testing.T) {
-	c := NewMapCache(4)
+	c := NewCache(1, 4, 0)
 	s := bitset.New(0, 1)
-	if _, ok := c.Get(s); ok {
+	if _, ok := c.get(s); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	c.Put(s, FromAllRows(3))
-	if _, ok := c.Get(s); !ok {
-		t.Fatal("expected hit after Put")
+	c.put(s, FromAllRows(3))
+	if _, ok := c.get(s); !ok {
+		t.Fatal("expected hit after put")
 	}
-	hits, misses, evictions := c.Counters()
-	if hits != 1 || misses != 1 || evictions != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 1/1/0", hits, misses, evictions)
+	if st := c.stats(); st.Hits != 1 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("counters = %d/%d/%d, want 1/1/0", st.Hits, st.Misses, st.Evictions)
 	}
 }
 
 func TestMapCacheEviction(t *testing.T) {
-	c := NewMapCache(4)
+	c := NewCache(1, 4, 0)
 	for i := 0; i < 4; i++ {
-		c.Put(bitset.New(i, i+1), FromAllRows(2))
+		c.put(bitset.New(i, i+1), FromAllRows(2))
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+	if got := c.stats().Entries; got != 4 {
+		t.Fatalf("Entries = %d, want 4", got)
 	}
-	// The fifth Put drops half the entries before inserting.
-	c.Put(bitset.New(10, 11), FromAllRows(2))
-	if c.Len() != 3 {
-		t.Fatalf("Len after eviction = %d, want 3", c.Len())
-	}
-	if _, _, evictions := c.Counters(); evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", evictions)
+	// The fifth put drops half the entries before inserting.
+	c.put(bitset.New(10, 11), FromAllRows(2))
+	if st := c.stats(); st.Entries != 3 || st.Evictions != 2 {
+		t.Fatalf("after eviction: %d entries / %d evictions, want 3 / 2", st.Entries, st.Evictions)
 	}
 }
 
 func TestMapCacheDefaultBound(t *testing.T) {
-	if c := NewMapCache(0); c.maxEntries != DefaultCacheEntries {
-		t.Fatalf("maxEntries = %d, want %d", c.maxEntries, DefaultCacheEntries)
+	if c := NewCache(1, 0, 0); c.shards[0].maxEntries != DefaultCacheEntries {
+		t.Fatalf("maxEntries = %d, want %d", c.shards[0].maxEntries, DefaultCacheEntries)
+	}
+}
+
+// TestMapCacheBudgetDefault checks the sentinel: a negative budget selects
+// DefaultCacheBytes, zero disables budgeting.
+func TestMapCacheBudgetDefault(t *testing.T) {
+	if c := NewCache(1, 0, -1); c.shards[0].maxBytes != DefaultCacheBytes {
+		t.Errorf("maxBytes = %d, want DefaultCacheBytes", c.shards[0].maxBytes)
+	}
+	if c := NewCache(1, 0, 0); c.shards[0].maxBytes != 0 {
+		t.Errorf("maxBytes = %d, want 0 (no budget)", c.shards[0].maxBytes)
+	}
+}
+
+// TestMapCacheBudgetSheds fills a byte-budgeted cache past its budget: the
+// ledger never exceeds the budget after a put, shed entries are counted as
+// evictions, and the most recent store is retained.
+func TestMapCacheBudgetSheds(t *testing.T) {
+	// Each FromAllRows(10) PLI costs 144 bytes; a 300-byte budget holds two.
+	c := NewCache(1, 64, 300)
+	for i := 0; i < 5; i++ {
+		s := bitset.New(i, i+1)
+		c.put(s, FromAllRows(10))
+		if got := c.stats().Bytes; got > 300 {
+			t.Fatalf("after put %d: Bytes = %d, budget is 300", i, got)
+		}
+		if _, ok := c.get(s); !ok {
+			t.Fatalf("put %d was shed immediately despite fitting the budget", i)
+		}
+	}
+	st := c.stats()
+	if st.Entries > 2 {
+		t.Errorf("Entries = %d, want <= 2 under a two-entry byte budget", st.Entries)
+	}
+	if st.Evictions < 3 {
+		t.Errorf("evictions = %d, want >= 3 (five puts, two slots)", st.Evictions)
+	}
+}
+
+// TestMapCacheOversizePLINeverCached checks the OOM guard: a single PLI
+// larger than the whole budget is refused outright instead of evicting
+// everything else to make room that still would not suffice.
+func TestMapCacheOversizePLINeverCached(t *testing.T) {
+	c := NewCache(1, 64, 200)
+	small := bitset.New(0, 1)
+	c.put(small, FromAllRows(10)) // 144 bytes, fits
+	c.put(bitset.New(2, 3), FromAllRows(1000))
+	if got := c.stats().Entries; got != 1 {
+		t.Fatalf("Entries = %d, want 1 (oversize PLI must be refused)", got)
+	}
+	if _, ok := c.get(small); !ok {
+		t.Fatal("refusing the oversize PLI evicted an innocent resident entry")
+	}
+	if got := c.stats().Evictions; got != 1 {
+		t.Errorf("evictions = %d, want 1 (the refused store)", got)
+	}
+}
+
+// TestMapCacheBudgetReplaceAccounting replaces a key with a differently sized
+// PLI and checks the byte ledger tracks the delta, not the sum.
+func TestMapCacheBudgetReplaceAccounting(t *testing.T) {
+	c := NewCache(1, 64, 1<<20)
+	s := bitset.New(0, 1)
+	c.put(s, FromAllRows(10)) // 144
+	c.put(s, FromAllRows(20)) // 184
+	st := c.stats()
+	if st.Bytes != 184 {
+		t.Errorf("Bytes after replace = %d, want 184", st.Bytes)
+	}
+	if st.Entries != 1 {
+		t.Errorf("Entries = %d, want 1 after replacing the same key", st.Entries)
+	}
+}
+
+// TestUnbudgetedMapCacheBytes checks byte accounting stays correct with no
+// budget set (the governor reads the ledger for stats even when not
+// enforcing).
+func TestUnbudgetedMapCacheBytes(t *testing.T) {
+	c := NewCache(1, 64, 0)
+	var want int64
+	for i := 0; i < 4; i++ {
+		p := FromAllRows(10 + i)
+		want += p.ApproxBytes()
+		c.put(bitset.New(i, i+1), p)
+	}
+	if got := c.stats().Bytes; got != want {
+		t.Errorf("Bytes = %d, want %d", got, want)
+	}
+}
+
+// TestSyncCacheConcurrent hammers one shared one-shard cache from several
+// goroutines; under -race this covers the single-mutex path that skips the
+// shard hash.
+func TestSyncCacheConcurrent(t *testing.T) {
+	c := NewCache(1, 16, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s := bitset.New(i%6, i%6+1+g%3)
+				if _, ok := c.get(s); !ok {
+					c.put(s, FromAllRows(2))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.stats(); st.Hits+st.Misses != 8*200 {
+		t.Fatalf("probes = %d, want %d", st.Hits+st.Misses, 8*200)
 	}
 }
 
@@ -68,7 +473,7 @@ func TestMapCacheDefaultBound(t *testing.T) {
 // own counters: Entries matches CachedEntries, Intersections matches the
 // atomic counter, and repeated Gets turn into hits.
 func TestProviderCacheStats(t *testing.T) {
-	p := NewProvider(cacheTestRelation(t), 8)
+	p := NewProvider(cacheTestRelation(t), NewCache(1, 8, 0))
 	s := bitset.New(0, 1, 2)
 	p.Get(s)
 	first := p.CacheStats()
@@ -93,115 +498,24 @@ func TestProviderCacheStats(t *testing.T) {
 
 // TestProviderWithNilCache verifies the default-cache fallback.
 func TestProviderWithNilCache(t *testing.T) {
-	p := NewProviderWithCache(cacheTestRelation(t), nil)
+	p := NewProvider(cacheTestRelation(t), nil)
 	if !p.IsUnique(bitset.New(0, 1)) {
 		t.Error("A,B must be unique")
 	}
 }
 
-// TestSyncCacheConcurrent hammers a SyncCache from several goroutines; run
-// under -race this proves the wrapper makes any inner Cache shareable.
-func TestSyncCacheConcurrent(t *testing.T) {
-	c := NewSyncCache(NewMapCache(16))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := bitset.New(i%6, i%6+1+g%3)
-				if _, ok := c.Get(s); !ok {
-					c.Put(s, FromAllRows(2))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses, _ := c.Counters()
-	if hits+misses != 8*200 {
-		t.Fatalf("probes = %d, want %d", hits+misses, 8*200)
-	}
-}
-
-func TestSyncCacheNilInner(t *testing.T) {
-	c := NewSyncCache(nil)
-	c.Put(bitset.New(0, 1), FromAllRows(2))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestShardedCachePowerOfTwoShards(t *testing.T) {
-	for want, counts := range map[int][]int{
-		1: {1}, 2: {2}, 4: {3, 4}, 8: {5, 6, 7, 8}, 16: {9, 15, 16},
-	} {
-		for _, n := range counts {
-			if got := NewShardedCache(n, 0).NumShards(); got != want {
-				t.Errorf("NewShardedCache(%d): %d shards, want %d", n, got, want)
-			}
-		}
-	}
-}
-
-// TestShardedCacheBasics checks the Cache contract: probes route to a stable
-// shard, counters aggregate, and the total bound is split across shards.
-func TestShardedCacheBasics(t *testing.T) {
-	c := NewShardedCache(4, 64)
-	s := bitset.New(0, 1)
-	if _, ok := c.Get(s); ok {
-		t.Fatal("unexpected hit on empty cache")
-	}
-	c.Put(s, FromAllRows(3))
-	if got, ok := c.Get(s); !ok || got == nil {
-		t.Fatal("expected hit after Put")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	hits, misses, evictions := c.Counters()
-	if hits != 1 || misses != 1 || evictions != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 1/1/0", hits, misses, evictions)
-	}
-}
-
-// TestShardedCacheConcurrent hammers a ShardedCache from several goroutines;
-// run under -race this proves a Provider backed by it is shareable.
-func TestShardedCacheConcurrent(t *testing.T) {
-	c := NewShardedCache(8, 256)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := bitset.New(i%6, i%6+1+g%3)
-				if _, ok := c.Get(s); !ok {
-					c.Put(s, FromAllRows(2))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses, _ := c.Counters()
-	if hits+misses != 8*200 {
-		t.Fatalf("probes = %d, want %d", hits+misses, 8*200)
-	}
-}
-
-// TestConcurrentProviderSharedGets shares one concurrent Provider across
+// TestConcurrentProviderSharedGets shares one sharded Provider across
 // goroutines probing overlapping column combinations; under -race this
 // exercises the Provider's documented concurrency contract end to end
 // (sharded cache puts, atomic intersection counting).
 func TestConcurrentProviderSharedGets(t *testing.T) {
 	rel := cacheTestRelation(t)
-	p := NewConcurrentProvider(rel, 0, 8)
-	want := NewProvider(rel, 0)
+	p := NewProvider(rel, NewCache(8, 0, 0))
+	want := NewProvider(rel, nil)
 	combos := []bitset.Set{
 		bitset.New(0, 1), bitset.New(0, 2), bitset.New(1, 2),
 		bitset.New(0, 1, 2), bitset.New(1, 2, 3), bitset.New(0, 1, 2, 3),
 	}
-	// The sequential reference provider is not shareable; resolve the
-	// expected distinct counts before spawning the workers.
 	wantCounts := make([]int, len(combos))
 	for i, s := range combos {
 		wantCounts[i] = want.Get(s).DistinctCount()
@@ -223,5 +537,49 @@ func TestConcurrentProviderSharedGets(t *testing.T) {
 	wg.Wait()
 	if p.IntersectionCount() == 0 {
 		t.Error("no intersections recorded")
+	}
+}
+
+// TestApproxBytesModel pins the byte-accounting model the memory governor
+// budgets against: 96 bytes of struct overhead, four bytes per stored row id
+// and per offset entry, plus — once materialised — four bytes per relation
+// row for the cached attribute vector. For the flat layout this is exact up
+// to the struct constant.
+func TestApproxBytesModel(t *testing.T) {
+	// One cluster of 10 rows: 96 + 4*(10 rows + 2 offsets).
+	if got := FromAllRows(10).ApproxBytes(); got != 144 {
+		t.Errorf("FromAllRows(10).ApproxBytes() = %d, want 144", got)
+	}
+	// Single-row relations strip to zero clusters: struct overhead only.
+	if got := FromAllRows(1).ApproxBytes(); got != 96 {
+		t.Errorf("FromAllRows(1).ApproxBytes() = %d, want 96", got)
+	}
+	// Two clusters of 3: 96 + 4*(6 rows + 3 offsets).
+	p := FromColumn([]int32{0, 1, 0, 1, 0, 1}, 2)
+	if got := p.ApproxBytes(); got != 132 {
+		t.Errorf("two-cluster ApproxBytes() = %d, want 132", got)
+	}
+	// Materialising the attribute vector folds it into the accounting:
+	// + 4*6 rows.
+	p.ProbeVector()
+	if got := p.ApproxBytes(); got != 156 {
+		t.Errorf("ApproxBytes() with probe = %d, want 156", got)
+	}
+}
+
+// TestCacheLedgerStableAcrossProbeMaterialization pins the snapshot-at-put
+// semantics: a PLI whose attribute vector materialises after it was cached
+// must not corrupt the byte ledger when it is later replaced or shed —
+// evictions subtract exactly what put added.
+func TestCacheLedgerStableAcrossProbeMaterialization(t *testing.T) {
+	c := NewCache(1, 64, 1<<20)
+	s := bitset.New(0, 1)
+	p := FromAllRows(10)
+	c.put(s, p)
+	accounted := c.stats().Bytes
+	p.ProbeVector() // grows ApproxBytes after the put snapshot
+	c.put(s, FromAllRows(10))
+	if got := c.stats().Bytes; got != accounted {
+		t.Errorf("Bytes after replace = %d, want %d (ledger drifted)", got, accounted)
 	}
 }

@@ -131,8 +131,8 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 // across admission states.
 func TestProviderFastPathsAgainstGet(t *testing.T) {
 	rel := checkRelation(t, 300, 5, 4, 7)
-	fast := NewProvider(rel, 0)
-	ref := NewProvider(rel, 0)
+	fast := NewProvider(rel, nil)
+	ref := NewProvider(rel, nil)
 
 	n := rel.NumColumns()
 	var sets []bitset.Set
@@ -190,80 +190,14 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 	}
 }
 
-// TestSampledPrefilterEquivalence forces sampling on a small relation (the
-// production threshold would disable it) and proves the sampled fast paths
-// agree with the unsampled reference on every subset: sampled refutations
-// are sound, sampled positives always fall through to the exact check.
-func TestSampledPrefilterEquivalence(t *testing.T) {
-	for _, stride := range []int{2, 4, 8} {
-		rel := checkRelation(t, 400, 5, 3, int64(stride))
-		sampled := NewProvider(rel, 0)
-		sampled.enableSampling(stride)
-		ref := NewProvider(rel, 0)
-
-		n := rel.NumColumns()
-		for m := 1; m < 1<<n; m++ {
-			var s bitset.Set
-			for c := 0; c < n; c++ {
-				if m&(1<<c) != 0 {
-					s = s.With(c)
-				}
-			}
-			refPLI := ref.Get(s)
-			if got, want := sampled.IsUnique(s), refPLI.IsUnique(); got != want {
-				t.Fatalf("stride %d: IsUnique(%v) = %v, want %v", stride, s, got, want)
-			}
-			for a := 0; a < n; a++ {
-				if got, want := sampled.CheckFD(s, a), s.Has(a) || refPLI.Refines(rel.Column(a)); got != want {
-					t.Fatalf("stride %d: CheckFD(%v, %d) = %v, want %v", stride, s, a, got, want)
-				}
-			}
-			if got, want := sampled.CheckFDs(s, rel.AllColumns()), refCheckFDs(ref, s, rel.AllColumns()); got != want {
-				t.Fatalf("stride %d: CheckFDs(%v) = %v, want %v", stride, s, got, want)
-			}
-		}
-		if sampled.CacheStats().SampledRefutations == 0 {
-			t.Errorf("stride %d: prefilter never refuted anything on a 3-ary relation", stride)
-		}
-	}
-}
-
-// TestWithSampleCheckThreshold pins the production stride selection: small
-// relations stay unsampled, large ones get a power-of-two stride that keeps
-// the sample near the target size.
-func TestWithSampleCheckThreshold(t *testing.T) {
-	small := NewProvider(checkRelation(t, 500, 2, 3, 1), 0).WithSampleCheck(true)
-	if small.sampleMask != 0 {
-		t.Errorf("500-row relation got sampling (mask %d), want disabled below threshold", small.sampleMask)
-	}
-	// High-cardinality columns keep the 100k rows distinct through the
-	// relation layer's duplicate-row removal.
-	bigRel := checkRelation(t, 100000, 3, 1000, 1)
-	big := NewProvider(bigRel, 0).WithSampleCheck(true)
-	if big.sampleMask == 0 {
-		t.Fatalf("%d-row relation did not arm sampling", bigRel.NumRows())
-	}
-	stride := int(big.sampleMask) + 1
-	if stride&(stride-1) != 0 || stride < sampleMinStride {
-		t.Errorf("stride = %d, want power of two >= %d", stride, sampleMinStride)
-	}
-	sampleRows := bigRel.NumRows() / stride
-	if sampleRows < sampleTargetRows || sampleRows >= 4*sampleTargetRows {
-		t.Errorf("sample holds %d rows, want near %d", sampleRows, sampleTargetRows)
-	}
-	if off := big.WithSampleCheck(false); off.sampleMask != 0 || off.sampledSingle != nil {
-		t.Error("WithSampleCheck(false) did not disarm the prefilter")
-	}
-}
-
 // TestConcurrentFastChecks hammers the fast paths of one shared provider
 // from many goroutines (run under -race by verify.sh): pooled scratches,
 // atomic counters, and promotion admissions into the sharded cache must not
 // race, and every goroutine must see the same verdicts.
 func TestConcurrentFastChecks(t *testing.T) {
 	rel := checkRelation(t, 2000, 6, 5, 11)
-	p := NewConcurrentProvider(rel, 0, 8)
-	ref := NewProvider(rel, 0)
+	p := NewProvider(rel, NewCache(8, 0, 0))
+	ref := NewProvider(rel, nil)
 
 	n := rel.NumColumns()
 	var sets []bitset.Set
@@ -325,9 +259,9 @@ func TestConcurrentFastChecks(t *testing.T) {
 
 // FuzzCheckEquivalence differentially fuzzes the check kernels and Provider
 // fast paths against the materializing reference on arbitrary relations: the
-// fold kernel (every base column, every fold depth), the batched RHS sweep,
-// and the sampled prefilter at stride 2 must all agree with chained
-// IntersectColumn materialization.
+// fold kernel (every base column, every fold depth), the batched RHS sweep
+// and the Provider fast paths must all agree with chained IntersectColumn
+// materialization.
 func FuzzCheckEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1, 1, 0, 2, 2, 0, 1, 1, 0})
 	f.Add([]byte{0, 0})
@@ -383,11 +317,10 @@ func FuzzCheckEquivalence(f *testing.F) {
 		if len(cols[0]) == 0 {
 			return
 		}
-		// Provider fast paths (with forced sampling) vs Get on a fresh pair.
+		// Provider fast paths vs Get on a fresh pair.
 		rel := fuzzToRelation(t, cols, card)
-		fast := NewProvider(rel, 0)
-		fast.enableSampling(2)
-		ref := NewProvider(rel, 0)
+		fast := NewProvider(rel, nil)
+		ref := NewProvider(rel, nil)
 		n := rel.NumColumns()
 		for m := 1; m < 1<<n; m++ {
 			var s bitset.Set

@@ -408,7 +408,7 @@ func (p *PLI) RefinesEach(cols [][]int32) []bool {
 // bytes per stored row id and offset, and — once materialised — four bytes
 // per row for the cached attribute vector. For the flat layout this is exact
 // up to the fixed struct overhead. Budgeted caches snapshot the value at Put
-// time (see MapCache), so a vector materialised after caching grows the
+// time (see cacheEntry), so a vector materialised after caching grows the
 // process heap but not the cache ledger; the Provider's lattice-walk path
 // never materialises vectors on cached PLIs, keeping the ledger truthful.
 func (p *PLI) ApproxBytes() int64 {

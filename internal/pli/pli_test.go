@@ -229,7 +229,7 @@ func TestQuickIntersectCorrect(t *testing.T) {
 		n := r.NumColumns()
 		a := bitset.Single(rnd.Intn(n))
 		b := bitset.Single(rnd.Intn(n))
-		p := NewProvider(r, 0)
+		p := NewProvider(r, nil)
 		pa, pb := p.Get(a), p.Get(b)
 		inter := pa.Intersect(pb)
 		if !reflect.DeepEqual(canon(inter), brutePLI(r, a.Union(b))) {
@@ -257,7 +257,7 @@ func TestQuickProviderCorrect(t *testing.T) {
 	}
 	if err := quick.Check(func(r *relation.Relation, seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		p := NewProvider(r, 8) // tiny cache to exercise eviction
+		p := NewProvider(r, NewCache(1, 8, 0)) // tiny cache to exercise eviction
 		for i := 0; i < 20; i++ {
 			var s bitset.Set
 			for c := 0; c < r.NumColumns(); c++ {
@@ -287,7 +287,7 @@ func TestQuickLemma1(t *testing.T) {
 	}
 	if err := quick.Check(func(r *relation.Relation, seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		p := NewProvider(r, 0)
+		p := NewProvider(r, nil)
 		n := r.NumColumns()
 		var lhs bitset.Set
 		for c := 0; c < n; c++ {
@@ -314,7 +314,7 @@ func TestProviderBasics(t *testing.T) {
 		{"y", "2", "p"},
 		{"y", "3", "q"},
 	})
-	p := NewProvider(r, 0)
+	p := NewProvider(r, nil)
 	if p.Relation() != r {
 		t.Error("Relation accessor mismatch")
 	}
@@ -347,7 +347,7 @@ func TestProviderBasics(t *testing.T) {
 
 func TestProviderEmptySetCardinality(t *testing.T) {
 	r := relation.MustNew("t", []string{"A"}, [][]string{{"x"}, {"y"}})
-	p := NewProvider(r, 0)
+	p := NewProvider(r, nil)
 	if p.Cardinality(bitset.New()) != 1 {
 		t.Errorf("empty set cardinality = %d, want 1", p.Cardinality(bitset.New()))
 	}
@@ -359,7 +359,7 @@ func TestProviderCacheEviction(t *testing.T) {
 	for r.NumColumns() < 6 {
 		r = randomRelation(rnd, 6, 50, 3)
 	}
-	p := NewProvider(r, 4)
+	p := NewProvider(r, NewCache(1, 4, 0))
 	// Touch many sets; cache must stay bounded and results stay correct.
 	sets := []bitset.Set{}
 	for c1 := 0; c1 < 6; c1++ {

@@ -20,9 +20,7 @@ import (
 // columns in ascending order, caching every prefix. Random-walk neighbours
 // therefore cost one intersection in the common case.
 //
-// The multi-column store behind Get is a pluggable Cache (see cache.go);
-// NewProvider uses the bounded MapCache, NewProviderWithCache slots in any
-// other policy, including the mutex-guarded SyncCache and the ShardedCache.
+// The multi-column store behind Get is the sharded Cache (see cache.go).
 //
 // # Validation fast path
 //
@@ -43,41 +41,24 @@ import (
 // prunes, are never materialised. A plan stuck at fold distance >= 2 may
 // additionally promote ONE intermediate (the ancestor extended by one
 // column), gated by a doorkeeper that admits on the second request, so
-// one-shot probe sweeps cost zero promotions. The FastChecks /
-// Materializations / SampledRefutations counters in CacheStats expose the
-// split.
+// one-shot probe sweeps cost zero promotions. The FastChecks and
+// Materializations counters in CacheStats expose the split.
 //
-// WithSampleCheck additionally arms a deterministic stride-sample refutation
-// prefilter for the boolean questions; see its doc comment for the
-// soundness argument.
-//
-// Concurrency contract: after construction (including WithSampleCheck, which
-// must be called before the Provider is shared) the Provider itself is
-// immutable except for the atomic counters and the cache. Get, IsUnique,
-// Cardinality, CheckFD, CheckFDs and ForEachCluster are therefore safe to
-// call from multiple goroutines if and only if the configured Cache is safe
-// for concurrent use (SyncCache, ShardedCache). With the plain MapCache the
-// Provider is single-goroutine only. Concurrent Gets of the same uncached
-// combination may duplicate an intersection — both goroutines compute and
-// store the same PLI — which wastes a little work but never produces a wrong
-// result, because PLIs are immutable once built. The fast paths borrow
-// pooled Scratch arenas per call (see scratch.go), so they hold no shared
-// mutable state across goroutines.
+// Concurrency contract: a Provider is always safe to share across
+// goroutines. After construction it is immutable except for the atomic
+// counters, the doorkeeper and the concurrency-safe Cache, so Get, IsUnique,
+// Cardinality, CheckFD, CheckFDs and ForEachCluster may be called from any
+// number of goroutines (Refresh is the one exclusive operation). Concurrent
+// Gets of the same uncached combination may duplicate an intersection —
+// both goroutines compute and store the same PLI — which wastes a little
+// work but never produces a wrong result, because PLIs are immutable once
+// built. The fast paths borrow pooled Scratch arenas per call (see
+// scratch.go), so they hold no shared mutable state across goroutines.
 type Provider struct {
 	rel    *relation.Relation
 	single []*PLI
 	empty  *PLI
-	cache  Cache
-
-	// sampleMask != 0 arms the stride-sample refutation prefilter: row r is
-	// sampled iff r&sampleMask == 0 (the stride is sampleMask+1, a power of
-	// two). sampledSingle holds per-column PLIs over the sampled rows only,
-	// keeping original row ids so full column arrays index correctly during
-	// sampled folds. Both are written only by WithSampleCheck, before the
-	// Provider is shared.
-	sampleMask    int32
-	sampledSingle []*PLI
-	sampleWanted  bool // remembers WithSampleCheck(true) so Refresh re-arms
+	cache  *Cache
 
 	// admit is the promotion doorkeeper: hash-indexed reference counters over
 	// candidate promotion sets. A fold-distance >= 2 plan materialises its one
@@ -90,30 +71,20 @@ type Provider struct {
 
 	// intersections counts column intersections performed; read it via
 	// IntersectionCount. Updated with sync/atomic so a Provider shared
-	// across workers stays race-free. The other three are the fast-path
+	// across workers stays race-free. The other two are the fast-path
 	// counters surfaced through CacheStats.
-	intersections      atomic.Int64
-	fastChecks         atomic.Int64
-	materializations   atomic.Int64
-	sampledRefutations atomic.Int64
+	intersections    atomic.Int64
+	fastChecks       atomic.Int64
+	materializations atomic.Int64
 }
-
-// DefaultCacheEntries bounds the number of cached multi-column PLIs. The
-// single-column PLIs are always retained.
-const DefaultCacheEntries = 4096
 
 // admitSlots sizes the promotion doorkeeper (16 KiB of counters per
 // Provider). Must be a power of two.
 const admitSlots = 1 << 12
 
-// NewProvider builds a Provider for rel with the default bounded map cache.
-// maxEntries <= 0 selects DefaultCacheEntries.
-func NewProvider(rel *relation.Relation, maxEntries int) *Provider {
-	return NewProviderWithCache(rel, NewMapCache(maxEntries))
-}
-
-// NewProviderWithCache builds a Provider that stores multi-column PLIs in the
-// given cache. cache == nil selects a default-sized MapCache.
+// NewProvider builds a Provider for rel that stores multi-column PLIs in
+// cache. cache == nil selects a one-shard NewCache(1, 0, 0): the default
+// entry bound and no byte budget.
 //
 // The single-column PLIs are built concurrently, one indexed slot per column
 // across GOMAXPROCS workers; the result is identical to the sequential build
@@ -121,9 +92,9 @@ func NewProvider(rel *relation.Relation, maxEntries int) *Provider {
 // slot owns one Scratch arena sized to the relation's maximum cardinality
 // (the worker-slot ownership contract of scratch.go), so the whole build
 // performs one grouping-arena allocation per worker, not one per column.
-func NewProviderWithCache(rel *relation.Relation, cache Cache) *Provider {
+func NewProvider(rel *relation.Relation, cache *Cache) *Provider {
 	if cache == nil {
-		cache = NewMapCache(0)
+		cache = NewCache(1, 0, 0)
 	}
 	p := &Provider{
 		rel:    rel,
@@ -143,14 +114,6 @@ func NewProviderWithCache(rel *relation.Relation, cache Cache) *Provider {
 		p.single[c] = FromColumnScratch(rel.Column(c), rel.Cardinality(c), s)
 	})
 	return p
-}
-
-// NewConcurrentProvider builds a Provider backed by a ShardedCache, safe for
-// use from up to `workers` concurrent goroutines (workers <= 0 selects
-// GOMAXPROCS). maxEntries bounds the total cached multi-column PLIs
-// (<= 0 selects DefaultCacheEntries).
-func NewConcurrentProvider(rel *relation.Relation, maxEntries, workers int) *Provider {
-	return NewProviderWithCache(rel, NewShardedCache(parallel.Workers(workers), maxEntries))
 }
 
 // Relation returns the underlying relation.
@@ -215,7 +178,7 @@ func (p *Provider) cacheGet(s bitset.Set) (*PLI, bool) {
 	if faults.Degraded(faults.CacheGet) {
 		return nil, false
 	}
-	return p.cache.Get(s)
+	return p.cache.get(s)
 }
 
 // cachePut stores into the multi-column cache. Under an armed
@@ -224,7 +187,7 @@ func (p *Provider) cachePut(s bitset.Set, pli *PLI) {
 	if faults.Degraded(faults.CachePut) {
 		return
 	}
-	p.cache.Put(s, pli)
+	p.cache.put(s, pli)
 }
 
 // IntersectionCount returns the number of column intersections performed so
@@ -242,157 +205,18 @@ func (p *Provider) lookup(s bitset.Set) (*PLI, bool) {
 }
 
 // CachedEntries returns the number of multi-column PLIs currently cached.
-func (p *Provider) CachedEntries() int { return p.cache.Len() }
+func (p *Provider) CachedEntries() int { return p.cache.stats().Entries }
 
 // CacheStats snapshots the cache behaviour of this Provider: probe hits and
-// misses, evictions, the current entry count, the intersections performed,
-// and the fast-path counters (FastChecks, Materializations,
-// SampledRefutations). The snapshot is what the engine reports to its
-// Observer.
+// misses, evictions, the current entry count and bytes, the intersections
+// performed, and the fast-path counters (FastChecks, Materializations). The
+// snapshot is what the engine reports to its Observer.
 func (p *Provider) CacheStats() CacheStats {
-	hits, misses, evictions := p.cache.Counters()
-	return CacheStats{
-		Hits:               hits,
-		Misses:             misses,
-		Evictions:          evictions,
-		Entries:            p.cache.Len(),
-		Bytes:              p.cache.Bytes(),
-		Intersections:      p.intersections.Load(),
-		FastChecks:         p.fastChecks.Load(),
-		Materializations:   p.materializations.Load(),
-		SampledRefutations: p.sampledRefutations.Load(),
-	}
-}
-
-// sampleTargetRows is the sample size the stride selection aims for, and
-// sampleMinStride the smallest stride worth prefiltering with: below it the
-// sample approaches the full relation and the prefilter would roughly double
-// the cost of every check it fails to refute.
-const (
-	sampleTargetRows = 1024
-	sampleMinStride  = 8
-)
-
-// WithSampleCheck arms (or disarms) the sampled refutation prefilter and
-// returns the Provider for chaining. It must be called before the Provider
-// is shared across goroutines.
-//
-// The prefilter runs the boolean questions (IsUnique, CheckFD, CheckFDs)
-// against a deterministic stride sample first — every stride-th row, stride
-// a power of two chosen so the sample holds roughly sampleTargetRows rows —
-// and falls through to the exact check only when the sample finds no
-// counterexample. Soundness: a sampled answer is only ever trusted when it
-// is NEGATIVE. Two sampled rows agreeing on every column of X are two real
-// rows of the relation agreeing on X, so X is certainly not unique; two
-// sampled rows agreeing on X but differing in A certainly violate X → A. A
-// positive sample answer proves nothing (the counterexample may be
-// unsampled) and always triggers the exact check, so discovered metadata is
-// identical with and without sampling. Relations whose row count would force
-// a stride below sampleMinStride leave the prefilter disarmed.
-func (p *Provider) WithSampleCheck(on bool) *Provider {
-	p.sampleWanted = on
-	if !on {
-		p.sampleMask = 0
-		p.sampledSingle = nil
-		return p
-	}
-	stride := 1
-	for p.rel.NumRows()/(stride*2) >= sampleTargetRows {
-		stride *= 2
-	}
-	if stride < sampleMinStride {
-		return p
-	}
-	p.enableSampling(stride)
-	return p
-}
-
-// enableSampling builds the per-column sampled PLIs for the given power-of-
-// two stride. Split out of WithSampleCheck so tests can force sampling on
-// relations too small for the production stride selection.
-func (p *Provider) enableSampling(stride int) {
-	p.sampleMask = int32(stride - 1)
-	p.sampledSingle = make([]*PLI, p.rel.NumColumns())
-	s := NewScratch()
-	s.Ensure(p.rel.MaxCardinality())
-	for c := range p.sampledSingle {
-		p.sampledSingle[c] = fromColumnSampled(p.rel.Column(c), p.rel.Cardinality(c), stride, s)
-	}
-}
-
-// fromColumnSampled builds the PLI of every stride-th row of a column,
-// keeping original row ids (so full column arrays index correctly when the
-// sampled PLI serves as a fold base). Singleton clusters are stripped as
-// usual.
-func fromColumnSampled(col []int32, cardinality, stride int, s *Scratch) *PLI {
-	s.ensure(cardinality)
-	counts := s.counts[:cardinality]
-	for r := 0; r < len(col); r += stride {
-		counts[col[r]]++
-	}
-	nClusters, nStored := 0, 0
-	for _, c := range counts {
-		if c >= 2 {
-			nClusters++
-			nStored += int(c)
-		}
-	}
-	p := &PLI{nRows: len(col)}
-	if nClusters > 0 {
-		p.rows = make([]int32, nStored)
-		p.offsets = make([]int32, nClusters+1)
-		starts := s.starts[:cardinality]
-		cursor := int32(0)
-		ci := 1
-		for code, c := range counts {
-			if c >= 2 {
-				starts[code] = cursor
-				cursor += c
-				p.offsets[ci] = cursor
-				ci++
-			} else {
-				starts[code] = -1
-			}
-		}
-		for r := 0; r < len(col); r += stride {
-			if st := starts[col[r]]; st >= 0 {
-				p.rows[st] = int32(r)
-				starts[col[r]]++
-			}
-		}
-	}
-	clear(counts) // restore the all-zero Scratch invariant
-	return p
-}
-
-// samplePlan picks the cheapest sampled single-column PLI of set as the
-// prefilter fold base (fewest stored rows wins) and fills the scratch key
-// slots with the remaining columns. A nil base means sampling is disarmed
-// or set is empty.
-func (p *Provider) samplePlan(set bitset.Set, sc *Scratch) (*PLI, [][]int32, []int) {
-	if p.sampleMask == 0 {
-		return nil, nil, nil
-	}
-	best := -1
-	for c := set.First(); c >= 0; c = set.NextAfter(c) {
-		if best < 0 || len(p.sampledSingle[c].rows) < len(p.sampledSingle[best].rows) {
-			best = c
-		}
-	}
-	if best < 0 {
-		return nil, nil, nil
-	}
-	keys, cards := sc.keySlots(set.Len() - 1)
-	i := 0
-	for c := set.First(); c >= 0; c = set.NextAfter(c) {
-		if c == best {
-			continue
-		}
-		keys[i] = p.rel.Column(c)
-		cards[i] = p.rel.Cardinality(c)
-		i++
-	}
-	return p.sampledSingle[best], keys, cards
+	st := p.cache.stats()
+	st.Intersections = p.intersections.Load()
+	st.FastChecks = p.fastChecks.Load()
+	st.Materializations = p.materializations.Load()
+	return st
 }
 
 // plan resolves the cheapest way to answer a question about set: the cached
@@ -512,9 +336,8 @@ func (p *Provider) foldKeys(fold []int, sc *Scratch) ([][]int32, []int) {
 }
 
 // IsUnique reports whether s is a unique column combination, answered on
-// the validation fast path: cached verdict if s itself is cached, sampled
-// refutation when the plan is long (if armed), otherwise one combined
-// foldPLI pass over the cheapest cached ancestor.
+// the validation fast path: cached verdict if s itself is cached, otherwise
+// one combined foldPLI pass over the cheapest cached ancestor.
 //
 // Unlike the boolean FD checks, a uniqueness verdict cannot early-exit on
 // confirmation — proving "no duplicate survives" needs the whole base — so
@@ -539,16 +362,6 @@ func (p *Provider) IsUnique(s bitset.Set) bool {
 	if len(fold) == 0 {
 		return base.IsUnique()
 	}
-	// The sampled prefilter earns its scan only when the alternative is an
-	// expensive multi-column fold over a far base; at fold distance one the
-	// exact fold over the (usually small) cached ancestor is already about
-	// as cheap as the sample itself.
-	if len(fold) >= 2 && s.Len() >= 2 {
-		if sb, skeys, scards := p.samplePlan(s, sc); sb != nil && !sb.CheckUnique(skeys, scards, sc) {
-			p.sampledRefutations.Add(1)
-			return false
-		}
-	}
 	keys, cards := p.foldKeys(fold, sc)
 	out := base.foldPLI(keys, cards, sc)
 	if out.IsUnique() {
@@ -560,9 +373,7 @@ func (p *Provider) IsUnique(s bitset.Set) bool {
 }
 
 // Cardinality returns the distinct count |s|_r, computed with the
-// non-materializing CheckErrorSum fold when s is uncached. Sampling is never
-// consulted here: a count, unlike a refutation, cannot be extrapolated from
-// a sample.
+// non-materializing CheckErrorSum fold when s is uncached.
 func (p *Provider) Cardinality(s bitset.Set) int {
 	p.fastChecks.Add(1)
 	sc := getScratch()
@@ -576,8 +387,8 @@ func (p *Provider) Cardinality(s bitset.Set) int {
 }
 
 // CheckFD reports whether the FD lhs → rhs holds on the relation, on the
-// validation fast path (sampled refutation, then an early-exit CheckRefines
-// fold; lhs's PLI is never materialised).
+// validation fast path (an early-exit CheckRefines fold; lhs's PLI is never
+// materialised).
 func (p *Provider) CheckFD(lhs bitset.Set, rhs int) bool {
 	if lhs.Has(rhs) {
 		return true // trivial FD
@@ -586,12 +397,6 @@ func (p *Provider) CheckFD(lhs bitset.Set, rhs int) bool {
 	col := p.rel.Column(rhs)
 	sc := getScratch()
 	defer putScratch(sc)
-	if !lhs.IsEmpty() {
-		if sb, keys, cards := p.samplePlan(lhs, sc); sb != nil && !sb.CheckRefines(col, keys, cards, sc) {
-			p.sampledRefutations.Add(1)
-			return false
-		}
-	}
 	base, fold := p.plan(lhs, sc)
 	if len(fold) == 0 {
 		return base.Refines(col)
@@ -604,8 +409,7 @@ func (p *Provider) CheckFD(lhs bitset.Set, rhs int) bool {
 // (CheckRefinesMany) and returns the set of right-hand sides that hold.
 // Columns of lhs itself are trivially determined and echoed back. The
 // candidate column slots and verdict buffer come from the pooled Scratch,
-// so TANE's per-level sweep allocates nothing per call; if sampling is
-// armed, candidates refuted on the sample are excluded from the exact fold.
+// so TANE's per-level sweep allocates nothing per call.
 func (p *Provider) CheckFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 	valid := rhs.Intersect(lhs) // trivial FDs
 	todo := rhs.Diff(lhs)
@@ -622,28 +426,9 @@ func (p *Provider) CheckFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 		data[i] = p.rel.Column(c)
 		i++
 	}
-	remaining := n
-	if !lhs.IsEmpty() {
-		if sb, keys, cards := p.samplePlan(lhs, sc); sb != nil {
-			sb.CheckRefinesMany(data, keys, cards, ok, sc)
-			for i := range data {
-				if data[i] != nil && !ok[i] {
-					data[i] = nil // sampled counterexample: certainly invalid
-					p.sampledRefutations.Add(1)
-					remaining--
-				}
-			}
-		}
-	}
-	if remaining > 0 {
-		base, fold := p.plan(lhs, sc)
-		keys, cards := p.foldKeys(fold, sc)
-		base.CheckRefinesMany(data, keys, cards, ok, sc)
-	} else {
-		for i := range ok {
-			ok[i] = false
-		}
-	}
+	base, fold := p.plan(lhs, sc)
+	keys, cards := p.foldKeys(fold, sc)
+	base.CheckRefinesMany(data, keys, cards, ok, sc)
 	i = 0
 	for c := todo.First(); c >= 0; c = todo.NextAfter(c) {
 		if ok[i] {

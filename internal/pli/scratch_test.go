@@ -83,7 +83,7 @@ func TestScratchPoolConcurrentProviders(t *testing.T) {
 		r = randomRelation(rnd, 6, 300, 4)
 	}
 	n := r.NumColumns()
-	p := NewConcurrentProvider(r, 8, 8) // tiny cache forces constant recomputation
+	p := NewProvider(r, NewCache(8, 8, 0)) // tiny cache forces constant recomputation
 
 	var sets []bitset.Set
 	for a := 0; a < n; a++ {

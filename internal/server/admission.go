@@ -182,9 +182,9 @@ func retryAfterSecs(predictedWait float64) int {
 // Memory pressure levels reported by the governor.
 const (
 	memHealthy = iota
-	// memSoft: heap above the soft watermark. New jobs run degraded —
-	// shrunken PLI cache budget, sampled-check prefilter forced on — trading
-	// speed for footprint while results stay exact.
+	// memSoft: heap above the soft watermark. New jobs run degraded with a
+	// shrunken PLI cache budget, trading speed for footprint while results
+	// stay exact.
 	memSoft
 	// memHard: heap above the hard watermark. Large-dataset submissions are
 	// refused with 503 until pressure recedes; small ones still run

@@ -317,3 +317,42 @@ func TestDatasetList(t *testing.T) {
 		t.Fatalf("dataset list = %+v", views)
 	}
 }
+
+// TestDatasetReadyWhenBatchStreamEnds pins the order of a dataset job's
+// terminal steps: the dataset is settled before the job's event stream
+// closes, so a client that follows a batch's stream to its end finds the
+// dataset ready and can post the next batch at once, without a 409. The
+// state directory widens the window a wrong order would open: the terminal
+// WAL record is fsync'd between closing the stream and settling.
+func TestDatasetReadyWhenBatchStreamEnds(t *testing.T) {
+	_, _, ts := openTestServer(t, Config{Workers: 2, StateDir: t.TempDir()})
+	code, d := createDataset(t, ts, fmt.Sprintf(`{"csv": %q}`, testCSV))
+	if code != http.StatusAccepted {
+		t.Fatalf("create dataset: status %d", code)
+	}
+	pollDataset(t, ts, d.ID, func(v DatasetView) bool { return v.State == DatasetReady })
+
+	for i := 0; i < 20; i++ {
+		code, body := postBatch(t, ts, d.ID, fmt.Sprintf("%d,99999,Jena\n", 100+i))
+		if code != http.StatusAccepted {
+			t.Fatalf("batch %d right after the previous stream ended: status %d body %s", i, code, body)
+		}
+		var v DatasetView
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
+			t.Fatalf("batch %d response %q: %v", i, body, err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.JobIDs[len(v.JobIDs)-1] + "/events")
+		if err != nil {
+			t.Fatalf("events: %v", err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("reading events: %v", err)
+		}
+		if got := getDataset(t, ts, d.ID); got.State != DatasetReady || got.Version != i+2 {
+			t.Fatalf("batch %d: stream ended with dataset %s at version %d, want %s at version %d",
+				i, got.State, got.Version, DatasetReady, i+2)
+		}
+	}
+}

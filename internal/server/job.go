@@ -59,8 +59,9 @@ type job struct {
 	noRetry bool
 	// done, when set, is invoked exactly once after the job reaches a
 	// terminal state (finish or a queued-state cancellation), with that
-	// state and error message. Dataset jobs use it to release the per-
-	// dataset busy flag and settle the dataset state.
+	// state and error message, before the job's event stream closes (see
+	// Server.announce). Dataset jobs use it to release the per-dataset busy
+	// flag and settle the dataset state.
 	done func(state, errMsg string)
 	// datasetID links a dataset job to its session (empty for plain jobs);
 	// journaled terminal records carry it so replay can settle the session.
@@ -79,8 +80,8 @@ type job struct {
 	breakerKey breakerKey
 	hasBreaker bool
 	// degraded marks a job admitted above the soft memory watermark: the
-	// run gets a shrunken PLI cache budget and the sampled-check prefilter
-	// forced on (results stay exact — both knobs trade speed for footprint).
+	// run gets a shrunken PLI cache budget (results stay exact — the budget
+	// trades speed for footprint).
 	degraded bool
 
 	mu        sync.Mutex

@@ -81,8 +81,8 @@ type Config struct {
 	// before half-opening for a single trial probe (<= 0 selects 30s).
 	BreakerCooldown time.Duration
 	// MemSoftBytes is the soft heap watermark: above it, newly admitted
-	// jobs run degraded — PLI cache budget clamped to DegradedCacheBytes,
-	// sampled-check prefilter forced on (0 disables).
+	// jobs run degraded — PLI cache budget clamped to DegradedCacheBytes
+	// (0 disables).
 	MemSoftBytes int64
 	// MemHardBytes is the hard heap watermark: above it, submissions of
 	// LargeJobBytes or more are refused with 503 until pressure recedes
@@ -398,15 +398,12 @@ func (s *Server) runJob(j *job) {
 		j.finished = time.Now().UTC()
 		j.mu.Unlock()
 		s.metrics.jobsDoomedInQueue.Add(1)
-		s.announce(j, StateFailed, msg)
 		// Neutral for the breaker: the queue, not the dataset, ate the
 		// deadline.
 		if j.hasBreaker {
 			s.breakers.recordNeutral(j.breakerKey)
 		}
-		if j.done != nil {
-			j.done(StateFailed, msg)
-		}
+		s.announce(j, StateFailed, msg)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -433,10 +430,9 @@ func (s *Server) runJob(j *job) {
 	}
 	if j.degraded {
 		// Admitted above the soft memory watermark: clamp the PLI cache
-		// budget and force the sampled-check prefilter. Both trade wall time
-		// for footprint without changing results (sampling only refutes, the
-		// budget only evicts), so degraded-run reports are still cacheable.
-		opts.SampleCheck = true
+		// budget. That trades wall time for footprint without changing
+		// results (the budget only evicts), so degraded-run reports are
+		// still cacheable.
 		if opts.MaxCacheBytes <= 0 || opts.MaxCacheBytes > s.cfg.DegradedCacheBytes {
 			opts.MaxCacheBytes = s.cfg.DegradedCacheBytes
 		}
@@ -551,16 +547,17 @@ func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
 		}
 	}
 	s.announce(j, state, errMsg)
-	if j.done != nil {
-		j.done(state, errMsg)
-	}
 }
 
-// announce records a terminal transition in the job's event stream and bumps
-// the outcome counter. The state fields must already be set.
+// announce completes a terminal transition whose state fields are already
+// set: it bumps the outcome counter, journals the end record, settles the
+// job's dataset (if any), and only then records the transition in the
+// job's event stream and closes it. A client that has seen the stream end
+// therefore finds the job durably terminal and its dataset ready for the
+// next batch. The end record must precede the settle: the busy flag is what
+// keeps a session's next job from being journaled before the previous
+// job's end, and recovery relies on only a session's last job lacking one.
 func (s *Server) announce(j *job, state, errMsg string) {
-	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: state, Error: errMsg})
-	j.events.close()
 	switch state {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
@@ -575,6 +572,11 @@ func (s *Server) announce(j *job, state, errMsg string) {
 	// The terminal record lands after any checkpoint the job's exec wrote:
 	// a journaled "done" therefore always has its durable state on disk.
 	s.journalEnd(j, state, errMsg)
+	if j.done != nil {
+		j.done(state, errMsg)
+	}
+	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: state, Error: errMsg})
+	j.events.close()
 }
 
 func suffixIf(msg string) string {
@@ -607,9 +609,6 @@ func (s *Server) cancelIfQueued(j *job, reason string) bool {
 		s.breakers.recordNeutral(j.breakerKey)
 	}
 	s.announce(j, StateCanceled, reason)
-	if j.done != nil {
-		j.done(StateCanceled, reason)
-	}
 	return true
 }
 
@@ -990,8 +989,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Memory-watermark gate: above the hard watermark, large submissions are
 	// refused outright; any pressure at all (soft or hard) makes admitted
-	// jobs run degraded — shrunken PLI cache budget, sampled-check prefilter
-	// on. Results stay exact either way.
+	// jobs run degraded with a shrunken PLI cache budget. Results stay exact
+	// either way.
 	if level, heap := s.governor.state(); level != memHealthy {
 		if level >= memHard && size >= s.cfg.LargeJobBytes {
 			s.metrics.rejectedMemPressure.Add(1)

@@ -15,7 +15,7 @@ import (
 // with the context error.
 func TestDuccContextDeadline(t *testing.T) {
 	rel := dataset.NCVoter(2000, 18)
-	p := pli.NewProvider(rel, 0)
+	p := pli.NewProvider(rel, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -31,8 +31,8 @@ func TestDuccContextDeadline(t *testing.T) {
 
 func TestDuccContextBackgroundMatchesPlain(t *testing.T) {
 	rel := dataset.NCVoter(200, 8)
-	plain := Ducc(pli.NewProvider(rel, 0), 4)
-	ctxed, err := DuccContext(context.Background(), pli.NewProvider(rel, 0), 4)
+	plain := Ducc(pli.NewProvider(rel, nil), 4)
+	ctxed, err := DuccContext(context.Background(), pli.NewProvider(rel, nil), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark module (perfbench: vet + test) =="
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
 

@@ -8,9 +8,10 @@
 package bitset
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -56,30 +57,39 @@ func Full(n int) Set {
 	return s
 }
 
-func check(col int) {
-	if col < 0 || col >= MaxColumns {
-		panic(fmt.Sprintf("bitset: column %d out of range [0,%d)", col, MaxColumns))
-	}
-}
-
 // With returns s ∪ {col}.
 func (s Set) With(col int) Set {
-	check(col)
-	s.w[col/64] |= uint64(1) << (col % 64)
+	if uint(col) >= MaxColumns {
+		panic(rangeError(col))
+	}
+	s.w[uint(col)/64] |= 1 << (uint(col) % 64)
 	return s
 }
 
 // Without returns s \ {col}.
 func (s Set) Without(col int) Set {
-	check(col)
-	s.w[col/64] &^= uint64(1) << (col % 64)
+	if uint(col) >= MaxColumns {
+		panic(rangeError(col))
+	}
+	s.w[uint(col)/64] &^= 1 << (uint(col) % 64)
 	return s
 }
 
 // Has reports whether col ∈ s.
 func (s Set) Has(col int) bool {
-	check(col)
-	return s.w[col/64]&(uint64(1)<<(col%64)) != 0
+	if uint(col) >= MaxColumns {
+		panic(rangeError(col))
+	}
+	return s.w[uint(col)/64]&(1<<(uint(col)%64)) != 0
+}
+
+// rangeError is the panic value for a column index beyond MaxColumns. A
+// typed value keeps the range check of With, Without and Has cheap enough for
+// the compiler to inline them.
+type rangeError int
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitset: column %d out of range [0,%d)", int(e), MaxColumns)
 }
 
 // Union returns s ∪ t.
@@ -182,23 +192,28 @@ func (s Set) First() int {
 	return -1
 }
 
+// Last returns the largest column in s, or -1 if s is empty.
+func (s Set) Last() int {
+	for i := words - 1; i >= 0; i-- {
+		if w := s.w[i]; w != 0 {
+			return i*64 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // NextAfter returns the smallest column in s greater than col, or -1.
 func (s Set) NextAfter(col int) int {
-	if col < -1 {
-		col = -1
-	}
-	start := col + 1
+	start := uint(max(col+1, 0))
 	if start >= MaxColumns {
 		return -1
 	}
-	wi := start / 64
-	w := s.w[wi] >> (start % 64)
-	if w != 0 {
-		return start + bits.TrailingZeros64(w)
+	if w := s.w[start/64] >> (start % 64); w != 0 {
+		return int(start) + bits.TrailingZeros64(w)
 	}
-	for i := wi + 1; i < words; i++ {
+	for i := start/64 + 1; i < words; i++ {
 		if s.w[i] != 0 {
-			return i*64 + bits.TrailingZeros64(s.w[i])
+			return int(i)*64 + bits.TrailingZeros64(s.w[i])
 		}
 	}
 	return -1
@@ -349,22 +364,29 @@ func FromLetters(letters string) Set {
 // order second. It gives deterministic output ordering across algorithms,
 // which the result comparisons and golden tests rely on.
 func Sort(sets []Set) {
-	sort.Slice(sets, func(i, j int) bool {
-		return Less(sets[i], sets[j])
-	})
+	slices.SortFunc(sets, compare)
 }
 
 // Less is the ordering used by Sort.
 func Less(a, b Set) bool {
-	la, lb := a.Len(), b.Len()
-	if la != lb {
-		return la < lb
+	return compare(a, b) < 0
+}
+
+// compare orders by cardinality, then lexicographically by ascending column
+// sequence. For sets of equal size, the lowest column in exactly one of them
+// decides: below it both sets agree, and the set holding it continues its
+// sequence with that column while the other continues with a larger one.
+func compare(a, b Set) int {
+	if c := cmp.Compare(a.Len(), b.Len()); c != 0 {
+		return c
 	}
-	ca, cb := a.Columns(), b.Columns()
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return ca[i] < cb[i]
+	for i := range a.w {
+		if d := a.w[i] ^ b.w[i]; d != 0 {
+			if a.w[i]&(d&-d) != 0 {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }

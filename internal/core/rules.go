@@ -189,11 +189,7 @@ func (m *mudsFD) checkFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 // connector itself. The resulting columns are the right-hand-side candidates
 // reachable from left-hand sides that connect to the given connector.
 func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
-	var union bitset.Set
-	for _, u := range m.uccs.SupersetsOf(connector) {
-		union = union.Union(u)
-	}
-	return union.Diff(connector)
+	return m.uccs.UnionOfSupersets(connector).Diff(connector)
 }
 
 // impossibleColumns implements pruning rule 1 of paper Sec. 4: an FD cannot
@@ -201,11 +197,7 @@ func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
 // the impossible right-hand sides are the columns a with lhs ∪ {a} inside
 // some minimal UCC, i.e. the union of the minimal UCCs containing lhs.
 func (m *mudsFD) impossibleColumns(lhs bitset.Set) bitset.Set {
-	var union bitset.Set
-	for _, u := range m.uccs.SupersetsOf(lhs) {
-		union = union.Union(u)
-	}
-	return union.Diff(lhs)
+	return m.uccs.UnionOfSupersets(lhs).Diff(lhs)
 }
 
 // rzColumns returns R \ Z: the working columns in no minimal UCC. By pruning

@@ -99,36 +99,6 @@ func BenchmarkRefines(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckUnique measures the early-exit uniqueness kernel against
-// the materializing alternative it replaces (IntersectColumn + IsUnique) on
-// the same fold. With a caller-owned Scratch the kernel's steady state is
-// zero allocs/op — ReportAllocs turns any regression into a visible number.
-func BenchmarkCheckUnique(b *testing.B) {
-	for _, rows := range benchSizes {
-		rel := benchRelation(rows, 3, 100)
-		base := FromColumn(rel.Column(0), rel.Cardinality(0))
-		keys := [][]int32{rel.Column(1), rel.Column(2)}
-		cards := []int{rel.Cardinality(1), rel.Cardinality(2)}
-		sc := NewScratch()
-		b.Run(fmt.Sprintf("kernel/rows=%d", rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				base.CheckUnique(keys, cards, sc)
-			}
-		})
-		b.Run(fmt.Sprintf("materialize/rows=%d", rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pli := base
-				for k, col := range keys {
-					pli = pli.IntersectColumn(col, cards[k])
-				}
-				_ = pli.IsUnique()
-			}
-		})
-	}
-}
-
 // BenchmarkCheckRefines measures the early-exit FD kernel against the
 // materializing IntersectColumn + Refines path it replaces.
 func BenchmarkCheckRefines(b *testing.B) {

@@ -8,68 +8,24 @@ package pli
 //
 // The fold is cluster-at-a-time: each cluster of the base PLI is refined
 // through ALL key columns before the next cluster is touched. That ordering
-// is what makes the early exits cheap — CheckUnique returns on the first
-// surviving group, CheckRefines on the first group that is not constant in
-// the RHS column, after folding only a prefix of the clusters. Grouping uses
-// the same counts/starts/touched arenas as intersectKeyed plus two ping-pong
-// row buffers sized to the largest cluster (Scratch.ensureFold); in the
-// steady state a check performs zero allocations.
+// is what makes the early exits cheap — CheckRefines returns on the first
+// group that is not constant in the RHS column, after folding only a prefix
+// of the clusters. Grouping uses the same counts/starts/touched arenas as
+// intersectKeyed plus two ping-pong row buffers sized to the largest cluster
+// (Scratch.ensureFold); in the steady state a check performs zero
+// allocations.
 //
 // The single-fold-column shape — the common case once the provider's
 // promotions have grown a cached ancestor frontier to distance one — has
-// dedicated kernels (checkUnique1, checkRefines1, checkErrorSum1) that skip
-// grouping entirely: one counting pass per cluster with immediate early
-// exit, no scatter and no group offsets, making the check cheaper per
-// element than a materializing intersection.
+// dedicated kernels (checkRefines1, checkErrorSum1) that skip grouping
+// entirely: one counting pass per cluster with immediate early exit, no
+// scatter and no group offsets, making the check cheaper per element than a
+// materializing intersection.
 //
 // Group enumeration order is identical to the cluster order of the PLI that
 // chained IntersectColumn calls would materialise: both orders are the
 // lexicographic nesting (base cluster, first-occurrence at each fold step).
 // The differential fuzz suite (FuzzCheckEquivalence) pins this down.
-
-// checkUnique1 is the single-fold-column fast case of CheckUnique, the hot
-// shape once cache promotions have brought a probed region to fold distance
-// one. Uniqueness under one extra column needs no grouping at all: the
-// intersection has a surviving group iff two rows of one base cluster share
-// a key code. One counting pass with immediate exit on the first repeat —
-// no scatter, no offsets, no output — makes the check cheaper per element
-// than the materializing intersection it replaces.
-func (p *PLI) checkUnique1(col []int32, card int, s *Scratch) bool {
-	s.ensure(card)
-	counts := s.counts
-	touched := s.touched
-	defer func() { s.touched = touched[:0] }() // keep grown capacity
-	for ci, n := 0, p.NumClusters(); ci < n; ci++ {
-		cluster := p.rows[p.offsets[ci]:p.offsets[ci+1]]
-		s.work += len(cluster)
-		if len(cluster) <= 3 {
-			// Tiny clusters: a repeat among <= 3 codes is a direct compare.
-			if col[cluster[0]] == col[cluster[1]] ||
-				(len(cluster) == 3 && (col[cluster[0]] == col[cluster[2]] || col[cluster[1]] == col[cluster[2]])) {
-				return false
-			}
-			continue
-		}
-		dup := false
-		for _, row := range cluster {
-			k := col[row]
-			if counts[k] != 0 {
-				dup = true
-				break
-			}
-			counts[k] = 1
-			touched = append(touched, k)
-		}
-		for _, k := range touched {
-			counts[k] = 0 // restore the all-zero invariant
-		}
-		touched = touched[:0]
-		if dup {
-			return false
-		}
-	}
-	return true
-}
 
 // checkRefines1 is the single-fold-column fast case of CheckRefines: the FD
 // (base ∪ {key}) → rhs is violated iff two rows of one base cluster share a
@@ -322,22 +278,6 @@ func tinyFoldGroup(rows []int32, keys [][]int32, s *Scratch) []int32 {
 	return nil
 }
 
-// CheckUnique reports whether p ∩ keys[0] ∩ … is a unique column
-// combination — i.e. whether any group of at least two rows agrees on the
-// base combination and every key column. It exits on the first surviving
-// group without materialising the intersection. s may be nil (a pooled
-// Scratch is borrowed); otherwise the Scratch ownership contract applies.
-func (p *PLI) CheckUnique(keys [][]int32, cards []int, s *Scratch) bool {
-	if s == nil {
-		s = getScratch()
-		defer putScratch(s)
-	}
-	if len(keys) == 1 {
-		return p.checkUnique1(keys[0], cards[0], s)
-	}
-	return p.fold(keys, cards, s, func([]int32) bool { return false })
-}
-
 // CheckRefines reports whether the FD (base ∪ keys) → rhs holds: every
 // surviving group of the fold must be value-constant in the rhs column
 // (Lemma 1). It exits on the first violating group without materialising
@@ -366,22 +306,19 @@ func (p *PLI) CheckRefines(rhs []int32, keys [][]int32, cards []int, s *Scratch)
 
 // CheckRefinesMany is the batched flavour of CheckRefines for TANE's
 // per-level RHS sweep: one fold of the keys answers (base ∪ keys) → rhs[i]
-// for every candidate at once. rhs[i] may be nil to skip candidate i; ok[i]
-// is set to whether the refinement holds (false for nil slots). Candidates
-// are kept on a compact active list, so once a candidate fails it costs
-// nothing on later groups, and the fold aborts as soon as every candidate
-// has failed. s may be nil.
+// for every candidate at once, and ok[i] is set to whether the refinement
+// holds. Candidates are kept on a compact active list, so once a candidate
+// fails it costs nothing on later groups, and the fold aborts as soon as
+// every candidate has failed. s may be nil.
 func (p *PLI) CheckRefinesMany(rhs [][]int32, keys [][]int32, cards []int, ok []bool, s *Scratch) {
 	if s == nil {
 		s = getScratch()
 		defer putScratch(s)
 	}
 	active := s.activeSlots(len(rhs))
-	for i, c := range rhs {
-		ok[i] = c != nil
-		if c != nil {
-			active = append(active, int32(i))
-		}
+	for i := range rhs {
+		ok[i] = true
+		active = append(active, int32(i))
 	}
 	if len(active) == 0 {
 		return

@@ -56,6 +56,15 @@ func refCheckFDs(ref *Provider, s bitset.Set, rhs bitset.Set) bitset.Set {
 	return valid
 }
 
+// clusterList copies the clusters of p in order.
+func clusterList(p *PLI) [][]int32 {
+	var out [][]int32
+	p.ForEachCluster(func(c []int32) {
+		out = append(out, append([]int32(nil), c...))
+	})
+	return out
+}
+
 func relKeys(rel *relation.Relation, cols ...int) ([][]int32, []int) {
 	keys := make([][]int32, len(cols))
 	cards := make([]int, len(cols))
@@ -85,9 +94,6 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 			keys, cards := relKeys(rel, foldCols...)
 			ref := chainIntersect(base, keys, cards)
 
-			if got, want := base.CheckUnique(keys, cards, nil), ref.IsUnique(); got != want {
-				t.Errorf("%+v depth %d: CheckUnique = %v, want %v", sh, depth, got, want)
-			}
 			if got, want := base.CheckErrorSum(keys, cards, nil), ref.ErrorSum(); got != want {
 				t.Errorf("%+v depth %d: CheckErrorSum = %d, want %d", sh, depth, got, want)
 			}
@@ -97,12 +103,11 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 					t.Errorf("%+v depth %d rhs %d: CheckRefines = %v, want %v", sh, depth, rhs, got, want)
 				}
 			}
-			// Batched flavour, with one slot nil-skipped.
+			// Batched flavour, one slot per column.
 			cands := make([][]int32, sh.nCols)
 			for c := range cands {
 				cands[c] = rel.Column(c)
 			}
-			cands[sh.nCols-1] = nil
 			ok := make([]bool, len(cands))
 			base.CheckRefinesMany(cands, keys, cards, ok, nil)
 			if want := ref.RefinesEach(cands); !reflect.DeepEqual(ok, want) {
@@ -114,12 +119,20 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 				groups = append(groups, append([]int32(nil), g...))
 				return true
 			})
-			var want [][]int32
-			ref.ForEachCluster(func(c []int32) {
-				want = append(want, append([]int32(nil), c...))
-			})
+			want := clusterList(ref)
 			if !reflect.DeepEqual(groups, want) {
 				t.Errorf("%+v depth %d: folded groups diverge (%d vs %d groups)", sh, depth, len(groups), len(want))
+			}
+			// The materialising fold behind Provider.IsUnique must rebuild
+			// exactly those clusters, and with them the uniqueness verdict.
+			if depth > 0 {
+				folded := base.foldPLI(keys, cards, NewScratch())
+				if got := clusterList(folded); !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v depth %d: foldPLI clusters diverge (%d vs %d)", sh, depth, len(got), len(want))
+				}
+				if got, wantU := folded.IsUnique(), ref.IsUnique(); got != wantU {
+					t.Errorf("%+v depth %d: foldPLI IsUnique = %v, want %v", sh, depth, got, wantU)
+				}
 			}
 		}
 	}
@@ -284,9 +297,6 @@ func FuzzCheckEquivalence(f *testing.F) {
 				keys = append(keys, cols[c])
 				keyCards = append(keyCards, card)
 				ref := chainIntersect(base, keys, keyCards)
-				if base.CheckUnique(keys, keyCards, nil) != ref.IsUnique() {
-					t.Fatalf("CheckUnique(base %d, %d keys) diverges", b, len(keys))
-				}
 				if base.CheckErrorSum(keys, keyCards, nil) != ref.ErrorSum() {
 					t.Fatalf("CheckErrorSum(base %d, %d keys) diverges", b, len(keys))
 				}
@@ -305,12 +315,13 @@ func FuzzCheckEquivalence(f *testing.F) {
 					groups = append(groups, append([]int32(nil), g...))
 					return true
 				})
-				var want [][]int32
-				ref.ForEachCluster(func(c []int32) {
-					want = append(want, append([]int32(nil), c...))
-				})
+				want := clusterList(ref)
 				if !reflect.DeepEqual(groups, want) {
 					t.Fatalf("folded groups of base %d with %d keys diverge", b, len(keys))
+				}
+				if folded := base.foldPLI(keys, keyCards, NewScratch()); folded.IsUnique() != ref.IsUnique() ||
+					!reflect.DeepEqual(clusterList(folded), want) {
+					t.Fatalf("foldPLI(base %d, %d keys) diverges", b, len(keys))
 				}
 			}
 		}

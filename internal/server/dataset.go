@@ -216,7 +216,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	s.dsOrder = append(s.dsOrder, d.id)
 	s.mu.Unlock()
 
-	if !s.enqueueJob(w, j, &walRecord{Type: recDSJob, Job: j.id, Dataset: d.id, Kind: dsJobProfile}) {
+	if _, ok := s.enqueueJob(w, j, &walRecord{Type: recDSJob, Job: j.id, Dataset: d.id, Kind: dsJobProfile}); !ok {
 		// Admission failed after the dataset was published: keep the record
 		// (clients may already hold the id) but mark it failed.
 		d.settle(StateFailed, "initial profile was not admitted (queue full or shutting down)")
@@ -369,7 +369,7 @@ func (s *Server) handleAppendBatch(w http.ResponseWriter, r *http.Request) {
 	// The admit record carries the batch rows themselves: recovery replays
 	// applied batches into the reloaded relation before resuming the
 	// checkpoint snapshot on top.
-	if !s.enqueueJob(w, j, &walRecord{Type: recDSJob, Job: j.id, Dataset: d.id, Kind: dsJobBatch, Rows: rows}) {
+	if _, ok := s.enqueueJob(w, j, &walRecord{Type: recDSJob, Job: j.id, Dataset: d.id, Kind: dsJobBatch, Rows: rows}); !ok {
 		d.abandon(DatasetReady)
 		return
 	}

@@ -736,13 +736,16 @@ func (s *Server) resolveTimeout(w http.ResponseWriter, requested float64) (time.
 // finish a job whose admission was not journaled yet. Rejections (503
 // draining or journal failure, 429 predicted-deadline or full) are written
 // here, all with a Retry-After computed from the controller's wait estimate.
-func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) bool {
+// The queued event and the returned view are taken before the send: once the
+// job is in the queue a worker may start it, and its running and terminal
+// events must follow queued, and the 202 body must still say queued.
+func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) (JobView, bool) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.metrics.rejectedDraining.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is shutting down"})
-		return false
+		return JobView{}, false
 	}
 	// Idempotency double-check inside the critical section: a racing
 	// duplicate may have claimed the key between handleSubmit's lock-free
@@ -752,7 +755,7 @@ func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) boo
 		if prev, hit := s.idem[j.idemKey]; hit {
 			s.mu.Unlock()
 			s.replayIdem(w, prev)
-			return false
+			return JobView{}, false
 		}
 	}
 	// Deadline-aware admission: with service-time history for this algorithm
@@ -772,7 +775,7 @@ func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) boo
 				Error: fmt.Sprintf("predicted completion (%.1fs queue wait + %.1fs service) exceeds the %v deadline; retry in %ds or raise timeout_seconds",
 					predictedWait, est, j.timeout, retry),
 			})
-			return false
+			return JobView{}, false
 		}
 	}
 	// Capacity check instead of a non-blocking send: every send happens
@@ -786,7 +789,7 @@ func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) boo
 		writeJSON(w, http.StatusTooManyRequests, apiError{
 			Error: fmt.Sprintf("job queue is full (%d waiting); retry in %ds", s.cfg.QueueDepth, retry),
 		})
-		return false
+		return JobView{}, false
 	}
 	if s.store != nil && admit != nil {
 		if err := s.journal(*admit); err != nil {
@@ -794,16 +797,17 @@ func (s *Server) enqueueJob(w http.ResponseWriter, j *job, admit *walRecord) boo
 			s.logf("job %s rejected (503): journal admit: %v", j.id, err)
 			s.setRetryAfter(w)
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "state journal unavailable: " + err.Error()})
-			return false
+			return JobView{}, false
 		}
 		j.journaled = true
 	}
+	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: StateQueued})
+	v := j.view()
 	s.queue <- j
 	s.registerLocked(j)
 	s.mu.Unlock()
 	s.metrics.jobsSubmitted.Add(1)
-	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: StateQueued})
-	return true
+	return v, true
 }
 
 // setRetryAfter stamps a Retry-After computed from the controller's current
@@ -1005,7 +1009,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.degraded = true
 	}
 
-	if !s.enqueueJob(w, j, &walRecord{Type: recJob, Job: j.id, Req: &j.req}) {
+	v, ok := s.enqueueJob(w, j, &walRecord{Type: recJob, Job: j.id, Req: &j.req})
+	if !ok {
 		// The breaker may have admitted this submission as its half-open
 		// trial probe; an admission rejection is no verdict on the key, so
 		// the trial slot must be released for the next submission.
@@ -1014,7 +1019,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("job %s queued: algorithm=%s dataset=%s sha256=%s", j.id, req.Algorithm, req.Dataset, key.DatasetSHA256[:12])
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.view())
+	writeJSON(w, http.StatusAccepted, v)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

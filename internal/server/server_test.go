@@ -471,6 +471,11 @@ func TestEventStream(t *testing.T) {
 			t.Fatalf("event %d has seq %d", i, e.Seq)
 		}
 	}
+	// The queued transition is appended before the job reaches the queue,
+	// so even a worker that picks it up at once cannot get ahead of it.
+	if first := events[0]; first.Type != EventState || first.State != StateQueued {
+		t.Fatalf("first event = %+v, want queued transition", first)
+	}
 	last := events[len(events)-1]
 	if last.Type != EventState || last.State != StateDone {
 		t.Fatalf("last event = %+v, want done transition", last)

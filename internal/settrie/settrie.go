@@ -113,27 +113,29 @@ func (t *Trie) Contains(s bitset.Set) bool {
 
 // Remove deletes s and reports whether it was present.
 func (t *Trie) Remove(s bitset.Set) bool {
-	if !t.remove(&t.root, s.Columns()) {
+	if !remove(&t.root, s, s.First()) {
 		return false
 	}
 	t.size--
 	return true
 }
 
-func (t *Trie) remove(n *node, cols []int) bool {
-	if len(cols) == 0 {
+// remove deletes the suffix of s starting at column c from the subtree of n
+// and prunes the child nodes it leaves empty.
+func remove(n *node, s bitset.Set, c int) bool {
+	if c < 0 {
 		if !n.terminal {
 			return false
 		}
 		n.terminal = false
 		return true
 	}
-	child := n.child(cols[0])
-	if child == nil || !t.remove(child, cols[1:]) {
+	child := n.child(c)
+	if child == nil || !remove(child, s, s.NextAfter(c)) {
 		return false
 	}
 	if child.empty() {
-		n.removeChild(cols[0])
+		n.removeChild(c)
 	}
 	return true
 }
@@ -141,21 +143,22 @@ func (t *Trie) remove(n *node, cols []int) bool {
 // ContainsSubsetOf reports whether some stored set is a subset of x
 // (including x itself and the empty set).
 func (t *Trie) ContainsSubsetOf(x bitset.Set) bool {
-	return containsSubsetOf(&t.root, x.Columns())
+	return containsSubsetOf(&t.root, x, x.Last())
 }
 
-func containsSubsetOf(n *node, cols []int) bool {
+// containsSubsetOf descends into every child whose column is in x. Paths
+// ascend, so a path stays inside x exactly when each of its columns is in x,
+// and no child beyond x's last column can start one.
+func containsSubsetOf(n *node, x bitset.Set, last int) bool {
 	if n.terminal {
 		return true
 	}
-	if len(n.cols) == 0 {
-		return false
-	}
-	for i, c := range cols {
-		if child := n.child(c); child != nil {
-			if containsSubsetOf(child, cols[i+1:]) {
-				return true
-			}
+	for i, c := range n.cols {
+		if c > last {
+			return false
+		}
+		if x.Has(c) && containsSubsetOf(n.children[i], x, last) {
+			return true
 		}
 	}
 	return false
@@ -165,29 +168,17 @@ func containsSubsetOf(n *node, cols []int) bool {
 // (sorted-path) order.
 func (t *Trie) SubsetsOf(x bitset.Set) []bitset.Set {
 	var out []bitset.Set
-	subsetsOf(&t.root, x.Columns(), bitset.Set{}, &out)
+	subsetsOf(&t.root, x, bitset.Set{}, &out)
 	return out
 }
 
-func subsetsOf(n *node, cols []int, path bitset.Set, out *[]bitset.Set) {
+func subsetsOf(n *node, x bitset.Set, path bitset.Set, out *[]bitset.Set) {
 	if n.terminal {
 		*out = append(*out, path)
 	}
-	if len(n.cols) == 0 {
-		return
-	}
-	// Walk the query columns and the child columns in tandem; both are
-	// sorted, so each child is visited at most once.
-	ci := 0
-	for i, c := range cols {
-		for ci < len(n.cols) && n.cols[ci] < c {
-			ci++
-		}
-		if ci == len(n.cols) {
-			return
-		}
-		if n.cols[ci] == c {
-			subsetsOf(n.children[ci], cols[i+1:], path.With(c), out)
+	for i, c := range n.cols {
+		if x.Has(c) {
+			subsetsOf(n.children[i], x, path.With(c), out)
 		}
 	}
 }
@@ -195,35 +186,26 @@ func subsetsOf(n *node, cols []int, path bitset.Set, out *[]bitset.Set) {
 // ContainsSupersetOf reports whether some stored set is a superset of x
 // (including x itself).
 func (t *Trie) ContainsSupersetOf(x bitset.Set) bool {
-	return containsSupersetOf(&t.root, x.Columns())
+	return containsSupersetOf(&t.root, x, x.First())
 }
 
-func containsSupersetOf(n *node, cols []int) bool {
-	if len(cols) == 0 {
-		return hasAnyTerminal(n)
+// containsSupersetOf searches the subtree of n for a stored set holding the
+// columns of x from next on. Only children up to next can still reach it,
+// and the child at next consumes it. Remove prunes the nodes it empties, so
+// every node lies on the path of a stored set.
+func containsSupersetOf(n *node, x bitset.Set, next int) bool {
+	if next < 0 {
+		return n.terminal || len(n.cols) > 0
 	}
-	next := cols[0]
 	for i, c := range n.cols {
-		switch {
-		case c < next:
-			if containsSupersetOf(n.children[i], cols) {
-				return true
-			}
-		case c == next:
-			return containsSupersetOf(n.children[i], cols[1:])
-		default:
-			return false // children are sorted; none can reach next
+		if c > next {
+			return false
 		}
-	}
-	return false
-}
-
-func hasAnyTerminal(n *node) bool {
-	if n.terminal {
-		return true
-	}
-	for _, child := range n.children {
-		if hasAnyTerminal(child) {
+		after := next
+		if c == next {
+			after = x.NextAfter(next)
+		}
+		if containsSupersetOf(n.children[i], x, after) {
 			return true
 		}
 	}
@@ -231,46 +213,87 @@ func hasAnyTerminal(n *node) bool {
 }
 
 // SupersetsOf returns all stored sets that are supersets of x, in
-// deterministic order. This is the connector look-up primitive of MUDS
-// (paper Sec. 5.1, Table 2).
+// deterministic order.
 func (t *Trie) SupersetsOf(x bitset.Set) []bitset.Set {
 	var out []bitset.Set
-	supersetsOf(&t.root, x.Columns(), bitset.Set{}, &out)
+	supersetsOf(&t.root, x, x.First(), bitset.Set{}, &out)
 	return out
 }
 
-func supersetsOf(n *node, cols []int, path bitset.Set, out *[]bitset.Set) {
-	if len(cols) == 0 {
-		collect(n, path, out)
+// supersetsOf appends, in sorted-path order, every stored set in the subtree
+// of n (reached along path) that holds the columns of x from next on.
+func supersetsOf(n *node, x bitset.Set, next int, path bitset.Set, out *[]bitset.Set) {
+	if next < 0 {
+		forEach(n, path, func(s bitset.Set) bool {
+			*out = append(*out, s)
+			return true
+		})
 		return
 	}
-	next := cols[0]
 	for i, c := range n.cols {
-		switch {
-		case c < next:
-			supersetsOf(n.children[i], cols, path.With(c), out)
-		case c == next:
-			supersetsOf(n.children[i], cols[1:], path.With(c), out)
-			return // sorted children: later ones skip next entirely
-		default:
+		if c > next {
 			return
 		}
+		after := next
+		if c == next {
+			after = x.NextAfter(next)
+		}
+		supersetsOf(n.children[i], x, after, path.With(c), out)
 	}
 }
 
-func collect(n *node, path bitset.Set, out *[]bitset.Set) {
-	if n.terminal {
-		*out = append(*out, path)
+// UnionOfSupersets returns the union of all stored sets that are supersets
+// of x, or the empty set if there are none. This is the connector look-up
+// primitive of MUDS (paper Sec. 5.1, Table 2); it accumulates the union
+// during the traversal instead of materialising the supersets.
+func (t *Trie) UnionOfSupersets(x bitset.Set) bitset.Set {
+	var u bitset.Set
+	unionOfSupersets(&t.root, x, x.First(), &u)
+	return u
+}
+
+// unionOfSupersets adds to u the columns of every stored set in the subtree
+// of n that holds the columns of x from next on, and reports whether there
+// was one. Remove prunes the nodes it empties, so every node lies on the
+// path of a stored set: the union of the sets below a node is its path plus
+// every column in its subtree. Path columns are added on the way back up.
+func unionOfSupersets(n *node, x bitset.Set, next int, u *bitset.Set) bool {
+	if next < 0 {
+		subtreeColumns(n, u)
+		return n.terminal || len(n.cols) > 0
 	}
+	found := false
 	for i, c := range n.cols {
-		collect(n.children[i], path.With(c), out)
+		if c > next {
+			break
+		}
+		after := next
+		if c == next {
+			after = x.NextAfter(next)
+		}
+		if unionOfSupersets(n.children[i], x, after, u) {
+			*u = u.With(c)
+			found = true
+		}
+	}
+	return found
+}
+
+// subtreeColumns adds every column below n to u.
+func subtreeColumns(n *node, u *bitset.Set) {
+	for i, c := range n.cols {
+		*u = u.With(c)
+		subtreeColumns(n.children[i], u)
 	}
 }
 
 // All returns every stored set in deterministic order.
 func (t *Trie) All() []bitset.Set {
 	var out []bitset.Set
-	collect(&t.root, bitset.Set{}, &out)
+	t.ForEach(func(s bitset.Set) bool {
+		out = append(out, s)
+		return true
+	})
 	return out
 }
 

@@ -14,7 +14,9 @@
 #     blowout on a hostile dataset opens its (dataset, algorithm) breaker;
 #     the resubmission fast-fails with 422 carrying the prior error, and
 #     after -breaker-cooldown a trial probe with a sane deadline closes it
-#     again (healthz back to ok within one cooldown).
+#     again (healthz back to ok within one cooldown). Both deadlines derive
+#     from a measured offline run of the dataset, so the phase holds on
+#     fast and slow machines alike.
 #
 #   phase 3 — memory watermark: the daemon restarted with
 #     HOLISTIC_FAULTS="mem.watermark:error" behaves as if the heap sat above
@@ -39,6 +41,7 @@ trap 'kill -9 "$server_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TER
 
 echo "== build =="
 go build -o "$workdir/profiled" ./cmd/profiled
+go build -o "$workdir/profile" ./cmd/profile
 
 statedir="$workdir/state"
 
@@ -236,33 +239,43 @@ fi
 echo "phase 1b passed: one job ($dup_ids), journaled once"
 
 echo "== phase 2: circuit breaker on a deadline-blowing dataset =="
-# A genuinely hostile dataset: 14 low-cardinality columns and no cheap keys,
-# so the lattice walk runs for seconds. The admission estimator — trained on
-# the flood's ordinary datasets — predicts it fits the deadline and admits
-# it; the run then blows the deadline. Exactly the case breakers exist for.
+# A genuinely hostile dataset: 15 columns of cardinality 6 over 16000 rows
+# and no cheap keys, so the minimal keys sit deep in the lattice and the
+# walk runs for seconds (about 4 s on 2 CPUs). The admission estimator —
+# trained on the flood's ordinary datasets, which profile in milliseconds —
+# predicts it fits the deadline and admits it; the run then blows the
+# deadline. Exactly the case breakers exist for.
 awk 'BEGIN {
 	srand(42)
-	h = "c0"; for (c = 1; c < 14; c++) h = h ",c" c; print h
-	for (r = 0; r < 12000; r++) {
-		row = int(rand()*5); for (c = 1; c < 14; c++) row = row "," int(rand()*5)
+	h = "c0"; for (c = 1; c < 15; c++) h = h ",c" c; print h
+	for (r = 0; r < 16000; r++) {
+		row = int(rand()*6); for (c = 1; c < 15; c++) row = row "," int(rand()*6)
 		print row
 	}
 }' > "$rdir/hostile.csv"
-jq -Rs '{csv: ., timeout_seconds: 0.75}' < "$rdir/hostile.csv" > "$rdir/hostile.json"
+# Time one offline run on this machine: the blowout deadline is a quarter of
+# it, the trial deadline four times it (at least 30 s).
+t0=$(jq -n now)
+"$workdir/profile" -workers 2 "$rdir/hostile.csv" > /dev/null
+t1=$(jq -n now)
+blowout=$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 4 }')
+sane=$(awk -v a="$t0" -v b="$t1" 'BEGIN { t = 4 * (b - a); printf "%.0f", (t > 30 ? t : 30) }')
+echo "hostile dataset profiles offline in $(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.2f", b - a }')s: blowout deadline ${blowout}s, trial deadline ${sane}s"
+jq -Rs --argjson t "$blowout" '{csv: ., timeout_seconds: $t}' < "$rdir/hostile.csv" > "$rdir/hostile.json"
 hid=$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	--data-binary @"$rdir/hostile.json" "$base/v1/jobs" | jq -r '.id')
 hstate=$(wait_job "$hid")
 case "$hstate" in
 partial|failed) ;;
 *)
-	echo "overload_profiled: 0.75s-deadline job on the hostile dataset ended '$hstate'" >&2
+	echo "overload_profiled: ${blowout}s-deadline job on the hostile dataset ended '$hstate'" >&2
 	exit 1
 	;;
 esac
 
 # Threshold 1: that single blowout opened the breaker. The retry — even with
 # a generous deadline — fast-fails with 422 and the prior error.
-jq -Rs '{csv: ., timeout_seconds: 30}' < "$rdir/hostile.csv" > "$rdir/hostile2.json"
+jq -Rs --argjson t "$sane" '{csv: ., timeout_seconds: $t}' < "$rdir/hostile.csv" > "$rdir/hostile2.json"
 code=$(curl -sS -o "$rdir/bk.body" -D "$rdir/bk.hdr" -w '%{http_code}' \
 	-X POST -H 'Content-Type: application/json' \
 	--data-binary @"$rdir/hostile2.json" "$base/v1/jobs")
@@ -302,7 +315,7 @@ echo "== phase 3: hard memory watermark (fault-injected) =="
 kill_daemon
 HOLISTIC_FAULTS="mem.watermark:error" start_daemon
 
-# Large submission (the hostile CSV is ~330 KiB, past the 256 KiB large-job
+# Large submission (the hostile CSV is ~470 KiB, past the 256 KiB large-job
 # threshold): refused with 503 + Retry-After.
 jq -Rs '{csv: .}' < "$rdir/hostile.csv" > "$rdir/big.json"
 code=$(curl -sS -o "$rdir/mem.body" -D "$rdir/mem.hdr" -w '%{http_code}' \

@@ -47,6 +47,9 @@ go test -run='^$' -fuzz='^FuzzCheckEquivalence$' -fuzztime=10s ./internal/pli/
 echo "== PLI bench smoke (compile + one iteration) =="
 go test -run='^$' -bench 'Intersect|Check' -benchtime=1x ./internal/pli/
 
+echo "== lattice bench smoke (compile + one iteration) =="
+go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker
+
 echo "== fast-path config equivalence (race) =="
 go test -race -count=1 -run 'TestFastPathConfigEquivalence' ./internal/core/
 

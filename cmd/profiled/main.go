@@ -9,9 +9,8 @@
 //	         [-max-job-timeout d] [-shutdown-timeout d] [-data dir]
 //	         [-state-dir dir] [-cache N] [-max-body bytes]
 //	         [-max-cache-bytes N] [-retries N] [-retry-backoff d]
-//	         [-queue-target d] [-breaker-threshold N] [-breaker-cooldown d]
-//	         [-mem-soft bytes] [-mem-hard bytes] [-http-read-timeout d]
-//	         [-quiet]
+//	         [-breaker-threshold N] [-breaker-cooldown d] [-mem-soft bytes]
+//	         [-mem-hard bytes] [-http-read-timeout d] [-quiet]
 //
 // API:
 //
@@ -27,13 +26,15 @@
 // jobs are canceled, and in-flight jobs get -shutdown-timeout to finish
 // before their contexts are cut.
 //
-// The daemon defends itself under overload: admission learns per-algorithm
-// service times and rejects (429, honest Retry-After) jobs predicted to miss
-// their deadline, queue waits stuck above -queue-target shed the oldest
-// queued job, repeated failures of one (dataset, algorithm) pair open a
-// circuit breaker that fast-fails with 422 until -breaker-cooldown passes,
-// and heap growth past -mem-soft / -mem-hard degrades new jobs or refuses
-// large ones with 503. Retried submissions carrying an Idempotency-Key
+// Every job has one deadline (-job-timeout, or the request's
+// timeout_seconds), counted from admission: queue wait spends it just as
+// running does. The daemon defends itself under overload: admission learns
+// per-algorithm service times and rejects (429, honest Retry-After) jobs
+// predicted to miss their deadline, a job whose deadline lapses in the queue
+// fails without running, repeated failures of one (dataset, algorithm) pair
+// open a circuit breaker that fast-fails with 422 until -breaker-cooldown
+// passes, and heap growth past -mem-soft / -mem-hard degrades new jobs or
+// refuses large ones with 503. Retried submissions carrying an Idempotency-Key
 // header (or idempotency_key field) dedup onto the original job.
 //
 // With -state-dir, the daemon is crash-safe: admitted jobs and dataset
@@ -67,7 +68,7 @@ func main() {
 		addr            = flag.String("addr", "127.0.0.1:8646", "listen address (host:port; port 0 picks a free port)")
 		workers         = flag.Int("workers", 2, "number of jobs executed concurrently")
 		queueDepth      = flag.Int("queue", 16, "admission queue depth; submissions beyond it get 429")
-		jobTimeout      = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline (0 = none)")
+		jobTimeout      = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline, counted from admission (0 = none)")
 		maxJobTimeout   = flag.Duration("max-job-timeout", 0, "cap on requested per-job deadlines (0 = no cap)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "drain deadline on SIGINT/SIGTERM before in-flight jobs are canceled")
 		dataDir         = flag.String("data", "", "directory for path-based dataset submissions (empty = inline CSV only)")
@@ -77,7 +78,6 @@ func main() {
 		maxCacheBytes   = flag.Int64("max-cache-bytes", 0, "per-job PLI cache byte budget (0 = engine default, -1 = unbudgeted); over budget the cache sheds and recomputes")
 		retries         = flag.Int("retries", 2, "re-runs of a job failing on a transient error (0 = none)")
 		retryBackoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "sleep before the first retry, doubled per attempt")
-		queueTarget     = flag.Duration("queue-target", 2*time.Second, "CoDel queue-wait target; sustained waits above it shed the oldest queued job")
 		breakerThresh   = flag.Int("breaker-threshold", 3, "consecutive failures of one (dataset, algorithm) pair before its circuit breaker opens")
 		breakerCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit breaker fast-fails (422) before a trial probe is allowed")
 		memSoft         = flag.Int64("mem-soft", 0, "soft heap watermark in bytes; above it new jobs run degraded (0 = off)")
@@ -116,7 +116,6 @@ func main() {
 		MaxCacheBytes:    *maxCacheBytes,
 		RetryAttempts:    *retries,
 		RetryBackoff:     *retryBackoff,
-		QueueTarget:      *queueTarget,
 		BreakerThreshold: *breakerThresh,
 		BreakerCooldown:  *breakerCooldown,
 		MemSoftBytes:     *memSoft,

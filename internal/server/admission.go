@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the server's overload-resilience brain: the adaptive
-// admission controller (deadline-aware rejection plus CoDel-style shedding)
-// and the memory-watermark governor. Dependency discovery is exponential in
+// admission controller (deadline-aware rejection) and the memory-watermark
+// governor. Dependency discovery is exponential in
 // the worst case, so no static queue depth is simultaneously safe for a
 // 100-row CSV and a hostile 100k-row one — instead the server learns what
 // jobs actually cost and refuses, at admission time, work it predicts it
@@ -43,26 +43,19 @@ func (e *ewma) observe(v float64) {
 func (e *ewma) value() (float64, bool) { return e.val, e.n > 0 }
 
 // admission is the adaptive admission controller. It tracks an EWMA of job
-// service time per algorithm (and overall), an EWMA of queue wait, and the
-// CoDel shedding state. All methods are safe for concurrent use.
+// service time per algorithm (and overall) and predicts, from the queue
+// ahead, whether a new job can finish before its deadline. All methods are
+// safe for concurrent use.
 type admission struct {
 	workers int
-	// target is the CoDel sojourn target: the queue wait the controller
-	// tolerates. When observed sojourn stays above it for a full interval
-	// (= target), the oldest queued job is shed.
-	target time.Duration
 
 	mu      sync.Mutex
 	perAlg  map[string]*ewma
 	overall ewma
-	wait    ewma
-	// aboveSince is the CoDel state: when dequeue-time sojourn first
-	// exceeded target with no sub-target dequeue since (zero = below).
-	aboveSince time.Time
 }
 
-func newAdmission(workers int, target time.Duration) *admission {
-	return &admission{workers: workers, target: target, perAlg: map[string]*ewma{}}
+func newAdmission(workers int) *admission {
+	return &admission{workers: workers, perAlg: map[string]*ewma{}}
 }
 
 // observeService records one completed run's service time for alg.
@@ -127,42 +120,6 @@ func admissionSlack(deadline time.Duration) time.Duration {
 	return slack
 }
 
-// onDequeue records a job's queue sojourn as a worker picks it up and
-// reports whether the CoDel state says to shed: sojourn has stayed above
-// target for at least one full target-length interval. A sub-target dequeue
-// resets the state; a shed re-arms the interval so shedding is paced, not a
-// stampede.
-func (a *admission) onDequeue(sojourn time.Duration) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.wait.observe(sojourn.Seconds())
-	if a.target <= 0 {
-		return false
-	}
-	now := time.Now()
-	if sojourn < a.target {
-		a.aboveSince = time.Time{}
-		return false
-	}
-	if a.aboveSince.IsZero() {
-		a.aboveSince = now
-		return false
-	}
-	if now.Sub(a.aboveSince) >= a.target {
-		a.aboveSince = now // re-arm: at most one shed per interval
-		return true
-	}
-	return false
-}
-
-// waitEstimate is the smoothed queue-wait EWMA in seconds (0 until seeded).
-func (a *admission) waitEstimate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v, _ := a.wait.value()
-	return v
-}
-
 // retryAfterSecs turns a predicted wait (seconds) into an honest
 // Retry-After value, clamped to [1s, 60s] and rounded up so a client
 // sleeping exactly that long finds capacity more often than not.
@@ -195,6 +152,14 @@ const (
 // heapMetric is the runtime/metrics sample the governor watches: live bytes
 // in heap objects, the number the PLI caches and relations actually drive.
 const heapMetric = "/memory/classes/heap/objects:bytes"
+
+// degradedCacheBytes is the PLI cache budget forced onto jobs admitted above
+// the soft watermark. A job's own tighter budget wins.
+const degradedCacheBytes = 16 << 20
+
+// largeJobBytes is the dataset size at which a submission counts as large for
+// the hard-watermark gate.
+const largeJobBytes = 256 << 10
 
 // memSampleEvery rate-limits runtime/metrics reads; admission decisions
 // between samples reuse the cached level.

@@ -142,8 +142,8 @@ func (b *breakerSet) recordFailure(key breakerKey, errMsg string, now time.Time)
 }
 
 // recordNeutral clears a half-open trial whose probe ended without a
-// verdict (canceled, shed, lost): the next submission becomes the new
-// trial instead of the key staying locked forever.
+// verdict (canceled, doomed in the queue, lost): the next submission
+// becomes the new trial instead of the key staying locked forever.
 func (b *breakerSet) recordNeutral(key breakerKey) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -205,7 +205,7 @@ func TestChaosWatchdogDegradesAndRecovers(t *testing.T) {
 	// open its circuit breaker before the recovery submission — this test
 	// wants the watchdog's verdict alone.
 	armFaults(t, "pli.intersect:panic:3")
-	_, ts := newTestServer(t, Config{Workers: 1, DegradedAfter: 3, BreakerThreshold: 10})
+	_, ts := newTestServer(t, Config{Workers: 1, BreakerThreshold: 10})
 
 	for i := 0; i < 3; i++ {
 		_, v := submit(t, ts, fmt.Sprintf(`{"csv": %q}`, testCSV))

@@ -92,7 +92,7 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	// timeout is the per-job deadline resolved at admission (0 = none).
+	// timeout is the job's deadline, counted from submitted (0 = none).
 	timeout time.Duration
 	// cancel aborts the job: before the worker picks the job up it only
 	// flips canceled (the worker skips it); while running it cancels the

@@ -25,13 +25,11 @@ type metrics struct {
 	datasetBatches    atomic.Int64
 
 	// Overload-resilience counters: the four admission rejection reasons
-	// (rejectedQueueFull doubles as the queue_full reason), CoDel sheds,
-	// dequeue-time doomed-job failures, idempotent replays, breaker
-	// fast-fails.
+	// (rejectedQueueFull doubles as the queue_full reason), dequeue-time
+	// doomed-job failures, idempotent replays, breaker fast-fails.
 	rejectedPredicted   atomic.Int64
 	rejectedBreaker     atomic.Int64
 	rejectedMemPressure atomic.Int64
-	jobsShed            atomic.Int64
 	jobsDoomedInQueue   atomic.Int64
 	idemReplays         atomic.Int64
 	breakerFastFails    atomic.Int64
@@ -107,7 +105,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	writeMetric(w, "profiled_jobs_failed_total", "counter",
 		"Jobs that finished with an error (including per-job deadline hits).", m.jobsFailed.Load())
 	writeMetric(w, "profiled_jobs_canceled_total", "counter",
-		"Jobs canceled via DELETE, server shutdown, or overload shedding.", m.jobsCanceled.Load())
+		"Jobs canceled via DELETE or server shutdown.", m.jobsCanceled.Load())
 	writeMetric(w, "profiled_job_retries_total", "counter",
 		"Job re-runs triggered by transient failures.", m.jobRetries.Load())
 	writeMetric(w, "profiled_panics_total", "counter",
@@ -127,10 +125,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "profiled_admission_rejections_total{reason=\"breaker_open\"} %d\n", m.rejectedBreaker.Load())
 	fmt.Fprintf(w, "profiled_admission_rejections_total{reason=\"mem_pressure\"} %d\n", m.rejectedMemPressure.Load())
 
-	writeMetric(w, "profiled_jobs_shed_total", "counter",
-		"Queued jobs shed (canceled) by CoDel when queue sojourn stayed above target.", m.jobsShed.Load())
 	writeMetric(w, "profiled_jobs_doomed_in_queue_total", "counter",
-		"Jobs whose deadline elapsed while queued, failed at dequeue without running.", m.jobsDoomedInQueue.Load())
+		"Jobs whose deadline (counted from admission) elapsed while queued, failed at dequeue without running.", m.jobsDoomedInQueue.Load())
 	writeMetric(w, "profiled_idempotent_replays_total", "counter",
 		"Submissions deduplicated onto an existing job via an idempotency key.", m.idemReplays.Load())
 	writeMetric(w, "profiled_breaker_trips_total", "counter",
@@ -187,11 +183,11 @@ func (s *Server) writeMetrics(w io.Writer) {
 		"Live heap bytes behind the governor's last sample (0 with watermarks unset).", heap)
 
 	degraded := int64(0)
-	if s.consecutivePanics.Load() >= int64(s.cfg.DegradedAfter) {
+	if status, _ := s.health(); status == healthDegraded {
 		degraded = 1
 	}
 	writeMetric(w, "profiled_degraded", "gauge",
-		"1 while the panic watchdog reports the process degraded.", degraded)
+		"1 while /healthz reports degraded.", degraded)
 }
 
 func writeMetric(w io.Writer, name, kind, help string, v int64) {

@@ -21,8 +21,8 @@ import (
 )
 
 // The overload suite proves the resilience layer end to end: deadline-aware
-// admission rejects doomed work with an honest Retry-After, CoDel sheds the
-// oldest queued job under sustained overload, idempotency keys collapse
+// admission rejects doomed work with an honest Retry-After, a job's deadline
+// counts from admission so queue wait spends it, idempotency keys collapse
 // concurrent and post-crash retries onto one job, circuit breakers fast-fail
 // repeatedly failing (dataset, algorithm) pairs, and the memory governor
 // degrades or refuses work above its watermarks.
@@ -186,39 +186,89 @@ func TestAdmissionEstimateFaultPoint(t *testing.T) {
 	}
 }
 
-// TestCoDelShedding holds queue waits above a tiny target and verifies the
-// controller sheds the oldest queued job instead of serving every job late:
-// a canceled job with a shed reason, and the shed counter advances.
-func TestCoDelShedding(t *testing.T) {
+// TestDeadlineFromAdmissionQueuedThenRun proves a job's deadline counts from
+// admission, not from the moment a worker picks it up: a job that waits most
+// of its deadline in the queue gets only the rest of it to run. Its 60ms run
+// cannot fit the ~40ms left, so it must end on its deadline — not run to
+// completion on a fresh full timeout.
+func TestDeadlineFromAdmissionQueuedThenRun(t *testing.T) {
 	registerOverloadStrategies()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueTarget: 20 * time.Millisecond})
+	registerBlockStrategy()
+	gate.reset()
+	_, release := gate.channels()
+	_, ts := newTestServer(t, Config{Workers: 1})
 
-	// Six 60ms jobs on one worker: by the third dequeue, sojourn has been
-	// above the 20ms target for a full interval and the head of the queue is
-	// shed.
-	ids := make([]string, 0, 6)
-	for i := 0; i < 6; i++ {
-		resp, v, body := submitWith(t, ts, fmt.Sprintf(`{"csv": %q, "algorithm": "sleeptest", "max_rows": %d}`, testCSV, i+1), nil)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d status = %d (%s), want 202", i, resp.StatusCode, body)
+	resp, _, _ := submitWith(t, ts, fmt.Sprintf(`{"csv": %q, "algorithm": "blocktest"}`, testCSV), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocktest submit status = %d, want 202", resp.StatusCode)
+	}
+	started, _ := gate.channels()
+	<-started
+
+	const deadline = 200 * time.Millisecond
+	resp, v, body := submitWith(t, ts, fmt.Sprintf(`{"csv": %q, "algorithm": "sleeptest", "timeout_seconds": %g}`, testCSV, deadline.Seconds()), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("deadline submit status = %d (%s), want 202", resp.StatusCode, body)
+	}
+	// Any dequeue between 140ms and 200ms after admission leaves less than
+	// sleepFor of the deadline: the run must start, then hit the deadline.
+	time.Sleep(160 * time.Millisecond)
+	close(release)
+
+	done := pollUntil(t, ts, v.ID, func(v JobView) bool { return terminal(v.State) })
+	if done.State != StateFailed && done.State != StatePartial {
+		t.Fatalf("job = %s (%s), want failed or partial on its deadline", done.State, done.Error)
+	}
+	if !strings.Contains(done.Error, "deadline") {
+		t.Fatalf("job error %q, want a deadline error", done.Error)
+	}
+	if done.StartedAt == nil {
+		t.Fatalf("job never started (%s); it should have run for the rest of its deadline", done.Error)
+	}
+	const margin = 50 * time.Millisecond
+	if took := done.FinishedAt.Sub(done.SubmittedAt); took > deadline+margin {
+		t.Fatalf("job finished %v after admission, want within its %v deadline (+%v)", took, deadline, margin)
+	}
+}
+
+// TestDeadlineFromAdmissionLapsesInQueue proves the dequeue-time side of the
+// same rule: a job whose whole deadline lapsed while it waited fails without
+// ever running, and is counted as doomed in the queue.
+func TestDeadlineFromAdmissionLapsesInQueue(t *testing.T) {
+	registerOverloadStrategies()
+	registerBlockStrategy()
+	gate.reset()
+	_, release := gate.channels()
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	resp, _, _ := submitWith(t, ts, fmt.Sprintf(`{"csv": %q, "algorithm": "blocktest"}`, testCSV), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocktest submit status = %d, want 202", resp.StatusCode)
+	}
+	started, _ := gate.channels()
+	<-started
+
+	resp, v, body := submitWith(t, ts, fmt.Sprintf(`{"csv": %q, "algorithm": "sleeptest", "timeout_seconds": 0.05}`, testCSV), nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("deadline submit status = %d (%s), want 202", resp.StatusCode, body)
+	}
+	time.Sleep(100 * time.Millisecond)
+	close(release)
+
+	done := pollUntil(t, ts, v.ID, func(v JobView) bool { return terminal(v.State) })
+	if done.State != StateFailed || !strings.Contains(done.Error, "in queue") {
+		t.Fatalf("job = %s (%s), want failed with its deadline lapsed in queue", done.State, done.Error)
+	}
+	if done.StartedAt != nil {
+		t.Fatalf("doomed job has started_at %v, want none", done.StartedAt)
+	}
+	for _, e := range jobEvents(t, ts, v.ID) {
+		if e.Type == EventState && e.State == StateRunning {
+			t.Fatal("doomed job emitted a running transition")
 		}
-		ids = append(ids, v.ID)
 	}
-	shed := 0
-	for _, id := range ids {
-		v := pollUntil(t, ts, id, func(v JobView) bool { return terminal(v.State) })
-		if v.State == StateCanceled {
-			if !strings.Contains(v.Error, "shed") {
-				t.Fatalf("canceled job %s has reason %q, want a shed reason", id, v.Error)
-			}
-			shed++
-		}
-	}
-	if shed == 0 {
-		t.Fatal("no queued job was shed despite sustained over-target sojourn")
-	}
-	if got := metricValue(t, ts, "profiled_jobs_shed_total"); got != int64(shed) {
-		t.Fatalf("profiled_jobs_shed_total = %d, want %d", got, shed)
+	if got := metricValue(t, ts, "profiled_jobs_doomed_in_queue_total"); got != 1 {
+		t.Fatalf("profiled_jobs_doomed_in_queue_total = %d, want 1", got)
 	}
 }
 
@@ -391,6 +441,9 @@ func TestCircuitBreaker(t *testing.T) {
 	if got := healthStatus(t, ts); got != "degraded" {
 		t.Fatalf("health with an open breaker = %q, want degraded", got)
 	}
+	if got := metricValue(t, ts, "profiled_degraded"); got != 1 {
+		t.Fatalf("profiled_degraded with an open breaker = %d, want 1", got)
+	}
 
 	// Per-key isolation: a different dataset (different SHA) is untouched.
 	failMode.Store(false)
@@ -416,6 +469,9 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 	if got := healthStatus(t, ts); got != "ok" {
 		t.Fatalf("health after breaker close = %q, want ok", got)
+	}
+	if got := metricValue(t, ts, "profiled_degraded"); got != 0 {
+		t.Fatalf("profiled_degraded after breaker close = %d, want 0", got)
 	}
 }
 
@@ -444,13 +500,18 @@ func TestMemWatermarkSoftDegrades(t *testing.T) {
 
 // TestMemWatermarkHardRefusesLarge proves the hard watermark: large
 // submissions get 503 with a Retry-After, small ones still run (degraded),
-// and /healthz reports the pressure.
+// and /healthz and the degraded gauge both report the pressure.
 func TestMemWatermarkHardRefusesLarge(t *testing.T) {
 	armFaults(t, "mem.watermark:error")
-	_, ts := newTestServer(t, Config{Workers: 1, LargeJobBytes: 64})
+	_, ts := newTestServer(t, Config{Workers: 1})
 
-	// testCSV is comfortably past the 64-byte large threshold.
-	resp, _, body := submitWith(t, ts, fmt.Sprintf(`{"csv": %q}`, testCSV), nil)
+	// A generated CSV just past the large-job threshold.
+	var big strings.Builder
+	big.WriteString("id,v\n")
+	for i := 0; big.Len() < largeJobBytes; i++ {
+		fmt.Fprintf(&big, "%d,value-%d\n", i, i%97)
+	}
+	resp, _, body := submitWith(t, ts, fmt.Sprintf(`{"csv": %q}`, big.String()), nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("large submit status = %d (%s), want 503", resp.StatusCode, body)
 	}
@@ -466,6 +527,9 @@ func TestMemWatermarkHardRefusesLarge(t *testing.T) {
 	}
 	if got := healthStatus(t, ts); got != "degraded" {
 		t.Fatalf("health above the hard watermark = %q, want degraded", got)
+	}
+	if got := metricValue(t, ts, "profiled_degraded"); got != 1 {
+		t.Fatalf("profiled_degraded above the hard watermark = %d, want 1", got)
 	}
 
 	// A small submission is still served, degraded.
@@ -486,7 +550,7 @@ func TestMemWatermarkHardRefusesLarge(t *testing.T) {
 // under its original ID, and no job is duplicated or forgotten.
 func TestOverloadFloodBoundedAndLossless(t *testing.T) {
 	registerOverloadStrategies()
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8, QueueTarget: time.Hour})
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8})
 
 	const n = 80
 	type outcome struct {

@@ -37,8 +37,9 @@ type Config struct {
 	// QueueDepth bounds the admission queue; submissions beyond it are
 	// rejected with 429 (<= 0 selects 16).
 	QueueDepth int
-	// DefaultTimeout is the per-job deadline applied when a request does not
-	// ask for one (0 selects 5 minutes; negative disables the default).
+	// DefaultTimeout is the per-job deadline, counted from admission,
+	// applied when a request does not ask for one (0 selects 5 minutes;
+	// negative disables the default).
 	DefaultTimeout time.Duration
 	// MaxTimeout caps requested deadlines (0 = no cap).
 	MaxTimeout time.Duration
@@ -65,15 +66,6 @@ type Config struct {
 	// RetryBackoff is the sleep before the first retry, doubled per attempt
 	// (<= 0 selects 50ms).
 	RetryBackoff time.Duration
-	// DegradedAfter is the watchdog threshold: after this many consecutive
-	// jobs failing on recovered panics, /healthz reports degraded until a
-	// job completes cleanly again (<= 0 selects 3).
-	DegradedAfter int
-	// QueueTarget is the CoDel sojourn target of the adaptive admission
-	// controller: when dequeue-time queue wait stays above it for a full
-	// target-length interval, the oldest queued job is shed (<= 0 selects
-	// 2s; set very large to effectively disable shedding).
-	QueueTarget time.Duration
 	// BreakerThreshold is the consecutive-failure count at which the
 	// per-(dataset, algorithm) circuit breaker opens (<= 0 selects 3).
 	BreakerThreshold int
@@ -81,20 +73,13 @@ type Config struct {
 	// before half-opening for a single trial probe (<= 0 selects 30s).
 	BreakerCooldown time.Duration
 	// MemSoftBytes is the soft heap watermark: above it, newly admitted
-	// jobs run degraded — PLI cache budget clamped to DegradedCacheBytes
+	// jobs run degraded — PLI cache budget clamped to degradedCacheBytes
 	// (0 disables).
 	MemSoftBytes int64
 	// MemHardBytes is the hard heap watermark: above it, submissions of
-	// LargeJobBytes or more are refused with 503 until pressure recedes
+	// largeJobBytes or more are refused with 503 until pressure recedes
 	// (0 disables).
 	MemHardBytes int64
-	// DegradedCacheBytes is the PLI cache budget forced onto jobs admitted
-	// above the soft watermark (<= 0 selects 16 MiB). A job's own tighter
-	// budget wins.
-	DegradedCacheBytes int64
-	// LargeJobBytes is the dataset size at which a submission counts as
-	// large for the hard-watermark gate (<= 0 selects 256 KiB).
-	LargeJobBytes int64
 	// StateDir enables crash-safe state: every admitted job and dataset
 	// session is journaled to a WAL in this directory, dataset profiler
 	// state is checkpointed after every completed job, and Open replays the
@@ -133,24 +118,26 @@ func (c *Config) applyDefaults() {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
 	}
-	if c.DegradedAfter <= 0 {
-		c.DegradedAfter = 3
-	}
-	if c.QueueTarget <= 0 {
-		c.QueueTarget = 2 * time.Second
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 30 * time.Second
 	}
-	if c.DegradedCacheBytes <= 0 {
-		c.DegradedCacheBytes = 16 << 20
+}
+
+// jobTimeout resolves a request's timeout_seconds into the job's deadline,
+// counted from admission: the server default when unset, clamped to
+// MaxTimeout (the server default is clamped, never rejected). 0 means none.
+func (c *Config) jobTimeout(requested float64) time.Duration {
+	timeout := c.DefaultTimeout
+	if requested > 0 {
+		timeout = time.Duration(requested * float64(time.Second))
 	}
-	if c.LargeJobBytes <= 0 {
-		c.LargeJobBytes = 256 << 10
+	if c.MaxTimeout > 0 && (timeout <= 0 || timeout > c.MaxTimeout) {
+		timeout = c.MaxTimeout
 	}
+	return timeout
 }
 
 // Server is the profiling service. Create one with New, expose Handler on an
@@ -170,8 +157,8 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	// Overload-resilience subsystems: the adaptive admission controller
-	// (service-time EWMAs + CoDel shedding), the per-key circuit breakers,
-	// and the memory-watermark governor.
+	// (service-time EWMAs), the per-key circuit breakers, and the
+	// memory-watermark governor.
 	admission *admission
 	breakers  *breakerSet
 	governor  *memGovernor
@@ -197,7 +184,7 @@ type Server struct {
 
 	// consecutivePanics drives the health watchdog: incremented when a job
 	// fails on a recovered panic, reset when one completes cleanly. At
-	// cfg.DegradedAfter, /healthz flips to degraded.
+	// degradedAfter, health reports degraded.
 	consecutivePanics atomic.Int64
 
 	// store is the durability layer behind Config.StateDir (nil without it).
@@ -239,7 +226,7 @@ func Open(cfg Config) (*Server, RecoveryStats, error) {
 		jobs:       make(map[string]*job),
 		idem:       make(map[string]*job),
 		datasets:   make(map[string]*dataset),
-		admission:  newAdmission(cfg.Workers, cfg.QueueTarget),
+		admission:  newAdmission(cfg.Workers),
 		breakers:   newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		governor:   newMemGovernor(cfg.MemSoftBytes, cfg.MemHardBytes),
 	}
@@ -368,28 +355,19 @@ func (s *Server) runJob(j *job) {
 		}
 	}()
 
-	// Dequeue-time overload accounting: the sojourn this job spent queued
-	// feeds the queue-wait histogram and the CoDel state. When sojourn has
-	// stayed above target for a full interval, the oldest still-queued job
-	// is shed — the queue sheds from the head under sustained overload
-	// instead of serving every job late.
 	sojourn := time.Since(j.submitted)
 	s.metrics.queueWait.observe(sojourn.Seconds())
-	if s.admission.onDequeue(sojourn) {
-		if shed := s.shedOldestQueued(); shed != "" {
-			s.logf("overload: shed queued job %s (queue sojourn %v above target %v)",
-				shed, sojourn.Round(time.Millisecond), s.cfg.QueueTarget)
-		}
-	}
 
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while waiting
 		j.mu.Unlock()
 		return
 	}
-	// A job whose whole deadline elapsed in the queue is doomed: fail it
-	// here with an honest message instead of starting a run that the
-	// already-expired context would cut on its first cancellation check.
+	// A job has one deadline, counted from admission: queue wait spends it
+	// just as running does. Admission predicts whether it will hold; here is
+	// the actual side. A job whose whole deadline lapsed in the queue is
+	// doomed: fail it with an honest message instead of starting a run that
+	// the already-expired context would cut on its first cancellation check.
 	if j.timeout > 0 && sojourn >= j.timeout {
 		msg := fmt.Sprintf("deadline (%v) elapsed after %v in queue; run never started — resubmit with a longer timeout or retry off-peak",
 			j.timeout, sojourn.Round(time.Millisecond))
@@ -406,9 +384,12 @@ func (s *Server) runJob(j *job) {
 		s.announce(j, StateFailed, msg)
 		return
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if j.timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, j.timeout)
+		ctx, cancel = context.WithDeadline(s.baseCtx, j.submitted.Add(j.timeout))
+	} else {
+		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
 	j.cancel = cancel
 	j.state = StateRunning
@@ -433,8 +414,8 @@ func (s *Server) runJob(j *job) {
 		// budget. That trades wall time for footprint without changing
 		// results (the budget only evicts), so degraded-run reports are
 		// still cacheable.
-		if opts.MaxCacheBytes <= 0 || opts.MaxCacheBytes > s.cfg.DegradedCacheBytes {
-			opts.MaxCacheBytes = s.cfg.DegradedCacheBytes
+		if opts.MaxCacheBytes <= 0 || opts.MaxCacheBytes > degradedCacheBytes {
+			opts.MaxCacheBytes = degradedCacheBytes
 		}
 	}
 
@@ -479,7 +460,7 @@ func (s *Server) runJob(j *job) {
 	case errors.Is(err, context.Canceled):
 		s.finish(j, StateCanceled, "canceled", nil)
 	case errors.Is(err, context.DeadlineExceeded):
-		msg := fmt.Sprintf("job deadline (%v) exceeded", j.timeout)
+		msg := fmt.Sprintf("job deadline (%v from admission) exceeded", j.timeout)
 		if report, ok := partialReport(j, res); ok {
 			s.finish(j, StatePartial, msg, report)
 			return
@@ -602,7 +583,7 @@ func (s *Server) cancelIfQueued(j *job, reason string) bool {
 	j.err = reason
 	j.finished = time.Now().UTC()
 	j.mu.Unlock()
-	// Neutral for the breaker: a canceled or shed job says nothing about
+	// Neutral for the breaker: a canceled job says nothing about
 	// whether its dataset is pathological, and a half-open trial slot it may
 	// hold must be released.
 	if j.hasBreaker {
@@ -704,25 +685,18 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 // resolveTimeout turns a request's timeout_seconds into the effective job
-// deadline: the server default when unset, clamped to MaxTimeout. An
-// explicitly requested out-of-range deadline is a client error — the 400 is
-// written here — not something to silently clamp.
+// deadline (see Config.jobTimeout). An explicitly requested out-of-range
+// deadline is a client error — the 400 is written here — not something to
+// silently clamp.
 func (s *Server) resolveTimeout(w http.ResponseWriter, requested float64) (time.Duration, bool) {
-	timeout := s.cfg.DefaultTimeout
-	if requested > 0 {
-		timeout = time.Duration(requested * float64(time.Second))
-		if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
-			s.logf("request rejected (400): timeout_seconds %g exceeds maximum %v", requested, s.cfg.MaxTimeout)
-			writeJSON(w, http.StatusBadRequest, apiError{
-				Error: fmt.Sprintf("timeout_seconds must be <= %g", s.cfg.MaxTimeout.Seconds()),
-			})
-			return 0, false
-		}
+	if limit := s.cfg.MaxTimeout; limit > 0 && requested > limit.Seconds() {
+		s.logf("request rejected (400): timeout_seconds %g exceeds maximum %v", requested, limit)
+		writeJSON(w, http.StatusBadRequest, apiError{
+			Error: fmt.Sprintf("timeout_seconds must be <= %g", limit.Seconds()),
+		})
+		return 0, false
 	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout // server default clamped, never rejected
-	}
-	return timeout, true
+	return s.cfg.jobTimeout(requested), true
 }
 
 // enqueueJob admits j: the draining check, the idempotency-key claim, the
@@ -833,34 +807,6 @@ func (s *Server) replayIdem(w http.ResponseWriter, prev *job) {
 	w.Header().Set("Location", "/v1/jobs/"+prev.id)
 	s.logf("job %s replayed (idempotency key dedup)", prev.id)
 	writeJSON(w, code, v)
-}
-
-// shedOldestQueued cancels the oldest still-queued job — CoDel's head drop.
-// Under sustained overload the stalest queued work has already burned most
-// of its deadline and the freshest has the best chance of meeting its own,
-// so the queue sheds from the head instead of serving everything late.
-func (s *Server) shedOldestQueued() string {
-	s.mu.Lock()
-	var victim *job
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		queued := j.state == StateQueued
-		j.mu.Unlock()
-		if queued {
-			victim = j
-			break
-		}
-	}
-	s.mu.Unlock()
-	if victim == nil {
-		return ""
-	}
-	if !s.cancelIfQueued(victim, "shed: queue wait stayed above target (server overloaded); retry later") {
-		return ""
-	}
-	s.metrics.jobsShed.Add(1)
-	return victim.id
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -996,13 +942,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// jobs run degraded with a shrunken PLI cache budget. Results stay exact
 	// either way.
 	if level, heap := s.governor.state(); level != memHealthy {
-		if level >= memHard && size >= s.cfg.LargeJobBytes {
+		if level >= memHard && size >= largeJobBytes {
 			s.metrics.rejectedMemPressure.Add(1)
 			s.breakers.recordNeutral(bk)
 			s.setRetryAfter(w)
 			s.logf("job rejected (503): heap %d bytes above hard watermark, dataset %d bytes", heap, size)
 			writeJSON(w, http.StatusServiceUnavailable, apiError{
-				Error: fmt.Sprintf("memory pressure: heap is above the hard watermark; submissions of %d+ bytes are refused until it recedes", s.cfg.LargeJobBytes),
+				Error: fmt.Sprintf("memory pressure: heap is above the hard watermark; submissions of %d+ bytes are refused until it recedes", largeJobBytes),
 			})
 			return
 		}
@@ -1102,42 +1048,56 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// Health statuses, as /healthz reports them.
+const (
+	healthOK       = "ok"
+	healthDegraded = "degraded"
+	healthDraining = "draining"
+)
+
+// degradedAfter is the panic watchdog's threshold: after this many
+// consecutive jobs failing on recovered panics the server reports degraded
+// until a job completes cleanly again. The watchdog sees panics across
+// different datasets, which a per-key circuit breaker cannot.
+const degradedAfter = 3
+
+// health is the server's one health verdict: /healthz and the
+// profiled_degraded gauge both read it. A degraded server keeps serving —
+// panics are isolated per job — but some class of work is failing or being
+// refused, and an operator should look. Every degraded cause clears on its
+// own: one clean job resets the watchdog, breakers half-open after their
+// cooldown, the governor re-samples the heap. reason explains a degraded
+// status.
+func (s *Server) health() (status, reason string) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+		return healthDraining, ""
 	}
-	// Watchdog: repeated consecutive panic-failures mark the process
-	// degraded (it keeps serving — panics are isolated per job — but an
-	// operator should look). One clean job completion clears it.
-	if n := s.consecutivePanics.Load(); n >= int64(s.cfg.DegradedAfter) {
-		writeJSON(w, http.StatusOK, map[string]string{
-			"status": "degraded",
-			"reason": fmt.Sprintf("%d consecutive jobs failed on recovered panics", n),
-		})
-		return
+	if n := s.consecutivePanics.Load(); n >= degradedAfter {
+		return healthDegraded, fmt.Sprintf("%d consecutive jobs failed on recovered panics", n)
 	}
-	// Open breakers and hard memory pressure are degraded too: the server is
-	// up, but some class of work is being refused. Both clear on their own —
-	// breakers half-open after cooldown, the governor re-samples the heap.
 	if open, _ := s.breakers.counts(time.Now()); open > 0 {
-		writeJSON(w, http.StatusOK, map[string]string{
-			"status": "degraded",
-			"reason": fmt.Sprintf("%d circuit breaker(s) open", open),
-		})
-		return
+		return healthDegraded, fmt.Sprintf("%d circuit breaker(s) open", open)
 	}
 	if level, _ := s.governor.last(); level >= memHard {
-		writeJSON(w, http.StatusOK, map[string]string{
-			"status": "degraded",
-			"reason": "heap above the hard memory watermark",
-		})
-		return
+		return healthDegraded, "heap above the hard memory watermark"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return healthOK, ""
+}
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	status, reason := s.health()
+	code := http.StatusOK
+	if status == healthDraining {
+		code = http.StatusServiceUnavailable
+	}
+	body := map[string]string{"status": status}
+	if reason != "" {
+		body["reason"] = reason
+	}
+	writeJSON(w, code, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -536,6 +536,36 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutResolution covers the one timeout rule that admission and
+// crash replay share: the server default when a request sets none, clamped
+// to MaxTimeout, while an explicit request above MaxTimeout is refused with
+// 400 at admission instead of being clamped.
+func TestJobTimeoutResolution(t *testing.T) {
+	for _, c := range []struct {
+		def, max  time.Duration
+		requested float64
+		want      time.Duration
+	}{
+		{def: time.Minute, want: time.Minute},
+		{def: time.Minute, requested: 2, want: 2 * time.Second},
+		{def: time.Minute, max: 10 * time.Second, want: 10 * time.Second},
+		{def: time.Minute, max: 10 * time.Second, requested: 2, want: 2 * time.Second},
+		{def: -1, want: 0},
+		{def: -1, max: 10 * time.Second, want: 10 * time.Second},
+	} {
+		cfg := Config{DefaultTimeout: c.def, MaxTimeout: c.max}
+		cfg.applyDefaults()
+		if got := cfg.jobTimeout(c.requested); got != c.want {
+			t.Errorf("default %v, max %v, requested %gs: timeout = %v, want %v", c.def, c.max, c.requested, got, c.want)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, MaxTimeout: 10 * time.Second})
+	if code, _ := submit(t, ts, fmt.Sprintf(`{"csv": %q, "timeout_seconds": 11}`, testCSV)); code != http.StatusBadRequest {
+		t.Fatalf("timeout above the maximum: status = %d, want 400", code)
+	}
+}
+
 // TestCLIServerReportParity locks the satellite contract: the JSON the
 // server stores for a job is the same core.Report model the CLI's -format
 // json emits, byte-identical up to the timing fields.

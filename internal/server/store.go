@@ -474,15 +474,8 @@ func (s *Server) restoreTerminalJob(rj *replayedJob, req *jobRequest, stats *Rec
 // request that no longer normalizes (e.g. its data-dir file vanished) is
 // restored failed instead.
 func (s *Server) rebuildPlainJob(rj *replayedJob, stats *RecoveryStats) *job {
-	// The admission-time timeout resolution, minus the HTTP 400 path: the
-	// original admission already validated the requested value.
-	timeout := s.cfg.DefaultTimeout
-	if rj.req.TimeoutSeconds > 0 {
-		timeout = time.Duration(rj.req.TimeoutSeconds * float64(time.Second))
-	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout
-	}
+	// No 400 path here: the original admission already validated the
+	// requested timeout.
 	j := &job{
 		id:        rj.id,
 		req:       *rj.req,
@@ -490,7 +483,7 @@ func (s *Server) rebuildPlainJob(rj *replayedJob, stats *RecoveryStats) *job {
 		state:     StateQueued,
 		journaled: true,
 		submitted: rj.admitted,
-		timeout:   timeout,
+		timeout:   s.cfg.jobTimeout(rj.req.TimeoutSeconds),
 		events:    newEventLog(),
 	}
 	j.events.append(JobEvent{Event: core.Event{Type: EventReplay}})

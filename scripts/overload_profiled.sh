@@ -49,7 +49,7 @@ start_daemon() {
 	: > "$workdir/out.log"
 	: > "$workdir/err.log"
 	"$workdir/profiled" -addr 127.0.0.1:0 -workers 2 -queue 8 \
-		-state-dir "$statedir" -queue-target 250ms \
+		-state-dir "$statedir" \
 		-breaker-threshold 1 -breaker-cooldown 2s \
 		> "$workdir/out.log" 2> "$workdir/err.log" &
 	server_pid=$!

@@ -72,7 +72,7 @@ echo "== restart-semantics suite (race) =="
 go test -race -count=1 -run 'TestRestart' ./internal/server/
 
 echo "== overload-resilience suite (admission, breakers, watermarks, race) =="
-go test -race -count=1 -run 'TestAdaptiveAdmission|TestAdmissionEstimate|TestCoDel|TestIdempoten|TestCircuitBreaker|TestMemWatermark|TestOverload' ./internal/server/
+go test -race -count=1 -run 'TestAdaptiveAdmission|TestAdmissionEstimate|TestDeadlineFromAdmission|TestIdempoten|TestCircuitBreaker|TestMemWatermark|TestOverload' ./internal/server/
 
 echo "== profiled service smoke test =="
 ./scripts/smoke_profiled.sh

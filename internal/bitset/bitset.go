@@ -364,19 +364,20 @@ func FromLetters(letters string) Set {
 // order second. It gives deterministic output ordering across algorithms,
 // which the result comparisons and golden tests rely on.
 func Sort(sets []Set) {
-	slices.SortFunc(sets, compare)
+	slices.SortFunc(sets, Compare)
 }
 
 // Less is the ordering used by Sort.
 func Less(a, b Set) bool {
-	return compare(a, b) < 0
+	return Compare(a, b) < 0
 }
 
-// compare orders by cardinality, then lexicographically by ascending column
-// sequence. For sets of equal size, the lowest column in exactly one of them
+// Compare is the three-way form of Less, for slices.SortFunc and
+// slices.BinarySearchFunc over sorted sets. It orders by cardinality, then
+// lexicographically by ascending column sequence. For sets of equal size, the lowest column in exactly one of them
 // decides: below it both sets agree, and the set holding it continues its
 // sequence with that column while the other continues with a larger one.
-func compare(a, b Set) int {
+func Compare(a, b Set) int {
 	if c := cmp.Compare(a.Len(), b.Len()); c != 0 {
 		return c
 	}

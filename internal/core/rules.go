@@ -12,8 +12,9 @@ import (
 
 // mudsFD is the state of MUDS' FD discovery part (paper Sec. 5): the shared
 // PLI provider handed over from DUCC, the minimal UCCs organised in a prefix
-// tree for connector look-ups and subset pruning (Sec. 5.4), and the FD
-// result store with per-rhs minimal-lhs families.
+// tree for subset pruning (Sec. 5.4) and inverted by column for connector
+// look-ups (Sec. 5.1), and the FD result store with per-rhs minimal-lhs
+// families.
 type mudsFD struct {
 	// ctx governs cancellation: every task-queue loop of the FD phases polls
 	// it (via aborted) and drains early when it is done, so a deadline stops
@@ -33,6 +34,9 @@ type mudsFD struct {
 	falseRHS map[int]*settrie.MaximalFamily
 	checks   int
 	seed     int64
+
+	// uccsByColumn inverts uccs by column for the connector look-ups.
+	uccsByColumn uccIndex
 
 	// shadowSeen dedups generated shadow candidates and shadowProcessed
 	// dedups minimisation work across the fixpoint rounds of the shadowed
@@ -63,8 +67,9 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 	}
 	for _, u := range minimalUCCs {
 		m.uccs.Add(u)
-		m.z = m.z.Union(u)
 	}
+	m.uccsByColumn = newUCCIndex(m.uccs.All())
+	m.z = m.uccsByColumn.union
 	return m
 }
 
@@ -189,7 +194,7 @@ func (m *mudsFD) checkFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 // connector itself. The resulting columns are the right-hand-side candidates
 // reachable from left-hand sides that connect to the given connector.
 func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
-	return m.uccs.UnionOfSupersets(connector).Diff(connector)
+	return m.uccsByColumn.unionOfSupersets(connector).Diff(connector)
 }
 
 // impossibleColumns implements pruning rule 1 of paper Sec. 4: an FD cannot
@@ -197,7 +202,7 @@ func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
 // the impossible right-hand sides are the columns a with lhs ∪ {a} inside
 // some minimal UCC, i.e. the union of the minimal UCCs containing lhs.
 func (m *mudsFD) impossibleColumns(lhs bitset.Set) bitset.Set {
-	return m.uccs.UnionOfSupersets(lhs).Diff(lhs)
+	return m.uccsByColumn.unionOfSupersets(lhs).Diff(lhs)
 }
 
 // rzColumns returns R \ Z: the working columns in no minimal UCC. By pruning

@@ -33,7 +33,11 @@ import (
 // the predicate-evaluation count.
 func RepairRHS(ctx context.Context, p *pli.Provider, base bitset.Set, rhs int, valid, violated []bitset.Set, oldLHSs []bitset.Set, seed int64) ([]bitset.Set, int, error) {
 	knownFalse := append([]bitset.Set(nil), violated...)
-	for _, h := range walker.MinimalHittingSets(oldLHSs, base) {
+	hits, err := walker.MinimalHittingSets(ctx, oldLHSs, base)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, h := range hits {
 		knownFalse = append(knownFalse, base.Diff(h))
 	}
 	res, err := walker.RunContext(ctx, base, func(x bitset.Set) bool {

@@ -347,7 +347,11 @@ func (p *Profiler) updateINDs(ctx context.Context, delta relation.AppendDelta) e
 func (p *Profiler) repairUCCs(ctx context.Context, b *batchRun, valid, violated []bitset.Set) error {
 	base := p.rel.AllColumns()
 	knownFalse := append([]bitset.Set(nil), violated...)
-	for _, h := range walker.MinimalHittingSets(p.uccs, base) {
+	hits, err := walker.MinimalHittingSets(ctx, p.uccs, base)
+	if err != nil {
+		return err
+	}
+	for _, h := range hits {
 		knownFalse = append(knownFalse, base.Diff(h))
 	}
 	res, err := ucc.DuccSeeded(ctx, p.prov, p.opts.Seed, valid, knownFalse)

@@ -46,12 +46,6 @@ func (f *MinimalFamily) SupersetsOf(x bitset.Set) []bitset.Set {
 	return f.trie.SupersetsOf(x)
 }
 
-// UnionOfSupersets returns the union of all stored sets containing x, the
-// connector look-up of MUDS (paper Sec. 5.1), without materialising them.
-func (f *MinimalFamily) UnionOfSupersets(x bitset.Set) bitset.Set {
-	return f.trie.UnionOfSupersets(x)
-}
-
 // ContainsSupersetOf reports whether a stored set contains x.
 func (f *MinimalFamily) ContainsSupersetOf(x bitset.Set) bool {
 	return f.trie.ContainsSupersetOf(x)

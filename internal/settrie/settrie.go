@@ -242,51 +242,6 @@ func supersetsOf(n *node, x bitset.Set, next int, path bitset.Set, out *[]bitset
 	}
 }
 
-// UnionOfSupersets returns the union of all stored sets that are supersets
-// of x, or the empty set if there are none. This is the connector look-up
-// primitive of MUDS (paper Sec. 5.1, Table 2); it accumulates the union
-// during the traversal instead of materialising the supersets.
-func (t *Trie) UnionOfSupersets(x bitset.Set) bitset.Set {
-	var u bitset.Set
-	unionOfSupersets(&t.root, x, x.First(), &u)
-	return u
-}
-
-// unionOfSupersets adds to u the columns of every stored set in the subtree
-// of n that holds the columns of x from next on, and reports whether there
-// was one. Remove prunes the nodes it empties, so every node lies on the
-// path of a stored set: the union of the sets below a node is its path plus
-// every column in its subtree. Path columns are added on the way back up.
-func unionOfSupersets(n *node, x bitset.Set, next int, u *bitset.Set) bool {
-	if next < 0 {
-		subtreeColumns(n, u)
-		return n.terminal || len(n.cols) > 0
-	}
-	found := false
-	for i, c := range n.cols {
-		if c > next {
-			break
-		}
-		after := next
-		if c == next {
-			after = x.NextAfter(next)
-		}
-		if unionOfSupersets(n.children[i], x, after, u) {
-			*u = u.With(c)
-			found = true
-		}
-	}
-	return found
-}
-
-// subtreeColumns adds every column below n to u.
-func subtreeColumns(n *node, u *bitset.Set) {
-	for i, c := range n.cols {
-		*u = u.With(c)
-		subtreeColumns(n.children[i], u)
-	}
-}
-
 // All returns every stored set in deterministic order.
 func (t *Trie) All() []bitset.Set {
 	var out []bitset.Set

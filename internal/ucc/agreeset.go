@@ -1,6 +1,8 @@
 package ucc
 
 import (
+	"context"
+
 	"holistic/internal/bitset"
 	"holistic/internal/pli"
 	"holistic/internal/settrie"
@@ -77,7 +79,9 @@ func AgreeSet(p *pli.Provider) Result {
 	for _, m := range res.MaximalNonUnique {
 		complements = append(complements, all.Diff(m))
 	}
-	for _, u := range walker.MinimalHittingSets(complements, all) {
+	// Without a context the enumeration cannot fail.
+	hits, _ := walker.MinimalHittingSets(context.Background(), complements, all)
+	for _, u := range hits {
 		if !u.IsEmpty() {
 			res.Minimal = append(res.Minimal, u)
 		}

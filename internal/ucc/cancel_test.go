@@ -11,10 +11,11 @@ import (
 )
 
 // TestDuccContextDeadline cancels the DUCC walk on a wide synthetic relation
-// (minutes of lattice to traverse uncancelled) and requires a prompt return
-// with the context error.
+// (the 34-column ionosphere shape: more than 15 s of lattice to traverse
+// uncancelled on a 2-CPU machine) and requires a prompt return with the
+// context error.
 func TestDuccContextDeadline(t *testing.T) {
-	rel := dataset.NCVoter(2000, 18)
+	rel := dataset.Ionosphere(34, 351)
 	p := pli.NewProvider(rel, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()

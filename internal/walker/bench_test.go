@@ -1,6 +1,8 @@
 package walker
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -44,7 +46,7 @@ func BenchmarkWalk(b *testing.B) {
 }
 
 // BenchmarkMinimalHittingSets measures the duality computation behind hole
-// detection.
+// detection on 200 random edges over 16 columns.
 func BenchmarkMinimalHittingSets(b *testing.B) {
 	rnd := rand.New(rand.NewSource(2))
 	var fams []bitset.Set
@@ -61,10 +63,46 @@ func BenchmarkMinimalHittingSets(b *testing.B) {
 		fams = append(fams, f)
 	}
 	base := bitset.Full(16)
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(MinimalHittingSets(fams, base)) == 0 {
+		if hs, _ := MinimalHittingSets(ctx, fams, base); len(hs) == 0 {
 			b.Fatal("no hitting sets")
 		}
+	}
+}
+
+// BenchmarkMinimalHittingSetsSweep measures hole filling on input shaped like
+// a completion-sweep walk: the complements of the maximal non-FD left-hand
+// sides of one right-hand side, 50 to 200 sets over 16 or 17 columns. The
+// left-hand sides are random; the complements of the maximal non-FDs are then
+// exactly their minimal hitting sets, and hole filling maps the complements
+// back to the minimal left-hand sides, which the benchmark checks.
+func BenchmarkMinimalHittingSetsSweep(b *testing.B) {
+	for _, tc := range []struct{ cols, lhss, size int }{
+		{16, 9, 3}, {16, 11, 4}, {17, 10, 3}, {17, 13, 4},
+	} {
+		base := bitset.Full(tc.cols)
+		rnd := rand.New(rand.NewSource(int64(tc.cols*100 + tc.lhss)))
+		var lhss []bitset.Set
+		for len(lhss) < tc.lhss {
+			var s bitset.Set
+			for s.Len() < tc.size {
+				s = s.With(rnd.Intn(tc.cols))
+			}
+			lhss = append(lhss, s)
+		}
+		ctx := context.Background()
+		complements, _ := MinimalHittingSets(ctx, lhss, base)
+		want, _ := MinimalHittingSets(ctx, complements, base)
+		b.Run(fmt.Sprintf("cols=%d/complements=%d", tc.cols, len(complements)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if hs, _ := MinimalHittingSets(ctx, complements, base); len(hs) != len(want) {
+					b.Fatalf("%d hitting sets, want %d", len(hs), len(want))
+				}
+			}
+		})
 	}
 }

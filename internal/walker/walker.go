@@ -15,6 +15,7 @@ package walker
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"holistic/internal/bitset"
 	"holistic/internal/settrie"
@@ -257,7 +258,11 @@ func (w *state) fillHoles() bool {
 		complements = append(complements, w.base.Diff(m))
 		return true
 	})
-	candidates := MinimalHittingSets(complements, w.base)
+	candidates, err := MinimalHittingSets(w.ctx, complements, w.base)
+	if err != nil {
+		w.err = err // cancelled: partial candidates are not walked
+		return false
+	}
 	progress := false
 	for _, cand := range candidates {
 		// The empty hitting set arises only when there is no false
@@ -271,13 +276,10 @@ func (w *state) fillHoles() bool {
 		}
 	}
 	// Dually, a found minimal-true set that is not a minimal hitting set
-	// signals a missing maximal-false certificate below it.
-	var hits settrie.MinimalFamily
-	for _, h := range candidates {
-		hits.Add(h)
-	}
+	// signals a missing maximal-false certificate below it. The candidates
+	// are sorted, so membership is a binary search.
 	for _, u := range w.trues.All() {
-		if hits.Contains(u) {
+		if _, hit := slices.BinarySearchFunc(candidates, u, bitset.Compare); hit {
 			continue
 		}
 		for _, sub := range u.DirectSubsets() {
@@ -290,62 +292,4 @@ func (w *state) fillHoles() bool {
 		}
 	}
 	return progress
-}
-
-// MinimalHittingSets enumerates the minimal subsets of base that intersect
-// every set of families. Branch-and-prune on the smallest un-hit family set,
-// carrying the still-un-hit families down each branch so no full rescans
-// happen; global minimality is enforced by a MinimalFamily filter.
-func MinimalHittingSets(families []bitset.Set, base bitset.Set) []bitset.Set {
-	// Only ⊆-minimal family sets constrain the hitting sets: hitting a set
-	// hits all its supersets. This also catches empty members (nothing can
-	// hit them, so there is no hitting set at all).
-	var minimal settrie.MinimalFamily
-	for _, f := range families {
-		if f.IsEmpty() {
-			return nil
-		}
-		minimal.Add(f.Intersect(base))
-	}
-	constraints := minimal.All()
-	for _, f := range constraints {
-		if f.IsEmpty() {
-			return nil // a family member had no columns inside base
-		}
-	}
-	// Branch on small sets first: fewer alternatives near the root.
-	bitset.Sort(constraints)
-
-	var acc settrie.MinimalFamily
-	// scratch[d] holds the filtered constraint list at recursion depth d;
-	// reusing the buffers keeps the enumeration allocation-free.
-	var scratch [][]bitset.Set
-	var recurse func(depth int, partial bitset.Set, remaining []bitset.Set)
-	recurse = func(depth int, partial bitset.Set, remaining []bitset.Set) {
-		if acc.CoversSubsetOf(partial) {
-			return
-		}
-		if len(remaining) == 0 {
-			acc.Add(partial)
-			return
-		}
-		for depth >= len(scratch) {
-			scratch = append(scratch, nil)
-		}
-		first := remaining[0]
-		first.ForEach(func(c int) {
-			rest := scratch[depth][:0]
-			for _, f := range remaining[1:] {
-				if !f.Has(c) {
-					rest = append(rest, f)
-				}
-			}
-			scratch[depth] = rest
-			recurse(depth+1, partial.With(c), rest)
-		})
-	}
-	recurse(0, bitset.Set{}, constraints)
-	out := acc.All()
-	bitset.Sort(out)
-	return out
 }

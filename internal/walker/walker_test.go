@@ -1,6 +1,7 @@
 package walker
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -148,20 +149,21 @@ func TestNonFullBase(t *testing.T) {
 }
 
 func TestMinimalHittingSets(t *testing.T) {
+	ctx := context.Background()
 	// Families {A,B}, {B,C}: minimal hitting sets are {B}, {A,C}.
 	fams := []bitset.Set{bitset.FromLetters("AB"), bitset.FromLetters("BC")}
-	got := MinimalHittingSets(fams, bitset.Full(3))
+	got, err := MinimalHittingSets(ctx, fams, bitset.Full(3))
 	want := []bitset.Set{bitset.FromLetters("B"), bitset.FromLetters("AC")}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("hitting sets = %v, want %v", got, want)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("hitting sets = %v, %v, want %v", got, err, want)
 	}
 	// An empty family set can never be hit.
-	if got := MinimalHittingSets([]bitset.Set{{}}, bitset.Full(3)); got != nil {
-		t.Errorf("hitting sets with empty member = %v, want nil", got)
+	if got, err := MinimalHittingSets(ctx, []bitset.Set{{}}, bitset.Full(3)); err != nil || got != nil {
+		t.Errorf("hitting sets with empty member = %v, %v, want nil", got, err)
 	}
 	// No constraints: the empty set is the unique minimal hitting set.
-	if got := MinimalHittingSets(nil, bitset.Full(3)); len(got) != 1 || !got[0].IsEmpty() {
-		t.Errorf("hitting sets of empty family = %v", got)
+	if got, err := MinimalHittingSets(ctx, nil, bitset.Full(3)); err != nil || len(got) != 1 || !got[0].IsEmpty() {
+		t.Errorf("hitting sets of empty family = %v, %v", got, err)
 	}
 }
 

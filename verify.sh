@@ -44,11 +44,14 @@ go test -run='^$' -fuzz='^FuzzPLIEquivalence$' -fuzztime=10s ./internal/pli/
 echo "== check-kernel differential fuzz smoke (fast path vs materializing) =="
 go test -run='^$' -fuzz='^FuzzCheckEquivalence$' -fuzztime=10s ./internal/pli/
 
+echo "== hitting-set differential fuzz smoke (MMCS vs brute-force transversals) =="
+go test -run='^$' -fuzz='^FuzzMinimalHittingSets$' -fuzztime=10s ./internal/walker/
+
 echo "== PLI bench smoke (compile + one iteration) =="
 go test -run='^$' -bench 'Intersect|Check' -benchtime=1x ./internal/pli/
 
 echo "== lattice bench smoke (compile + one iteration) =="
-go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker
+go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker ./internal/core
 
 echo "== fast-path config equivalence (race) =="
 go test -race -count=1 -run 'TestFastPathConfigEquivalence' ./internal/core/

@@ -2,8 +2,8 @@
 // helpers shared by all profiling algorithms.
 //
 // A Set is a value type (plain comparable struct) so it can be used directly
-// as a map key, which the PLI caches, set-tries, and candidate queues of the
-// discovery algorithms rely on. The width is fixed at 256 columns; all
+// as a map key, which the PLI caches and candidate queues of the discovery
+// algorithms rely on. The width is fixed at 256 columns; all
 // datasets of the reproduced evaluation fit well below that bound.
 package bitset
 
@@ -260,30 +260,6 @@ func (s Set) DirectSupersets(n int) []Set {
 // Complement returns {0..n-1} \ s.
 func (s Set) Complement(n int) Set {
 	return Full(n).Diff(s)
-}
-
-// ProperSubsets enumerates every non-empty proper subset of s and calls fn
-// for each. Enumeration order is unspecified. fn returning false stops the
-// enumeration early. The number of subsets is exponential in |s|; callers
-// guard the size of s (the shadowed-FD phase of MUDS is the only user).
-func (s Set) ProperSubsets(fn func(sub Set) bool) {
-	cols := s.Columns()
-	n := len(cols)
-	if n == 0 {
-		return
-	}
-	// Iterate masks 1 .. 2^n-2 (skip empty and full).
-	for mask := uint64(1); mask < (uint64(1)<<n)-1; mask++ {
-		var sub Set
-		for i := 0; i < n; i++ {
-			if mask&(uint64(1)<<i) != 0 {
-				sub = sub.With(cols[i])
-			}
-		}
-		if !fn(sub) {
-			return
-		}
-	}
 }
 
 // SubsetsOfSize enumerates all subsets of s with exactly k columns.

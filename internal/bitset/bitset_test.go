@@ -169,36 +169,6 @@ func TestDirectSupersets(t *testing.T) {
 	}
 }
 
-func TestProperSubsets(t *testing.T) {
-	s := FromLetters("ABC")
-	seen := map[Set]bool{}
-	s.ProperSubsets(func(sub Set) bool {
-		if seen[sub] {
-			t.Errorf("subset %v enumerated twice", sub)
-		}
-		seen[sub] = true
-		if !sub.IsProperSubsetOf(s) || sub.IsEmpty() {
-			t.Errorf("invalid proper subset %v", sub)
-		}
-		return true
-	})
-	if len(seen) != 6 { // 2^3 - 2
-		t.Errorf("enumerated %d proper subsets, want 6", len(seen))
-	}
-}
-
-func TestProperSubsetsEarlyStop(t *testing.T) {
-	s := FromLetters("ABCD")
-	count := 0
-	s.ProperSubsets(func(Set) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Errorf("early stop after %d, want 3", count)
-	}
-}
-
 func TestSubsetsOfSize(t *testing.T) {
 	s := FromLetters("ABCD")
 	var got []Set

@@ -117,7 +117,7 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 	var uccRes ucc.Result
 	err = timePhase(ctx, obs, PhaseDucc, func() error {
 		// The DUCC random walk is sequential by construction: every step
-		// extends the certificate tries the next step prunes with.
+		// extends the certificate families the next step prunes with.
 		obs.Parallelism(PhaseDucc, 1)
 		var err error
 		uccRes, err = ucc.DuccContext(ctx, p, opts.Seed)

@@ -11,10 +11,9 @@ import (
 )
 
 // mudsFD is the state of MUDS' FD discovery part (paper Sec. 5): the shared
-// PLI provider handed over from DUCC, the minimal UCCs organised in a prefix
-// tree for subset pruning (Sec. 5.4) and inverted by column for connector
-// look-ups (Sec. 5.1), and the FD result store with per-rhs minimal-lhs
-// families.
+// PLI provider handed over from DUCC, the minimal UCCs as a set family for
+// subset pruning (Sec. 5.4) and connector look-ups (Sec. 5.1), and the FD
+// result store with per-rhs minimal-lhs families.
 type mudsFD struct {
 	// ctx governs cancellation: every task-queue loop of the FD phases polls
 	// it (via aborted) and drains early when it is done, so a deadline stops
@@ -22,21 +21,20 @@ type mudsFD struct {
 	ctx     context.Context
 	p       *pli.Provider
 	working bitset.Set // non-constant columns
-	uccs    *settrie.MinimalFamily
+	uccs    settrie.MinimalFamily
 	z       bitset.Set // union of all minimal UCCs (Sec. 4)
 	store   *fd.Store
-	perRHS  map[int]*settrie.MinimalFamily
-	// falseRHS collects, per right-hand side, the left-hand sides proven
-	// NOT to determine it (maximal certificates). Every failed data check
-	// in any phase lands here and prunes later checks: by Lemma 4 a subset
-	// of a failed left-hand side fails too. The completion sweep seeds its
-	// walks from these families, so boundary work is never repeated.
-	falseRHS map[int]*settrie.MaximalFamily
+	// perRHS[a] holds the minimal left-hand sides emitted for right-hand
+	// side a.
+	perRHS []settrie.MinimalFamily
+	// falseRHS[a] collects the left-hand sides proven NOT to determine a
+	// (maximal certificates). Every failed data check in any phase lands
+	// here and prunes later checks: by Lemma 4 a subset of a failed
+	// left-hand side fails too. The completion sweep seeds its walks from
+	// these families, so boundary work is never repeated.
+	falseRHS []settrie.MaximalFamily
 	checks   int
 	seed     int64
-
-	// uccsByColumn inverts uccs by column for the connector look-ups.
-	uccsByColumn uccIndex
 
 	// shadowSeen dedups generated shadow candidates and shadowProcessed
 	// dedups minimisation work across the fixpoint rounds of the shadowed
@@ -56,10 +54,9 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 		ctx:             context.Background(),
 		p:               p,
 		working:         working,
-		uccs:            &settrie.MinimalFamily{},
 		store:           store,
-		perRHS:          make(map[int]*settrie.MinimalFamily),
-		falseRHS:        make(map[int]*settrie.MaximalFamily),
+		perRHS:          make([]settrie.MinimalFamily, working.Last()+1),
+		falseRHS:        make([]settrie.MaximalFamily, working.Last()+1),
 		seed:            seed,
 		shadowSeen:      make(map[bitset.Set]bitset.Set),
 		shadowProcessed: make(map[bitset.Set]bitset.Set),
@@ -68,8 +65,7 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 	for _, u := range minimalUCCs {
 		m.uccs.Add(u)
 	}
-	m.uccsByColumn = newUCCIndex(m.uccs.All())
-	m.z = m.uccsByColumn.union
+	m.z = m.uccs.UnionOfSupersetsOf(bitset.Set{})
 	return m
 }
 
@@ -90,21 +86,11 @@ func (m *mudsFD) run(phase func()) func() error {
 	}
 }
 
-// lhsFamily returns the minimal-lhs family for right-hand side a.
-func (m *mudsFD) lhsFamily(a int) *settrie.MinimalFamily {
-	f, ok := m.perRHS[a]
-	if !ok {
-		f = &settrie.MinimalFamily{}
-		m.perRHS[a] = f
-	}
-	return f
-}
-
 // emit records the verified-minimal FD lhs → a, deduplicating against
 // earlier emissions. A defensive guard removes any stored superset left
 // behind if a smaller left-hand side arrives late.
 func (m *mudsFD) emit(lhs bitset.Set, a int) {
-	fam := m.lhsFamily(a)
+	fam := &m.perRHS[a]
 	if fam.CoversSubsetOf(lhs) {
 		return // already stored, or a smaller lhs is known
 	}
@@ -117,25 +103,13 @@ func (m *mudsFD) emit(lhs bitset.Set, a int) {
 
 // knownValid reports whether lhs → a follows from already-emitted FDs.
 func (m *mudsFD) knownValid(lhs bitset.Set, a int) bool {
-	f, ok := m.perRHS[a]
-	return ok && f.CoversSubsetOf(lhs)
-}
-
-// falseFamily returns the certified-non-FD family for right-hand side a.
-func (m *mudsFD) falseFamily(a int) *settrie.MaximalFamily {
-	f, ok := m.falseRHS[a]
-	if !ok {
-		f = &settrie.MaximalFamily{}
-		m.falseRHS[a] = f
-	}
-	return f
+	return m.perRHS[a].CoversSubsetOf(lhs)
 }
 
 // knownInvalid reports whether lhs → a is refuted by a recorded failure:
 // lhs ⊆ X with X ↛ a implies lhs ↛ a (Lemma 4).
 func (m *mudsFD) knownInvalid(lhs bitset.Set, a int) bool {
-	f, ok := m.falseRHS[a]
-	return ok && f.CoversSupersetOf(lhs)
+	return m.falseRHS[a].CoversSupersetOf(lhs)
 }
 
 // resolveFD decides lhs → a, consulting certificates before touching PLIs.
@@ -155,7 +129,7 @@ func (m *mudsFD) resolveFD(lhs bitset.Set, a int) bool {
 	if m.p.CheckFD(lhs, a) {
 		return true
 	}
-	m.falseFamily(a).Add(lhs)
+	m.falseRHS[a].Add(lhs)
 	return false
 }
 
@@ -183,7 +157,7 @@ func (m *mudsFD) checkFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 		valid = valid.Union(checked)
 		failed := todo.Diff(checked)
 		for a := failed.First(); a >= 0; a = failed.NextAfter(a) {
-			m.falseFamily(a).Add(lhs)
+			m.falseRHS[a].Add(lhs)
 		}
 	}
 	return valid
@@ -194,7 +168,7 @@ func (m *mudsFD) checkFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 // connector itself. The resulting columns are the right-hand-side candidates
 // reachable from left-hand sides that connect to the given connector.
 func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
-	return m.uccsByColumn.unionOfSupersets(connector).Diff(connector)
+	return m.uccs.UnionOfSupersetsOf(connector).Diff(connector)
 }
 
 // impossibleColumns implements pruning rule 1 of paper Sec. 4: an FD cannot
@@ -202,7 +176,7 @@ func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
 // the impossible right-hand sides are the columns a with lhs ∪ {a} inside
 // some minimal UCC, i.e. the union of the minimal UCCs containing lhs.
 func (m *mudsFD) impossibleColumns(lhs bitset.Set) bitset.Set {
-	return m.uccsByColumn.unionOfSupersets(lhs).Diff(lhs)
+	return m.uccs.UnionOfSupersetsOf(lhs).Diff(lhs)
 }
 
 // rzColumns returns R \ Z: the working columns in no minimal UCC. By pruning

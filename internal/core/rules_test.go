@@ -56,7 +56,7 @@ func TestKnownValidAndInvalid(t *testing.T) {
 		t.Error("A is not known valid")
 	}
 	// Record a failure and verify downward pruning (Lemma 4).
-	m.falseFamily(3).Add(bitset.FromLetters("BC"))
+	m.falseRHS[3].Add(bitset.FromLetters("BC"))
 	if !m.knownInvalid(bitset.FromLetters("B"), 3) {
 		t.Error("B ⊆ BC should be known invalid for rhs D")
 	}
@@ -92,8 +92,8 @@ func TestResolveFDRecordsFailures(t *testing.T) {
 
 func TestCheckFDsMixedShortcuts(t *testing.T) {
 	m := testFD(t)
-	m.emit(bitset.FromLetters("B"), 2)            // known valid: B → C
-	m.falseFamily(0).Add(bitset.FromLetters("B")) // known invalid: B → A
+	m.emit(bitset.FromLetters("B"), 2)         // known valid: B → C
+	m.falseRHS[0].Add(bitset.FromLetters("B")) // known invalid: B → A
 	got := m.checkFDs(bitset.FromLetters("B"), bitset.FromLetters("ABCD"))
 	// B → B trivial, B → C known, B → D must be checked (fails on row 1 vs 2).
 	want := bitset.FromLetters("BC")

@@ -94,7 +94,7 @@ func (m *mudsFD) canonicalLHS(s bitset.Set) bitset.Set {
 		reduced := false
 		for b := s.First(); b >= 0; b = s.NextAfter(b) {
 			rest := s.Without(b)
-			if f, ok := m.perRHS[b]; ok && f.CoversSubsetOf(rest) {
+			if m.perRHS[b].CoversSubsetOf(rest) {
 				s = rest
 				reduced = true
 				break

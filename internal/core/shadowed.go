@@ -35,11 +35,11 @@ func (m *mudsFD) generateShadowedTasks() []shadowTask {
 	// Algorithm 2 iterates over all subsets of every left-hand side and looks
 	// up FDs[connector]; only connectors that are themselves stored left-hand
 	// sides contribute shadowed attributes, so the subset enumeration is
-	// served by a prefix tree over the stored left-hand sides (Sec. 5.4) —
+	// served by a set index over the stored left-hand sides (Sec. 5.4) —
 	// same semantics, without enumerating 2^|lhs| empty look-ups.
-	var lhsTrie settrie.Trie
+	var lhsIndex settrie.Index
 	for _, lhs := range m.store.LHSs() {
-		lhsTrie.Add(lhs)
+		lhsIndex.Add(lhs)
 	}
 
 	// Distinct extended left-hand sides with the union of their target
@@ -53,7 +53,7 @@ func (m *mudsFD) generateShadowedTasks() []shadowTask {
 		if flhs.IsEmpty() {
 			return true // constant columns shadow nothing
 		}
-		for _, connector := range lhsTrie.SubsetsOf(flhs) {
+		for _, connector := range lhsIndex.SubsetsOf(flhs) {
 			shadowedRhs := m.store.RHS(connector)
 			// Constant columns never belong to a minimal left-hand side.
 			newLhs := flhs.Union(shadowedRhs).Intersect(m.working)

@@ -30,9 +30,9 @@ import (
 // The per-RHS walks are independent — a walk for right-hand side a emits
 // only a's FDs, which no other walk's certificates or predicate depend on —
 // so they fan out across the worker pool. Certificate seeds are collected
-// sequentially first (the family look-ups lazily create entries), each walk
-// writes its outcome into an indexed slot, and the emissions are applied in
-// RHS order, keeping the result identical for every worker count.
+// first, each walk writes its outcome into an indexed slot, and the
+// emissions are applied in RHS order, keeping the result identical for
+// every worker count.
 func (m *mudsFD) completionSweep() {
 	rz := m.rzColumns()
 	zCols := m.z.Columns()
@@ -42,7 +42,7 @@ func (m *mudsFD) completionSweep() {
 		if m.aborted() {
 			return
 		}
-		knownTrue := m.lhsFamily(a).All()
+		knownTrue := m.perRHS[a].All()
 
 		var knownFalse []bitset.Set
 		if !rz.IsEmpty() {
@@ -65,7 +65,7 @@ func (m *mudsFD) completionSweep() {
 			}
 		}
 		// Recycle every failure certificate the earlier phases recorded.
-		knownFalse = append(knownFalse, m.falseFamily(a).All()...)
+		knownFalse = append(knownFalse, m.falseRHS[a].All()...)
 
 		trueSeeds[i] = knownTrue
 		falseSeeds[i] = knownFalse

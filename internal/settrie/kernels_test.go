@@ -2,14 +2,109 @@ package settrie
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"holistic/internal/bitset"
 )
 
-// This file checks the non-allocating trie queries against linear scans of
-// MinimalFamily.All(). Sets are drawn over 70 columns so that they cross the
-// 64-bit word boundary.
+// This file checks every query of the index and both families against a
+// linear scan of a plain slice of the members. Sets are drawn over 70
+// columns so that they cross the 64-bit word boundary of bitset.Set, and
+// families grow past 64 members so that the slot bitmaps span several words.
+
+// scanModel is the linear-scan oracle: the members as a plain slice.
+type scanModel []bitset.Set
+
+// sorted returns the members in prefix-tree order, the lexicographic order
+// of the ascending column sequences (a prefix first), or nil when empty.
+func (m scanModel) sorted() []bitset.Set {
+	if len(m) == 0 {
+		return nil
+	}
+	out := slices.Clone(m)
+	slices.SortFunc(out, func(a, b bitset.Set) int {
+		return slices.Compare(a.Columns(), b.Columns())
+	})
+	return out
+}
+
+func (m scanModel) contains(x bitset.Set) bool { return slices.Contains(m, x) }
+
+func (m scanModel) filter(keep func(bitset.Set) bool) scanModel {
+	var out scanModel
+	for _, s := range m {
+		if keep(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func (m scanModel) subsetsOf(x bitset.Set) []bitset.Set {
+	return m.filter(func(s bitset.Set) bool { return s.IsSubsetOf(x) }).sorted()
+}
+
+func (m scanModel) supersetsOf(x bitset.Set) []bitset.Set {
+	return m.filter(func(s bitset.Set) bool { return x.IsSubsetOf(s) }).sorted()
+}
+
+// addMinimal applies MinimalFamily.Add's rule by scanning.
+func (m *scanModel) addMinimal(s bitset.Set) bool {
+	if len(m.subsetsOf(s)) > 0 {
+		return false
+	}
+	*m = append(m.filter(func(o bitset.Set) bool { return !s.IsSubsetOf(o) }), s)
+	return true
+}
+
+// addMaximal applies MaximalFamily.Add's rule by scanning.
+func (m *scanModel) addMaximal(s bitset.Set) bool {
+	if len(m.supersetsOf(s)) > 0 {
+		return false
+	}
+	*m = append(m.filter(func(o bitset.Set) bool { return !o.IsSubsetOf(s) }), s)
+	return true
+}
+
+// checkMinimal compares every query of f at x with the oracle.
+func checkMinimal(t *testing.T, f *MinimalFamily, m scanModel, x bitset.Set) {
+	t.Helper()
+	subs, sups := m.subsetsOf(x), m.supersetsOf(x)
+	var union bitset.Set
+	for _, s := range sups {
+		union = union.Union(s)
+	}
+	switch {
+	case f.Contains(x) != m.contains(x):
+		t.Fatalf("Contains(%v) = %v over %v", x, f.Contains(x), m)
+	case f.CoversSubsetOf(x) != (subs != nil):
+		t.Fatalf("CoversSubsetOf(%v) = %v over %v", x, f.CoversSubsetOf(x), m)
+	case !reflect.DeepEqual(f.SubsetsOf(x), subs):
+		t.Fatalf("SubsetsOf(%v) = %v, want %v", x, f.SubsetsOf(x), subs)
+	case !reflect.DeepEqual(f.SupersetsOf(x), sups):
+		t.Fatalf("SupersetsOf(%v) = %v, want %v", x, f.SupersetsOf(x), sups)
+	case f.UnionOfSupersetsOf(x) != union:
+		t.Fatalf("UnionOfSupersetsOf(%v) = %v, want %v", x, f.UnionOfSupersetsOf(x), union)
+	case !reflect.DeepEqual(f.All(), m.sorted()):
+		t.Fatalf("All = %v, want %v", f.All(), m.sorted())
+	}
+}
+
+// checkMaximal compares every query of f at x with the oracle.
+func checkMaximal(t *testing.T, f *MaximalFamily, m scanModel, x bitset.Set) {
+	t.Helper()
+	switch {
+	case f.CoversSupersetOf(x) != (m.supersetsOf(x) != nil):
+		t.Fatalf("CoversSupersetOf(%v) = %v over %v", x, f.CoversSupersetOf(x), m)
+	case f.Len() != len(m):
+		t.Fatalf("Len = %d, want %d", f.Len(), len(m))
+	case !reflect.DeepEqual(f.All(), m.sorted()):
+		t.Fatalf("All = %v, want %v", f.All(), m.sorted())
+	}
+}
 
 // pickColumns returns a set of between lo and hi columns drawn from
 // [0, n); repeated draws may make it smaller.
@@ -41,33 +136,163 @@ func query(r *rand.Rand, stored []bitset.Set, n int) bitset.Set {
 	}
 }
 
+// TestFamilyQueriesMatchLinearScan runs random insertion sequences into
+// both families and checks every Add result and every query against the
+// oracle. Insertions come in rounds of growing size for the minimal family
+// and shrinking size for the maximal one, so later rounds dominate many
+// members. Every other run draws from the 12 columns around the word
+// boundary only, where domination is common, so that runs cross the
+// compaction threshold.
 func TestFamilyQueriesMatchLinearScan(t *testing.T) {
 	const n = 70
 	r := rand.New(rand.NewSource(1))
-	subHits, total := 0, 0
-	for iter := 0; iter < 500; iter++ {
-		var f MinimalFamily
-		for i := r.Intn(60); i > 0; i-- {
-			f.Add(pickColumns(r, n, 1, 6))
+	subHits, supHits, total, compactions := 0, 0, 0, 0
+	for iter := 0; iter < 100; iter++ {
+		lowest := 0
+		if iter%2 == 1 {
+			lowest = n - 12
 		}
-		stored := f.All()
-		for q := 0; q < 40; q++ {
-			x := query(r, stored, n)
-			wantSub := false
-			for _, s := range stored {
-				wantSub = wantSub || s.IsSubsetOf(x)
+		draw := func(lo, hi int) bitset.Set {
+			var s bitset.Set
+			for i := lo + r.Intn(hi-lo+1); i > 0; i-- {
+				s = s.With(lowest + r.Intn(n-lowest))
 			}
-			total++
-			if wantSub {
-				subHits++
+			return s
+		}
+		var minF MinimalFamily
+		var maxF MaximalFamily
+		var minM, maxM scanModel
+		minAdded, maxAdded := 0, 0
+		for round := 0; round < 4; round++ {
+			for i := r.Intn(80); i > 0; i-- {
+				s := draw(5-round, 8-round)
+				if got, want := minF.Add(s), minM.addMinimal(s); got != want {
+					t.Fatalf("MinimalFamily.Add(%v) = %v, want %v", s, got, want)
+				} else if got {
+					minAdded++
+				}
+				s = draw(1+2*round, 3+3*round)
+				if got, want := maxF.Add(s), maxM.addMaximal(s); got != want {
+					t.Fatalf("MaximalFamily.Add(%v) = %v, want %v", s, got, want)
+				} else if got {
+					maxAdded++
+				}
 			}
-			if got := f.CoversSubsetOf(x); got != wantSub {
-				t.Fatalf("CoversSubsetOf(%v) = %v, want %v over %v", x, got, wantSub, stored)
+			for q := 0; q < 10; q++ {
+				x := query(r, minM, n)
+				checkMinimal(t, &minF, minM, x)
+				checkMaximal(t, &maxF, maxM, query(r, maxM, n))
+				total++
+				if minF.CoversSubsetOf(x) {
+					subHits++
+				}
+				if minF.SupersetsOf(x) != nil {
+					supHits++
+				}
 			}
+		}
+		if len(minF.ix.slots) < minAdded {
+			compactions++
+		}
+		if len(maxF.ix.slots) < maxAdded {
+			compactions++
 		}
 	}
 	// Both answers must be exercised, or the comparison says little.
-	if subHits < total/10 || subHits > total*9/10 {
-		t.Fatalf("unbalanced queries: %d subset hits of %d", subHits, total)
+	if subHits < total/10 || subHits > total*9/10 || supHits < total/10 || supHits > total*9/10 {
+		t.Fatalf("unbalanced queries: %d subset and %d superset hits of %d", subHits, supHits, total)
 	}
+	if compactions < 30 {
+		t.Fatalf("only %d of 200 runs compacted", compactions)
+	}
+}
+
+// TestConcurrentQueries queries finished families from several goroutines
+// at once, as the parallel MUDS walks do; under -race it shows that queries
+// write nothing.
+func TestConcurrentQueries(t *testing.T) {
+	const n = 70
+	r := rand.New(rand.NewSource(2))
+	var minF MinimalFamily
+	var maxF MaximalFamily
+	var minM, maxM scanModel
+	for i := 0; i < 300; i++ {
+		s := pickColumns(r, n, 1, 8)
+		minF.Add(s)
+		minM.addMinimal(s)
+		maxF.Add(s)
+		maxM.addMaximal(s)
+	}
+	queries := make([]bitset.Set, 50)
+	for i := range queries {
+		queries[i] = query(r, minM, n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, x := range queries {
+				sups := minM.supersetsOf(x)
+				var union bitset.Set
+				for _, s := range sups {
+					union = union.Union(s)
+				}
+				if minF.CoversSubsetOf(x) != (minM.subsetsOf(x) != nil) ||
+					!reflect.DeepEqual(minF.SupersetsOf(x), sups) ||
+					minF.UnionOfSupersetsOf(x) != union ||
+					maxF.CoversSupersetOf(x) != (maxM.supersetsOf(x) != nil) {
+					t.Errorf("concurrent query at %v disagrees with the oracle", x)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzSetFamilyMatchesLinearScan feeds both families and a plain index the
+// same insertions and checks every query against the oracle after each.
+// Every 10 bytes are one operation: the low two bits of the first byte pick
+// the target (minimal family, maximal family, plain index, or a query only)
+// and the next 9 bytes are the set, bit i meaning column i (below 70).
+func FuzzSetFamilyMatchesLinearScan(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 0, 0, 0, 0, 0, 0, 0x20, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0x20, 3, 1})
+	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3, 2})
+	f.Add([]byte{2, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x3f, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const opLen = 1 + 9
+		var minF MinimalFamily
+		var maxF MaximalFamily
+		var ix Index
+		var minM, maxM, ixM scanModel
+		for ; len(data) >= opLen; data = data[opLen:] {
+			var s bitset.Set
+			for c := 0; c < 70; c++ {
+				if data[1+c/8]&(1<<(c%8)) != 0 {
+					s = s.With(c)
+				}
+			}
+			switch data[0] & 3 {
+			case 0:
+				if got, want := minF.Add(s), minM.addMinimal(s); got != want {
+					t.Fatalf("MinimalFamily.Add(%v) = %v, want %v", s, got, want)
+				}
+			case 1:
+				if got, want := maxF.Add(s), maxM.addMaximal(s); got != want {
+					t.Fatalf("MaximalFamily.Add(%v) = %v, want %v", s, got, want)
+				}
+			case 2:
+				if !ixM.contains(s) {
+					ix.Add(s)
+					ixM = append(ixM, s)
+				}
+			}
+			checkMinimal(t, &minF, minM, s)
+			checkMaximal(t, &maxF, maxM, s)
+			if got, want := ix.SubsetsOf(s), ixM.subsetsOf(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Index.SubsetsOf(%v) = %v, want %v", s, got, want)
+			}
+		}
+	})
 }

@@ -18,46 +18,61 @@ func sets(letters ...string) []bitset.Set {
 }
 
 func TestAddContainsRemove(t *testing.T) {
-	var tr Trie
+	var f MinimalFamily
 	a := bitset.FromLetters("ACD")
-	if !tr.Add(a) || tr.Add(a) {
+	if !f.Add(a) || f.Add(a) {
 		t.Error("Add should report first-insert only")
 	}
-	if !tr.Contains(a) || tr.Len() != 1 {
-		t.Error("Contains/Len mismatch after Add")
+	if !f.Contains(a) || len(f.All()) != 1 {
+		t.Error("Contains/All mismatch after Add")
 	}
-	if tr.Contains(bitset.FromLetters("AC")) || tr.Contains(bitset.FromLetters("ACDE")) {
-		t.Error("prefix/extension must not be contained")
+	if f.Contains(bitset.FromLetters("AC")) || f.Contains(bitset.FromLetters("ACDE")) {
+		t.Error("subset/extension must not be contained")
 	}
-	if !tr.Remove(a) || tr.Remove(a) {
-		t.Error("Remove should report first-delete only")
+	// A dominating insertion removes a.
+	if !f.Add(bitset.FromLetters("AC")) || f.Contains(a) {
+		t.Error("Add of a subset should remove the superset")
 	}
-	if tr.Len() != 0 || tr.Contains(a) {
-		t.Error("trie should be empty after Remove")
+	if got := f.All(); !reflect.DeepEqual(got, sets("AC")) {
+		t.Errorf("All = %v, want [AC]", got)
 	}
 }
 
 func TestEmptySetElement(t *testing.T) {
-	var tr Trie
-	empty := bitset.Set{}
-	if !tr.Add(empty) || !tr.Contains(empty) {
+	var ix Index
+	ix.Add(bitset.Set{})
+	if !ix.contains(bitset.Set{}) || ix.n != 1 {
 		t.Error("empty set should be storable")
 	}
-	if !tr.ContainsSubsetOf(bitset.FromLetters("AB")) {
+	if !ix.hasSubsetOf(bitset.FromLetters("AB")) {
 		t.Error("empty set is a subset of everything")
 	}
-	if !tr.ContainsSupersetOf(empty) {
+	if !ix.hasSupersetOf(bitset.Set{}) {
 		t.Error("empty set is a superset of the empty set")
 	}
-	if !tr.Remove(empty) || tr.Len() != 0 {
-		t.Error("empty set removal failed")
+	if got := ix.SubsetsOf(bitset.FromLetters("AB")); !reflect.DeepEqual(got, []bitset.Set{{}}) {
+		t.Errorf("SubsetsOf(AB) = %v, want [∅]", got)
+	}
+
+	var minF MinimalFamily
+	minF.Add(bitset.Set{})
+	if minF.Add(bitset.FromLetters("A")) || !minF.CoversSubsetOf(bitset.FromLetters("B")) {
+		t.Error("a minimal family holding ∅ must reject and cover everything")
+	}
+	var maxF MaximalFamily
+	maxF.Add(bitset.Set{})
+	if !maxF.CoversSupersetOf(bitset.Set{}) || maxF.CoversSupersetOf(bitset.FromLetters("A")) {
+		t.Error("a maximal family holding ∅ covers only ∅")
+	}
+	if !maxF.Add(bitset.FromLetters("A")) || maxF.Len() != 1 {
+		t.Error("A should replace ∅ in a maximal family")
 	}
 }
 
 // TestPrefixTreeFigure5 reproduces Figure 5 of the paper: the prefix tree of
 // the UCCs (1,3,8), (1,5), (1,10), (1,12), (7), (15,18), (1,11,17).
 func TestPrefixTreeFigure5(t *testing.T) {
-	var tr Trie
+	var ix Index
 	uccs := []bitset.Set{
 		bitset.New(1, 3, 8),
 		bitset.New(1, 5),
@@ -68,111 +83,120 @@ func TestPrefixTreeFigure5(t *testing.T) {
 		bitset.New(1, 11, 17),
 	}
 	for _, u := range uccs {
-		tr.Add(u)
+		ix.Add(u)
 	}
-	if tr.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", tr.Len())
+	if ix.n != 7 {
+		t.Fatalf("Len = %d, want 7", ix.n)
 	}
-	// Level-1 structure: root has child entries 1, 7, 15 (paper figure).
-	rootCols := tr.root.cols
-	if !reflect.DeepEqual(rootCols, []int{1, 7, 15}) {
-		t.Errorf("root entries = %v, want [1 7 15]", rootCols)
+	// The figure's preorder: the root entries 1, 7, 15, and below 1 the
+	// entries 3, 5, 10, 11, 12.
+	want := []bitset.Set{
+		bitset.New(1, 3, 8),
+		bitset.New(1, 5),
+		bitset.New(1, 10),
+		bitset.New(1, 11, 17),
+		bitset.New(1, 12),
+		bitset.New(7),
+		bitset.New(15, 18),
+	}
+	if got := ix.all(); !reflect.DeepEqual(got, want) {
+		t.Errorf("All = %v, want %v", got, want)
 	}
 	// Subset look-up as in Sec. 5.4: subsets of X = {1,5,8,18}.
-	got := tr.SubsetsOf(bitset.New(1, 5, 8, 18))
-	want := []bitset.Set{bitset.New(1, 5)}
-	if !reflect.DeepEqual(got, want) {
+	got := ix.SubsetsOf(bitset.New(1, 5, 8, 18))
+	if want := []bitset.Set{bitset.New(1, 5)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("SubsetsOf = %v, want %v", got, want)
 	}
 	// {7} is found inside any set containing column 7.
-	if !tr.ContainsSubsetOf(bitset.New(0, 7, 20)) {
+	if !ix.hasSubsetOf(bitset.New(0, 7, 20)) {
 		t.Error("subset {7} not found")
 	}
-	if tr.ContainsSubsetOf(bitset.New(3, 8)) {
+	if ix.hasSubsetOf(bitset.New(3, 8)) {
 		t.Error("no stored set is a subset of {3,8}")
 	}
 }
 
 func TestSubsetQueries(t *testing.T) {
-	var tr Trie
+	var ix Index
 	for _, s := range sets("AB", "BC", "D") {
-		tr.Add(s)
+		ix.Add(s)
 	}
-	if !tr.ContainsSubsetOf(bitset.FromLetters("ABC")) {
+	if !ix.hasSubsetOf(bitset.FromLetters("ABC")) {
 		t.Error("AB ⊆ ABC expected")
 	}
-	if tr.ContainsSubsetOf(bitset.FromLetters("AC")) {
+	if ix.hasSubsetOf(bitset.FromLetters("AC")) {
 		t.Error("nothing is a subset of AC")
 	}
-	got := tr.SubsetsOf(bitset.FromLetters("ABCD"))
-	if len(got) != 3 {
+	if got := ix.SubsetsOf(bitset.FromLetters("ABCD")); !reflect.DeepEqual(got, sets("AB", "BC", "D")) {
 		t.Errorf("SubsetsOf(ABCD) = %v", got)
 	}
 }
 
 func TestSupersetQueries(t *testing.T) {
-	var tr Trie
+	var f MinimalFamily
 	// The connector look-up example of Table 2: minimal UCCs AFG, BDFG, DEF,
 	// CEFG; supersets of the connector FG are AFG, BDFG, CEFG.
 	for _, s := range sets("AFG", "BDFG", "DEF", "CEFG") {
-		tr.Add(s)
+		f.Add(s)
 	}
-	got := tr.SupersetsOf(bitset.FromLetters("FG"))
+	got := f.SupersetsOf(bitset.FromLetters("FG"))
 	want := sets("AFG", "BDFG", "CEFG")
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("SupersetsOf(FG) = %v, want %v", got, want)
 	}
-	if !tr.ContainsSupersetOf(bitset.FromLetters("FG")) {
-		t.Error("ContainsSupersetOf(FG) expected")
+	if !f.ix.hasSupersetOf(bitset.FromLetters("FG")) {
+		t.Error("a superset of FG expected")
 	}
-	if tr.ContainsSupersetOf(bitset.FromLetters("AB")) {
+	if f.ix.hasSupersetOf(bitset.FromLetters("AB")) {
 		t.Error("no superset of AB stored")
 	}
 	// Union of matched minus connector = ABCDE (Table 2's result).
-	var union bitset.Set
-	for _, s := range got {
-		union = union.Union(s)
-	}
-	if diff := union.Diff(bitset.FromLetters("FG")); diff != bitset.FromLetters("ABCDE") {
+	connector := bitset.FromLetters("FG")
+	if diff := f.UnionOfSupersetsOf(connector).Diff(connector); diff != bitset.FromLetters("ABCDE") {
 		t.Errorf("connector union = %v, want ABCDE", diff)
 	}
-}
-
-func TestAllAndForEach(t *testing.T) {
-	var tr Trie
-	in := sets("B", "AC", "A")
-	for _, s := range in {
-		tr.Add(s)
-	}
-	all := tr.All()
-	if len(all) != 3 {
-		t.Fatalf("All = %v", all)
-	}
-	// Deterministic sorted-path order: A, AC, B.
-	want := sets("A", "AC", "B")
-	if !reflect.DeepEqual(all, want) {
-		t.Errorf("All = %v, want %v", all, want)
-	}
-	count := 0
-	tr.ForEach(func(bitset.Set) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("ForEach early stop visited %d, want 2", count)
+	if z := f.UnionOfSupersetsOf(bitset.Set{}); z != bitset.FromLetters("ABCDEFG") {
+		t.Errorf("union of the family = %v, want ABCDEFG", z)
 	}
 }
 
-func TestRemovePrunesNodes(t *testing.T) {
-	var tr Trie
-	tr.Add(bitset.FromLetters("ABC"))
-	tr.Add(bitset.FromLetters("AB"))
-	tr.Remove(bitset.FromLetters("ABC"))
-	if tr.ContainsSupersetOf(bitset.FromLetters("ABC")) {
-		t.Error("dangling node kept after removal")
+func TestAllOrder(t *testing.T) {
+	var ix Index
+	for _, s := range sets("B", "AC", "A") {
+		ix.Add(s)
 	}
-	if !tr.Contains(bitset.FromLetters("AB")) {
-		t.Error("sibling entry lost")
+	// Prefix-tree order: a prefix before its extensions, then ascending.
+	if got, want := ix.all(), sets("A", "AC", "B"); !reflect.DeepEqual(got, want) {
+		t.Errorf("All = %v, want %v", got, want)
+	}
+}
+
+// TestDeadSlotInvisible removes a member without compacting and requires
+// every query to skip its slot.
+func TestDeadSlotInvisible(t *testing.T) {
+	var ix Index
+	abc, b := bitset.FromLetters("ABC"), bitset.FromLetters("B")
+	ix.Add(abc)
+	ix.Add(b)
+	ix.remove(abc, ix.used.Diff(abc))
+	if len(ix.slots) != 2 || ix.n != 1 {
+		t.Fatalf("slots %d, members %d; want a dead slot beside one member", len(ix.slots), ix.n)
+	}
+	if ix.contains(abc) || ix.hasSupersetOf(bitset.FromLetters("AC")) ||
+		ix.hasSubsetOf(bitset.FromLetters("AC")) {
+		t.Error("an existence query saw the dead slot")
+	}
+	if got := ix.supersetsOf(bitset.FromLetters("A")); got != nil {
+		t.Errorf("supersetsOf(A) = %v, want none", got)
+	}
+	if got := ix.SubsetsOf(bitset.FromLetters("ABCD")); !reflect.DeepEqual(got, []bitset.Set{b}) {
+		t.Errorf("SubsetsOf(ABCD) = %v, want [B]", got)
+	}
+	if got := ix.all(); !reflect.DeepEqual(got, []bitset.Set{b}) {
+		t.Errorf("All = %v, want [B]", got)
+	}
+	if got := ix.unionOfSupersetsOf(bitset.FromLetters("A")); !got.IsEmpty() {
+		t.Errorf("unionOfSupersetsOf(A) = %v, want ∅", got)
 	}
 }
 
@@ -190,12 +214,12 @@ func TestMinimalFamily(t *testing.T) {
 	if f.Contains(bitset.FromLetters("ABC")) {
 		t.Error("superset should have been removed")
 	}
-	if f.Len() != 1 {
-		t.Errorf("Len = %d, want 1", f.Len())
+	if got := f.All(); len(got) != 1 {
+		t.Errorf("All = %v, want one set", got)
 	}
 	f.Add(bitset.FromLetters("CD"))
-	if got := f.Union(); got != bitset.FromLetters("ABCD") {
-		t.Errorf("Union = %v", got)
+	if got := f.UnionOfSupersetsOf(bitset.Set{}); got != bitset.FromLetters("ABCD") {
+		t.Errorf("union of the family = %v", got)
 	}
 	if !f.CoversSubsetOf(bitset.FromLetters("ABE")) {
 		t.Error("AB ⊆ ABE expected")
@@ -205,17 +229,6 @@ func TestMinimalFamily(t *testing.T) {
 	}
 	if got := f.SupersetsOf(bitset.FromLetters("C")); len(got) != 1 || got[0] != bitset.FromLetters("CD") {
 		t.Errorf("SupersetsOf(C) = %v", got)
-	}
-	if !f.ContainsSupersetOf(bitset.FromLetters("D")) {
-		t.Error("CD ⊇ D expected")
-	}
-	var visited int
-	f.ForEach(func(bitset.Set) bool {
-		visited++
-		return true
-	})
-	if visited != 2 {
-		t.Errorf("ForEach visited %d, want 2", visited)
 	}
 	if got := f.SubsetsOf(bitset.FromLetters("ABCD")); len(got) != 2 {
 		t.Errorf("SubsetsOf(ABCD) = %v", got)
@@ -233,8 +246,8 @@ func TestMaximalFamily(t *testing.T) {
 	if !f.Add(bitset.FromLetters("ABC")) {
 		t.Error("superset should replace subset")
 	}
-	if f.Contains(bitset.FromLetters("AB")) {
-		t.Error("subset should have been removed")
+	if got := f.All(); !reflect.DeepEqual(got, sets("ABC")) {
+		t.Errorf("All = %v, want [ABC]", got)
 	}
 	if f.Len() != 1 {
 		t.Errorf("Len = %d, want 1", f.Len())
@@ -261,7 +274,7 @@ func randomFamily(rnd *rand.Rand, n, count int) []bitset.Set {
 	return out
 }
 
-// Property: trie queries agree with naive scans over the stored sets.
+// Property: index queries agree with naive scans over the stored sets.
 func TestQuickTrieMatchesNaive(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 200,
@@ -271,40 +284,24 @@ func TestQuickTrieMatchesNaive(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(stored, queries []bitset.Set) bool {
-		var tr Trie
-		dedup := map[bitset.Set]bool{}
+		var ix Index
+		var model scanModel
 		for _, s := range stored {
-			tr.Add(s)
-			dedup[s] = true
+			if !model.contains(s) {
+				ix.Add(s)
+				model = append(model, s)
+			}
 		}
-		if tr.Len() != len(dedup) {
+		if ix.n != len(model) || !reflect.DeepEqual(ix.all(), model.sorted()) {
 			return false
 		}
 		for _, q := range queries {
-			wantSub, wantSup := false, false
-			var subs, sups []bitset.Set
-			for s := range dedup {
-				if s.IsSubsetOf(q) {
-					wantSub = true
-					subs = append(subs, s)
-				}
-				if q.IsSubsetOf(s) {
-					wantSup = true
-					sups = append(sups, s)
-				}
-			}
-			if tr.ContainsSubsetOf(q) != wantSub || tr.ContainsSupersetOf(q) != wantSup {
+			subs, sups := model.subsetsOf(q), model.supersetsOf(q)
+			if ix.hasSubsetOf(q) != (subs != nil) || ix.hasSupersetOf(q) != (sups != nil) ||
+				ix.contains(q) != model.contains(q) {
 				return false
 			}
-			gotSubs, gotSups := tr.SubsetsOf(q), tr.SupersetsOf(q)
-			bitset.Sort(subs)
-			bitset.Sort(sups)
-			sortedCopy := func(in []bitset.Set) []bitset.Set {
-				c := append([]bitset.Set(nil), in...)
-				bitset.Sort(c)
-				return c
-			}
-			if !reflect.DeepEqual(sortedCopy(gotSubs), subs) || !reflect.DeepEqual(sortedCopy(gotSups), sups) {
+			if !reflect.DeepEqual(ix.SubsetsOf(q), subs) || !reflect.DeepEqual(ix.supersetsOf(q), sups) {
 				return false
 			}
 		}

@@ -11,7 +11,7 @@ import (
 // Ducc discovers all minimal UCCs with the DUCC strategy (paper Sec. 2.2):
 // a randomized walk over the lattice that descends from uniques and ascends
 // from non-uniques, pruning supersets of UCCs and subsets of non-UCCs via
-// set-tries, followed by hole detection that compares the found minimal UCCs
+// set families, followed by hole detection that compares the found minimal UCCs
 // with the minimal hitting sets of the complements of the found maximal
 // non-UCCs.
 //

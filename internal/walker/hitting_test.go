@@ -35,13 +35,11 @@ func bruteHittingSets(edges []bitset.Set, base bitset.Set) []bitset.Set {
 		}
 		out = append(out, x)
 	}
-	consider(bitset.Set{})
-	base.ProperSubsets(func(sub bitset.Set) bool {
-		consider(sub)
-		return true
-	})
-	if !base.IsEmpty() {
-		consider(base)
+	for k := 0; k <= base.Len(); k++ {
+		base.SubsetsOfSize(k, func(sub bitset.Set) bool {
+			consider(sub)
+			return true
+		})
 	}
 	bitset.Sort(out)
 	return out

@@ -7,9 +7,9 @@
 // downward pruning of Lemma 4 is exactly the monotonicity of that
 // predicate). The walker finds the minimal true sets and the maximal false
 // sets by walking up from false nodes and down from true nodes, pruning with
-// set-tries, and filling unvisited "holes" by comparing the found minimal
-// true sets against the minimal hitting sets of the complements of the found
-// maximal false sets.
+// the column-bitmap set families of package settrie, and filling unvisited
+// "holes" by comparing the found minimal true sets against the minimal
+// hitting sets of the complements of the found maximal false sets.
 package walker
 
 import (
@@ -253,11 +253,11 @@ func (w *state) maximize(s bitset.Set) bitset.Set {
 }
 
 func (w *state) fillHoles() bool {
-	complements := make([]bitset.Set, 0, w.falses.Len())
-	w.falses.ForEach(func(m bitset.Set) bool {
-		complements = append(complements, w.base.Diff(m))
-		return true
-	})
+	falses := w.falses.All()
+	complements := make([]bitset.Set, len(falses))
+	for i, m := range falses {
+		complements[i] = w.base.Diff(m)
+	}
 	candidates, err := MinimalHittingSets(w.ctx, complements, w.base)
 	if err != nil {
 		w.err = err // cancelled: partial candidates are not walked

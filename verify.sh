@@ -47,6 +47,9 @@ go test -run='^$' -fuzz='^FuzzCheckEquivalence$' -fuzztime=10s ./internal/pli/
 echo "== hitting-set differential fuzz smoke (MMCS vs brute-force transversals) =="
 go test -run='^$' -fuzz='^FuzzMinimalHittingSets$' -fuzztime=10s ./internal/walker/
 
+echo "== set-family differential fuzz smoke (column-bitmap families vs linear scan) =="
+go test -run='^$' -fuzz='^FuzzSetFamilyMatchesLinearScan$' -fuzztime=10s ./internal/settrie/
+
 echo "== PLI bench smoke (compile + one iteration) =="
 go test -run='^$' -bench 'Intersect|Check' -benchtime=1x ./internal/pli/
 

@@ -20,12 +20,17 @@ type eventObserver struct {
 	ended   []string
 	checks  int
 	stats   []pli.CacheStats
+	// statsPhase[i] is the phase last started when stats[i] arrived.
+	statsPhase []string
 }
 
 func (o *eventObserver) PhaseStart(name string)                { o.started = append(o.started, name) }
 func (o *eventObserver) PhaseEnd(name string, _ time.Duration) { o.ended = append(o.ended, name) }
 func (o *eventObserver) Checks(delta int)                      { o.checks += delta }
-func (o *eventObserver) CacheStats(s pli.CacheStats)           { o.stats = append(o.stats, s) }
+func (o *eventObserver) CacheStats(s pli.CacheStats) {
+	o.stats = append(o.stats, s)
+	o.statsPhase = append(o.statsPhase, o.started[len(o.started)-1])
+}
 
 func TestRegistryListsAllStrategies(t *testing.T) {
 	want := []string{StrategyMuds, StrategyHolisticFun, StrategyBaseline, StrategyTane, StrategyFDFirst}
@@ -62,6 +67,9 @@ func TestUnknownStrategyErrorNamesChoices(t *testing.T) {
 // that the event stream is consistent with the Result built from it: starts
 // and ends pair up, the check deltas sum to Result.Checks, and each strategy
 // that touches PLIs reports at least one cache snapshot with real traffic.
+// The snapshots also pin down who uses the PLI cache: the FUN/TANE runs of
+// the fdDiscovery phase walk their own prefix-path PLIs and never touch it,
+// while the MUDS and DUCC providers do.
 func TestObserverCountersAgree(t *testing.T) {
 	rel := dataset.NCVoter(300, 8)
 	src := RelationSource{Rel: rel}
@@ -80,13 +88,29 @@ func TestObserverCountersAgree(t *testing.T) {
 		if len(obs.stats) == 0 {
 			t.Errorf("%s: no cache snapshot reported", strategy)
 		}
-		for _, s := range obs.stats {
-			// PLI traffic is either chained intersections (materializing
-			// path) or fast checks (validation fast path) — a snapshot with
-			// neither means the plumbing lost the counters.
-			if s.Hits+s.Misses == 0 || s.Intersections+s.FastChecks == 0 {
+		levelWise := 0
+		for i, s := range obs.stats {
+			// PLI traffic is either intersections (materializing path) or
+			// fast checks (validation fast path) — a snapshot with neither
+			// means the plumbing lost the counters.
+			if s.Intersections+s.FastChecks == 0 {
 				t.Errorf("%s: implausible cache snapshot %+v", strategy, s)
 			}
+			if obs.statsPhase[i] == PhaseFDDiscovery {
+				levelWise++
+				if s.Hits+s.Misses != 0 || s.Entries != 0 || s.Evictions != 0 {
+					t.Errorf("%s: FUN/TANE snapshot %+v used the PLI cache", strategy, s)
+				}
+			} else if s.Hits+s.Misses == 0 {
+				t.Errorf("%s: %s snapshot %+v never probed the PLI cache", strategy, obs.statsPhase[i], s)
+			}
+		}
+		wantLevelWise := 1 // hfun, baseline, tane and fdfirst run FUN or TANE once
+		if strategy == StrategyMuds {
+			wantLevelWise = 0
+		}
+		if levelWise != wantLevelWise {
+			t.Errorf("%s: %d FUN/TANE snapshots, want %d", strategy, levelWise, wantLevelWise)
 		}
 		// The recorder merges repeated phases; every merged entry must have
 		// appeared in the event stream, starting with the load phase.

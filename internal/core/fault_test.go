@@ -90,6 +90,27 @@ func TestWorkerPanicCrossesPoolBoundary(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicInLevelWiseStrategies injects a panic into the PLI
+// intersections of the FUN and TANE runs, which build their prefix-path PLIs
+// inside the worker pool without the cache: the fault must still fire there
+// and come back as a *PanicError unwrapping to the injected fault.
+func TestWorkerPanicInLevelWiseStrategies(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	rel := dataset.NCVoter(200, 6)
+	for _, strategy := range []string{StrategyHolisticFun, StrategyTane} {
+		faults.Reset()
+		faults.Enable(faults.PLIIntersect, faults.ModePanic, 1)
+		_, err := RunContext(context.Background(), strategy, RelationSource{Rel: rel}, Options{Workers: 4}, nil)
+		var pe *PanicError
+		if !errors.As(err, &pe) || !faults.IsInjected(err) {
+			t.Fatalf("%s: err = %v (%T), want an injected *PanicError", strategy, err, err)
+		}
+		if !strings.Contains(pe.Stack, "holistic/internal/fd.levelErrorSums") {
+			t.Fatalf("%s: the fault did not fire in the level-wise counting:\n%s", strategy, pe.Stack)
+		}
+	}
+}
+
 // TestCacheBudgetEquivalence is the memory governor's acceptance criterion:
 // shrinking the PLI byte budget to a tiny fraction of a run's working set
 // forces shedding and recomputation but yields byte-identical IND/UCC/FD

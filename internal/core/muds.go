@@ -26,7 +26,9 @@ type Options struct {
 	// budget). When the budget is hit the cache sheds intersections and the
 	// strategies recompute them on demand — the memory governor trades time
 	// for bounded memory, and the discovered IND/UCC/FD sets are identical
-	// for every budget.
+	// for every budget. Only the DUCC and MUDS walks hold cache entries:
+	// FUN and TANE keep one prefix path of PLIs per worker outside the
+	// cache, bounded by construction.
 	MaxCacheBytes int64
 	// Workers bounds the worker pool of the parallel phases: single-column
 	// PLI construction, FUN/TANE per-level candidate validation, and the

@@ -4,17 +4,18 @@ import (
 	"context"
 
 	"holistic/internal/bitset"
-	"holistic/internal/parallel"
 	"holistic/internal/pli"
 	"holistic/internal/settrie"
 )
 
 // Fun discovers all minimal FDs with the FUN strategy (Novelli/Cicchetti,
 // paper Sec. 2.3): a level-wise traversal restricted to free sets, with
-// cardinality counts instead of stored partitions for validity checks, FUN's
-// recursive cardinality inference for non-free sets (the "fast counting
-// inference" that lets FUN skip PLI intersections TANE would perform), and
-// key pruning.
+// cardinality counts for validity checks, FUN's recursive cardinality
+// inference for non-free sets (the "fast counting inference" that lets FUN
+// skip PLI work TANE would perform), and key pruning. Each candidate's count
+// is one single-column fold over its parent's PLI, and the parent PLIs are
+// built along a prefix path, never stored across levels (see
+// levelErrorSums).
 //
 // Fun always returns the minimal UCCs it traverses: by Lemma 3 of the paper
 // every minimal UCC is a free set, so collecting keys costs nothing extra.
@@ -32,9 +33,8 @@ func Fun(p *pli.Provider) Result {
 // workers bounds the goroutines counting candidate cardinalities within one
 // level (<= 0 selects GOMAXPROCS). Each candidate writes its count into its
 // own indexed slot and the slots are applied in candidate order, so the
-// discovered FDs and UCCs are identical for every worker count. With
-// workers > 1 the provider's cache must be safe for concurrent use (see the
-// pli.Provider concurrency contract).
+// discovered FDs and UCCs are identical for every worker count. The run
+// neither probes nor fills the provider's PLI cache.
 func FunContext(ctx context.Context, p *pli.Provider, workers int) (Result, error) {
 	var res Result
 	var err error
@@ -118,39 +118,22 @@ func (f *funState) run() error {
 			expandable = append(expandable, x)
 		}
 
-		// Count the candidates of the next level across the worker pool:
-		// every candidate is independent given the shared provider (f.keys
-		// and the subset counts are read-only here), so each one writes its
-		// cardinality into its own indexed slot. The slots are then applied
-		// in candidate order, making the level's outcome — and with it the
-		// whole run — independent of worker scheduling. parallel.For also
-		// polls ctx per candidate, so a deadline interrupts wide levels, not
-		// only level boundaries.
+		// Count the candidates of the next level, one fold over each
+		// candidate's parent PLI (levelErrorSums). Key pruning is implicit:
+		// AprioriGen keeps only candidates whose direct subsets are all
+		// expandable, and a superset of a key is never free, so no candidate
+		// contains a key and every candidate is a counted check.
 		cands := bitset.AprioriGen(expandable)
-		counted := make([]int, len(cands))
-		checked := make([]bool, len(cands))
-		err := parallel.For(f.ctx, f.workers, len(cands), func(i int) {
-			cand := cands[i]
-			if f.keys.CoversSubsetOf(cand) {
-				// Key pruning: supersets of keys have count nRows and are
-				// non-free; no PLI work needed.
-				counted[i] = f.nRows
-				return
-			}
-			checked[i] = true
-			counted[i] = f.p.Cardinality(cand)
-		})
+		sums, err := levelErrorSums(f.ctx, f.p, f.workers, cands)
 		if err != nil {
 			return err
 		}
 		var next []bitset.Set
 		for i, cand := range cands {
-			f.counts[cand] = counted[i]
-			if !checked[i] {
-				continue
-			}
+			cnt := f.nRows - sums[i]
+			f.counts[cand] = cnt
 			f.res.Checks++
-			if f.isFree(cand, counted[i]) {
+			if f.isFree(cand, cnt) {
 				next = append(next, cand)
 			}
 		}

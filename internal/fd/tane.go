@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"holistic/internal/bitset"
-	"holistic/internal/parallel"
 	"holistic/internal/pli"
 )
 
@@ -12,7 +11,12 @@ import (
 // referenced as the most popular FD algorithm in paper Sec. 2.3/6.3): a
 // level-wise bottom-up traversal of the attribute lattice with rhs-candidate
 // sets C+ for minimality pruning, partition refinement for validity checks,
-// and key pruning.
+// and key pruning. Validity is the error-sum form of Lemma 1: x \ {a} → a
+// holds iff e(x \ {a}) = e(x), where e is the error sum of the stripped
+// partition. Each node's e(x) is one single-column fold over its parent's
+// PLI (TANE's partition product), the parent PLIs are built along a prefix
+// path (see levelErrorSums), and only the previous level's error sums are
+// kept, as ints.
 //
 // When collectUCCs is set, the keys encountered during pruning are returned
 // as minimal UCCs. Note that TANE's C+ pruning may cut lattice regions that
@@ -28,12 +32,11 @@ func Tane(p *pli.Provider, collectUCCs bool) Result {
 // passes, returning the partial result together with ctx.Err(). On a non-nil
 // error the FD list is incomplete.
 //
-// workers bounds the goroutines validating the lattice nodes of one level
-// (<= 0 selects GOMAXPROCS). Every node's candidate computation and the
-// uniqueness probe of the prune step write into indexed slots applied in
-// node order, so the discovered FDs are identical for every worker count.
-// With workers > 1 the provider's cache must be safe for concurrent use (see
-// the pli.Provider concurrency contract).
+// workers bounds the goroutines computing the error sums of one level (<= 0
+// selects GOMAXPROCS). Every node writes its error sum into an indexed slot
+// and the verdicts are applied in node order, so the discovered FDs are
+// identical for every worker count. The run neither probes nor fills the
+// provider's PLI cache.
 func TaneContext(ctx context.Context, p *pli.Provider, collectUCCs bool, workers int) (Result, error) {
 	var res Result
 	var err error
@@ -84,105 +87,80 @@ type taneState struct {
 func (t *taneState) run() error {
 	var level []bitset.Set
 	t.working.ForEach(func(c int) { level = append(level, bitset.Single(c)) })
+	// prevErr holds e(y) = |r| - |y|_r for the previous level's nodes with a
+	// non-empty C, which include every survivor of its pruning; level 1
+	// checks ∅ → A against e(∅).
+	prevErr := map[bitset.Set]int{{}: t.p.Get(bitset.Set{}).ErrorSum()}
 
 	for len(level) > 0 {
-		// Resolve C+ of every direct subset up front: cplusOf memoises
-		// reconstructions of pruned sets into the shared map, which must not
-		// happen inside the worker pool. After this pass the parallel phase
-		// only reads the map.
-		for _, x := range level {
+		// Resolve C+ of every direct subset and the candidate set C of
+		// every node: cplusOf memoises reconstructions of pruned sets into
+		// the shared map, which is why this pass stays sequential. A node
+		// with an empty C has no candidate FD and is pruned below, so only
+		// the nodes with a non-empty C need their error sum.
+		cs := make([]bitset.Set, len(level))
+		var counted []bitset.Set
+		for i, x := range level {
 			if err := t.ctx.Err(); err != nil {
 				return err
 			}
-			for _, sub := range x.DirectSubsets() {
-				t.cplusOf(sub)
-			}
-		}
-
-		// COMPUTE_DEPENDENCIES: candidate rhs sets and validity checks, one
-		// lattice node per worker-pool task. A node reads only the previous
-		// level's C+ sets and the shared provider; its verdicts (the final
-		// C+(x) and the FDs found at x) land in indexed slots and are applied
-		// in node order below, so the run is deterministic for every worker
-		// count. parallel.For polls ctx per node, preserving the sequential
-		// version's cancellation granularity.
-		type nodeVerdict struct {
-			cplus  bitset.Set // final C+(x)
-			valid  bitset.Set // attributes a with x\{a} → a valid
-			checks int
-		}
-		verdicts := make([]nodeVerdict, len(level))
-		err := parallel.For(t.ctx, t.workers, len(level), func(i int) {
-			x := level[i]
 			c := t.working
 			for _, sub := range x.DirectSubsets() {
-				c = c.Intersect(t.cplusRead(sub))
+				c = c.Intersect(t.cplusOf(sub))
 			}
-			var valid bitset.Set
-			checks := 0
+			cs[i] = c
+			if !c.IsEmpty() {
+				counted = append(counted, x)
+			}
+		}
+		sums, err := levelErrorSums(t.ctx, t.p, t.workers, counted)
+		if err != nil {
+			return err
+		}
+		curErr := make(map[bitset.Set]int, len(counted))
+		for i, x := range counted {
+			curErr[x] = sums[i]
+		}
+
+		// COMPUTE_DEPENDENCIES: x \ {a} → a holds iff the two partitions
+		// have the same error sum (Lemma 1), and x \ {a} is in the previous
+		// level because AprioriGen keeps only candidates whose direct
+		// subsets all survived.
+		for i, x := range level {
+			c := cs[i]
+			e := curErr[x]
 			candidates := x.Intersect(c)
 			for a := candidates.First(); a >= 0; a = candidates.NextAfter(a) {
 				lhs := x.Without(a)
-				checks++
-				// |π_lhs| = |π_x| iff π_lhs refines column a (Lemma 1), so
-				// the verdict is a CheckFD on the validation fast path —
-				// neither π_lhs nor π_x is materialised for it.
-				if t.p.CheckFD(lhs, a) {
-					valid = valid.With(a)
+				t.res.Checks++
+				if prevErr[lhs] == e {
+					t.store.Add(lhs, a)
 					c = c.Without(a)
 					c = c.Diff(t.working.Diff(x)) // remove all B ∈ R \ X
 				}
 			}
-			verdicts[i] = nodeVerdict{cplus: c, valid: valid, checks: checks}
-		})
-		if err != nil {
-			return err
-		}
-		for i, x := range level {
-			v := verdicts[i]
-			t.res.Checks += v.checks
-			v.valid.ForEach(func(a int) { t.store.Add(x.Without(a), a) })
-			t.cplus[x] = v.cplus
+			t.cplus[x] = c
 		}
 
-		// PRUNE: drop empty-C+ nodes and keys; key pruning may emit FDs. The
-		// uniqueness probes are PLI work and fan out across the pool; the
-		// key handling itself reconstructs C+ sets (map writes) and stays
-		// sequential, applied in node order.
-		unique := make([]bool, len(level))
-		err = parallel.For(t.ctx, t.workers, len(level), func(i int) {
-			if !t.cplus[level[i]].IsEmpty() {
-				unique[i] = t.p.IsUnique(level[i])
-			}
-		})
-		if err != nil {
-			return err
-		}
+		// PRUNE: drop empty-C+ nodes and keys (error sum 0); key pruning may
+		// emit FDs. It runs after every node's C+ is set because handleKey
+		// reads the C+ of other nodes of this level.
 		var remaining []bitset.Set
-		for i, x := range level {
+		for _, x := range level {
 			if t.cplus[x].IsEmpty() {
 				continue
 			}
-			if unique[i] {
+			if curErr[x] == 0 {
 				t.handleKey(x)
 				continue
 			}
 			remaining = append(remaining, x)
 		}
 
+		prevErr = curErr
 		level = bitset.AprioriGen(remaining)
 	}
 	return nil
-}
-
-// cplusRead returns C+(y) without touching the memoisation map: every
-// non-empty direct subset was resolved by the sequential pre-pass, so a plain
-// map read suffices and is safe inside the worker pool.
-func (t *taneState) cplusRead(y bitset.Set) bitset.Set {
-	if y.IsEmpty() {
-		return t.working // C+(∅) = R
-	}
-	return t.cplus[y]
 }
 
 // cplusOf returns C+(y), reconstructing it recursively when y was never

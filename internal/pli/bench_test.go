@@ -124,9 +124,9 @@ func BenchmarkCheckRefines(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckRefinesMany measures TANE's batched per-level RHS sweep:
-// one fold answering every candidate at once vs materializing the lhs PLI
-// and running RefinesEach over it.
+// BenchmarkCheckRefinesMany measures the batched RHS sweep: one fold
+// answering every candidate at once vs materializing the lhs PLI and
+// sweeping its clusters without fold keys.
 func BenchmarkCheckRefinesMany(b *testing.B) {
 	rel := benchRelation(50000, 6, 100)
 	base := FromColumn(rel.Column(0), rel.Cardinality(0))
@@ -144,7 +144,7 @@ func BenchmarkCheckRefinesMany(b *testing.B) {
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			base.IntersectColumn(keys[0], cards[0]).RefinesEach(cands)
+			base.IntersectColumn(keys[0], cards[0]).CheckRefinesMany(cands, nil, nil, ok, sc)
 		}
 	})
 }

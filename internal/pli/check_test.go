@@ -110,8 +110,12 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 			}
 			ok := make([]bool, len(cands))
 			base.CheckRefinesMany(cands, keys, cards, ok, nil)
-			if want := ref.RefinesEach(cands); !reflect.DeepEqual(ok, want) {
-				t.Errorf("%+v depth %d: CheckRefinesMany = %v, want %v", sh, depth, ok, want)
+			wantOK := make([]bool, len(cands))
+			for c, col := range cands {
+				wantOK[c] = ref.Refines(col)
+			}
+			if !reflect.DeepEqual(ok, wantOK) {
+				t.Errorf("%+v depth %d: CheckRefinesMany = %v, want %v", sh, depth, ok, wantOK)
 			}
 			// Group enumeration must match the materialised clusters.
 			var groups [][]int32
@@ -162,13 +166,20 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	rnd.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
 
+	sc := NewScratch()
 	for _, s := range sets {
 		refPLI := ref.Get(s)
 		if got, want := fast.IsUnique(s), refPLI.IsUnique(); got != want {
 			t.Fatalf("IsUnique(%v) = %v, want %v", s, got, want)
 		}
-		if got, want := fast.Cardinality(s), refPLI.DistinctCount(); got != want {
-			t.Fatalf("Cardinality(%v) = %d, want %d", s, got, want)
+		// The uncached one-column step of the level-wise FD algorithms.
+		last := s.Last()
+		parent := ref.Get(s.Without(last))
+		if got, want := fast.ErrorSumWith(parent, last, sc), refPLI.ErrorSum(); got != want {
+			t.Fatalf("ErrorSumWith(%v) = %d, want %d", s, got, want)
+		}
+		if got, want := canon(fast.Extend(parent, last, sc)), canon(refPLI); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Extend(%v) = %v, want %v", s, got, want)
 		}
 		for a := 0; a < n; a++ {
 			if got, want := fast.CheckFD(s, a), s.Has(a) || refPLI.Refines(rel.Column(a)); got != want {
@@ -242,6 +253,7 @@ func TestConcurrentFastChecks(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(g)))
+			sc := NewScratch()
 			for iter := 0; iter < 3; iter++ {
 				for _, i := range rnd.Perm(len(sets)) {
 					s := sets[i]
@@ -249,8 +261,9 @@ func TestConcurrentFastChecks(t *testing.T) {
 						errs <- fmt.Sprintf("IsUnique(%v) diverged", s)
 						return
 					}
-					if p.Cardinality(s) != wantCard[s] {
-						errs <- fmt.Sprintf("Cardinality(%v) diverged", s)
+					last := s.Last()
+					if rel.NumRows()-p.ErrorSumWith(p.Get(s.Without(last)), last, sc) != wantCard[s] {
+						errs <- fmt.Sprintf("ErrorSumWith(%v) diverged", s)
 						return
 					}
 					a := rnd.Intn(n)
@@ -307,8 +320,10 @@ func FuzzCheckEquivalence(f *testing.F) {
 				}
 				ok := make([]bool, len(cols))
 				base.CheckRefinesMany(cols, keys, keyCards, ok, nil)
-				if want := ref.RefinesEach(cols); !reflect.DeepEqual(ok, want) {
-					t.Fatalf("CheckRefinesMany(base %d, %d keys) = %v, want %v", b, len(keys), ok, want)
+				for rhs := range cols {
+					if ok[rhs] != ref.Refines(cols[rhs]) {
+						t.Fatalf("CheckRefinesMany(base %d, %d keys) = %v diverges at rhs %d", b, len(keys), ok, rhs)
+					}
 				}
 				var groups [][]int32
 				base.ForEachFoldedGroup(keys, keyCards, nil, func(g []int32) bool {
@@ -344,8 +359,9 @@ func FuzzCheckEquivalence(f *testing.F) {
 			if fast.IsUnique(s) != refPLI.IsUnique() {
 				t.Fatalf("Provider.IsUnique(%v) diverges", s)
 			}
-			if fast.Cardinality(s) != refPLI.DistinctCount() {
-				t.Fatalf("Provider.Cardinality(%v) diverges", s)
+			last := s.Last()
+			if fast.ErrorSumWith(ref.Get(s.Without(last)), last, NewScratch()) != refPLI.ErrorSum() {
+				t.Fatalf("Provider.ErrorSumWith(%v) diverges", s)
 			}
 			if got, want := fast.CheckFDs(s, rel.AllColumns()), refCheckFDs(ref, s, rel.AllColumns()); got != want {
 				t.Fatalf("Provider.CheckFDs(%v) = %v, want %v", s, got, want)

@@ -50,10 +50,10 @@ func canonRef(p *ReferencePLI) [][]int32 {
 
 // FuzzPLIEquivalence differentially fuzzes the flat PLI against the
 // reference oracle: FromColumn, Intersect (both operand orders),
-// IntersectColumn, Refines, RefinesEach, ErrorSum and DistinctCount must
-// agree on arbitrary relations. This is the safety net under the layout
-// refactor — any grouping, probe-caching or scratch-reset bug surfaces as a
-// divergence from the pre-flat implementation.
+// IntersectColumn, Refines, CheckRefinesMany without fold keys, ErrorSum and
+// DistinctCount must agree on arbitrary relations. This is the safety net
+// under the layout refactor — any grouping, probe-caching or scratch-reset
+// bug surfaces as a divergence from the pre-flat implementation.
 func FuzzPLIEquivalence(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 1, 1, 0, 2, 2, 0, 1, 1, 0})
 	f.Add([]byte{0, 0})
@@ -92,12 +92,11 @@ func FuzzPLIEquivalence(f *testing.F) {
 					t.Fatalf("Refines(%d,%d) diverges", a, b)
 				}
 			}
-			// RefinesEach across all columns, with one slot nil-skipped.
-			cands := make([][]int32, len(cols))
-			copy(cands, cols)
-			cands[len(cands)-1] = nil
-			if got, want := flat[a].RefinesEach(cands), ref[a].RefinesEach(cands); !reflect.DeepEqual(got, want) {
-				t.Fatalf("RefinesEach(%d) diverges: flat %v, ref %v", a, got, want)
+			// The batched refinement sweep across all columns.
+			got := make([]bool, len(cols))
+			flat[a].CheckRefinesMany(cols, nil, nil, got, nil)
+			if want := ref[a].RefinesEach(cols); !reflect.DeepEqual(got, want) {
+				t.Fatalf("CheckRefinesMany(%d) diverges: flat %v, ref %v", a, got, want)
 			}
 		}
 	})

@@ -359,50 +359,6 @@ func (p *PLI) Refines(col []int32) bool {
 	return true
 }
 
-// RefinesEach checks the FDs X → A for several candidate columns in a single
-// pass over the clusters. cols[i] may be nil to skip candidate i; the result
-// slice reports, per candidate, whether the refinement holds. Surviving
-// candidates live on a compact active-index list, so the per-cluster cost
-// tracks the number of still-undecided candidates rather than len(cols) —
-// once a candidate fails it is swapped out of the list and never looked at
-// again.
-func (p *PLI) RefinesEach(cols [][]int32) []bool {
-	ok := make([]bool, len(cols))
-	s := getScratch()
-	defer putScratch(s)
-	active := s.activeSlots(len(cols))
-	for i, c := range cols {
-		if c != nil {
-			ok[i] = true
-			active = append(active, int32(i))
-		}
-	}
-	rows, offs := p.rows, p.offsets
-	for ci := 0; ci+1 < len(offs) && len(active) > 0; ci++ {
-		cluster := rows[offs[ci]:offs[ci+1]]
-		for j := 0; j < len(active); {
-			i := active[j]
-			c := cols[i]
-			first := c[cluster[0]]
-			violated := false
-			for _, row := range cluster[1:] {
-				if c[row] != first {
-					violated = true
-					break
-				}
-			}
-			if violated {
-				ok[i] = false
-				active[j] = active[len(active)-1]
-				active = active[:len(active)-1]
-			} else {
-				j++
-			}
-		}
-	}
-	return ok
-}
-
 // ApproxBytes is the single byte-accounting method of a PLI, used by both
 // the cache stats surface and the memory governor: the struct itself, four
 // bytes per stored row id and offset, and — once materialised — four bytes

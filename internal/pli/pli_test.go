@@ -142,20 +142,18 @@ func TestRefines(t *testing.T) {
 	}
 }
 
-func TestRefinesEach(t *testing.T) {
+func TestCheckRefinesManyWithoutKeys(t *testing.T) {
 	a := FromColumn([]int32{0, 0, 1, 1}, 2)
 	cols := [][]int32{
 		{0, 0, 1, 1}, // holds
-		nil,          // skipped
 		{0, 1, 0, 1}, // fails
+		{5, 5, 5, 5}, // holds
 	}
-	got := a.RefinesEach(cols)
-	want := []bool{true, false, false}
+	got := make([]bool, len(cols))
+	a.CheckRefinesMany(cols, nil, nil, got, nil)
+	want := []bool{true, false, true}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RefinesEach = %v, want %v", got, want)
-	}
-	if got := a.RefinesEach([][]int32{nil}); got[0] {
-		t.Error("nil-only candidates must return false")
+		t.Errorf("CheckRefinesMany = %v, want %v", got, want)
 	}
 }
 
@@ -300,7 +298,7 @@ func TestQuickLemma1(t *testing.T) {
 			lhs = lhs.Without(rhs)
 		}
 		refines := p.Get(lhs).Refines(r.Column(rhs))
-		byCard := p.Cardinality(lhs) == p.Cardinality(lhs.With(rhs))
+		byCard := p.Get(lhs).DistinctCount() == p.Get(lhs.With(rhs)).DistinctCount()
 		return refines == byCard
 	}, cfg); err != nil {
 		t.Error(err)
@@ -345,11 +343,15 @@ func TestProviderBasics(t *testing.T) {
 	}
 }
 
-func TestProviderEmptySetCardinality(t *testing.T) {
+func TestProviderEmptySetDistinctCount(t *testing.T) {
 	r := relation.MustNew("t", []string{"A"}, [][]string{{"x"}, {"y"}})
 	p := NewProvider(r, nil)
-	if p.Cardinality(bitset.New()) != 1 {
-		t.Errorf("empty set cardinality = %d, want 1", p.Cardinality(bitset.New()))
+	empty := p.Get(bitset.New())
+	if empty.DistinctCount() != 1 {
+		t.Errorf("empty set cardinality = %d, want 1", empty.DistinctCount())
+	}
+	if e := p.ErrorSumWith(empty, 0, NewScratch()); e != 0 {
+		t.Errorf("error sum of A folded over the empty set = %d, want 0", e)
 	}
 }
 

@@ -13,7 +13,10 @@ import (
 // Provider computes and caches PLIs for arbitrary column combinations of one
 // relation. It is the "shared data structure" of the holistic algorithms
 // (paper Sec. 3): a single Provider is handed from the UCC phase to the FD
-// phases so that intersections computed once are reused.
+// phases so that intersections computed once are reused. The cache serves
+// the random walks of DUCC and MUDS; the level-wise FD algorithms (FUN,
+// TANE) build their PLIs with the uncached Extend step and never probe or
+// fill it.
 //
 // Lookup strategy for an uncached set X: if any PLI of X minus one column is
 // cached, extend it with one column intersection; otherwise fold over X's
@@ -26,9 +29,9 @@ import (
 //
 // Get materialises and caches; it is the right call when the PLI itself is
 // needed again (ancestors on a lattice walk, agree-set construction). The
-// boolean/cardinality questions of the walks — IsUnique, CheckFD, CheckFDs,
-// Cardinality, ForEachCluster — instead go through the non-materializing
-// check kernels of check.go: they pick the cheapest cached ancestor of the
+// boolean questions of the walks — IsUnique, CheckFD, CheckFDs,
+// ForEachCluster — instead go through the non-materializing check kernels
+// of check.go: they pick the cheapest cached ancestor of the
 // probed set (fewest stored rows wins — direct subsets, distance-2 subsets,
 // ascending prefixes and singles are all candidates) and fold the missing
 // columns over its clusters with early exit, building no PLI at all.
@@ -47,8 +50,9 @@ import (
 // Concurrency contract: a Provider is always safe to share across
 // goroutines. After construction it is immutable except for the atomic
 // counters, the doorkeeper and the concurrency-safe Cache, so Get, IsUnique,
-// Cardinality, CheckFD, CheckFDs and ForEachCluster may be called from any
-// number of goroutines (Refresh is the one exclusive operation). Concurrent
+// CheckFD, CheckFDs, ForEachCluster, Extend and ErrorSumWith may be called
+// from any number of goroutines (Refresh is the one exclusive operation;
+// Extend and ErrorSumWith need one Scratch per goroutine). Concurrent
 // Gets of the same uncached combination may duplicate an intersection —
 // both goroutines compute and store the same PLI — which wastes a little
 // work but never produces a wrong result, because PLIs are immutable once
@@ -159,16 +163,37 @@ func (p *Provider) Get(s bitset.Set) *PLI {
 	return pli
 }
 
-// intersectColumn performs one counted column intersection. The armed
-// faults.PLIIntersect point panics here (Get has no error channel); the
-// engine's panic isolation converts it into a failed job. The grouping
-// scratch comes from the package pool (Get is called from arbitrary
-// goroutines, so no worker slot is available here; see scratch.go).
+// intersectColumn performs one counted column intersection on a scratch
+// from the package pool (Get is called from arbitrary goroutines, so no
+// worker slot is available here; see scratch.go).
 func (p *Provider) intersectColumn(base *PLI, c int) *PLI {
+	s := getScratch()
+	defer putScratch(s)
+	return p.Extend(base, c, s)
+}
+
+// Extend returns the PLI of X ∪ {c} given base, the PLI of X, as one counted
+// column intersection on the caller-owned Scratch s. The result is not
+// cached: it is the prefix-path step of the level-wise FD algorithms, which
+// hold their own short-lived PLIs outside the cache. The armed
+// faults.PLIIntersect point panics here (there is no error channel); the
+// engine's panic isolation converts it into a failed job.
+func (p *Provider) Extend(base *PLI, c int, s *Scratch) *PLI {
 	faults.Check(faults.PLIIntersect)
-	out := base.IntersectColumn(p.rel.Column(c), p.rel.Cardinality(c))
+	out := base.IntersectColumnScratch(p.rel.Column(c), p.rel.Cardinality(c), s)
 	p.intersections.Add(1)
 	return out
+}
+
+// ErrorSumWith returns the error sum of X ∪ {c} given base, the PLI of X,
+// with the single-column CheckErrorSum fold on the caller-owned Scratch s:
+// |X ∪ {c}|_r = NumRows - ErrorSumWith, and no PLI is built. It counts as
+// one fast check, and the armed faults.PLIIntersect point fires here as on
+// every fold.
+func (p *Provider) ErrorSumWith(base *PLI, c int, s *Scratch) int {
+	faults.Check(faults.PLIIntersect)
+	p.fastChecks.Add(1)
+	return base.checkErrorSum1(p.rel.Column(c), p.rel.Cardinality(c), s)
 }
 
 // cacheGet probes the multi-column cache. Under an armed faults.CacheGet
@@ -370,20 +395,6 @@ func (p *Provider) IsUnique(s bitset.Set) bool {
 	p.cachePut(s, out)
 	p.materializations.Add(1)
 	return false
-}
-
-// Cardinality returns the distinct count |s|_r, computed with the
-// non-materializing CheckErrorSum fold when s is uncached.
-func (p *Provider) Cardinality(s bitset.Set) int {
-	p.fastChecks.Add(1)
-	sc := getScratch()
-	defer putScratch(sc)
-	base, fold := p.plan(s, sc)
-	if len(fold) == 0 {
-		return base.DistinctCount()
-	}
-	keys, cards := p.foldKeys(fold, sc)
-	return base.NumRows() - base.CheckErrorSum(keys, cards, sc)
 }
 
 // CheckFD reports whether the FD lhs → rhs holds on the relation, on the

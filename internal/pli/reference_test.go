@@ -117,7 +117,8 @@ func (p *ReferencePLI) Refines(col []int32) bool {
 }
 
 // RefinesEach checks the FDs X → A for several candidate columns in a single
-// pass over the clusters, mirroring PLI.RefinesEach.
+// pass over the clusters (nil columns are skipped and report false). It is
+// the oracle for PLI.CheckRefinesMany without fold keys.
 func (p *ReferencePLI) RefinesEach(cols [][]int32) []bool {
 	ok := make([]bool, len(cols))
 	remaining := 0

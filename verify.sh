@@ -54,7 +54,7 @@ echo "== PLI bench smoke (compile + one iteration) =="
 go test -run='^$' -bench 'Intersect|Check' -benchtime=1x ./internal/pli/
 
 echo "== lattice bench smoke (compile + one iteration) =="
-go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker ./internal/core
+go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker ./internal/core ./internal/fd
 
 echo "== fast-path config equivalence (race) =="
 go test -race -count=1 -run 'TestFastPathConfigEquivalence' ./internal/core/

@@ -15,7 +15,9 @@ import (
 // skip PLI work TANE would perform), and key pruning. Each candidate's count
 // is one single-column fold over its parent's PLI, and the parent PLIs are
 // built along a prefix path, never stored across levels (see
-// levelErrorSums).
+// levelErrorSums). A valid FD's minimality is one subset query on the
+// family of left-hand sides already emitted for its right-hand side (see
+// emitFDs).
 //
 // Fun always returns the minimal UCCs it traverses: by Lemma 3 of the paper
 // every minimal UCC is a free set, so collecting keys costs nothing extra.
@@ -61,6 +63,7 @@ func FunContext(ctx context.Context, p *pli.Provider, workers int) (Result, erro
 			nRows:   rel.NumRows(),
 			workers: workers,
 			counts:  map[bitset.Set]int{{}: 1},
+			perRHS:  make([]settrie.MinimalFamily, n),
 			store:   store,
 			res:     &res,
 		}
@@ -86,6 +89,8 @@ type funState struct {
 	counts map[bitset.Set]int
 	// keys holds the minimal UCCs (free sets with count == nRows).
 	keys settrie.MinimalFamily
+	// perRHS[a] holds the emitted minimal left-hand sides of a.
+	perRHS []settrie.MinimalFamily
 
 	store *Store
 	res   *Result
@@ -150,8 +155,8 @@ func (f *funState) run() error {
 // subset has the same cardinality (Definition 1; checking direct subsets
 // suffices because counts are monotone).
 func (f *funState) isFree(x bitset.Set, cnt int) bool {
-	for _, sub := range x.DirectSubsets() {
-		if f.counts[sub] == cnt {
+	for c := x.First(); c >= 0; c = x.NextAfter(c) {
+		if f.counts[x.Without(c)] == cnt {
 			return false
 		}
 	}
@@ -159,25 +164,21 @@ func (f *funState) isFree(x bitset.Set, cnt int) bool {
 }
 
 // emitFDs outputs every minimal FD x → a for the free set x: x → a holds
-// iff |x| = |x ∪ {a}| (Lemma 1), and it is minimal iff no direct subset of
-// x also determines a.
+// iff |x| = |x ∪ {a}| (Lemma 1), and it is minimal iff no emitted left-hand
+// side of a is a subset of x. The family test is exact because every
+// minimal left-hand side is a free set (a non-free one has a direct subset
+// with the same count, which determines a too) and levels are emitted in
+// ascending size, so when x is emitted every minimal left-hand side of a
+// smaller than x is already in perRHS[a].
 func (f *funState) emitFDs(x bitset.Set) {
 	cntX := f.counts[x]
 	rhs := f.working.Diff(x)
 	for a := rhs.First(); a >= 0; a = rhs.NextAfter(a) {
-		if f.count(x.With(a)) != cntX {
+		if f.count(x.With(a)) != cntX || f.perRHS[a].CoversSubsetOf(x) {
 			continue
 		}
-		minimal := true
-		for _, sub := range x.DirectSubsets() {
-			if f.count(sub.With(a)) == f.counts[sub] {
-				minimal = false // sub → a already holds
-				break
-			}
-		}
-		if minimal {
-			f.store.Add(x, a)
-		}
+		f.perRHS[a].Add(x)
+		f.store.Add(x, a)
 	}
 }
 
@@ -194,9 +195,9 @@ func (f *funState) count(y bitset.Set) int {
 		return f.nRows
 	}
 	max := 0
-	for _, sub := range y.DirectSubsets() {
-		if c := f.count(sub); c > max {
-			max = c
+	for c := y.First(); c >= 0; c = y.NextAfter(c) {
+		if n := f.count(y.Without(c)); n > max {
+			max = n
 		}
 	}
 	f.counts[y] = max

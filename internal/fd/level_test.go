@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"holistic/internal/bitset"
 	"holistic/internal/dataset"
 	"holistic/internal/pli"
+	"holistic/internal/relation"
 	"holistic/internal/ucc"
 )
 
@@ -77,28 +79,166 @@ func TestLevelErrorSumsStoppedMidChunk(t *testing.T) {
 
 // TestLevelWiseChecksPinned pins the validity-check counts of FUN and TANE
 // on the 16-column ionosphere table: the counting strategy may change how a
-// check is answered, never which checks the traversal makes.
+// check is answered, never which checks the traversal makes. At one worker
+// (one chunk, one prefix path) it also pins the intersections the path
+// performs: reusing the path's PLIs may change what an intersection costs,
+// never how many there are.
 func TestLevelWiseChecksPinned(t *testing.T) {
+	rel := dataset.Ionosphere(16, 351)
+	for _, workers := range []int{1, 2} {
+		pf := pli.NewProvider(rel, nil)
+		fun, err := FunContext(context.Background(), pf, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fun.Checks != 44711 {
+			t.Errorf("workers %d: FUN checks = %d, want 44711", workers, fun.Checks)
+		}
+		pt := pli.NewProvider(rel, nil)
+		tane, err := TaneContext(context.Background(), pt, false, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tane.Checks != 366272 {
+			t.Errorf("workers %d: TANE checks = %d, want 366272", workers, tane.Checks)
+		}
+		if workers == 1 {
+			if got := pf.IntersectionCount(); got != 42093 {
+				t.Errorf("FUN intersections = %d, want 42093", got)
+			}
+			if got := pt.IntersectionCount(); got != 58131 {
+				t.Errorf("TANE intersections = %d, want 58131", got)
+			}
+		}
+		if !reflect.DeepEqual(fun.FDs, tane.FDs) {
+			t.Errorf("workers %d: FUN and TANE disagree on the ionosphere FDs", workers)
+		}
+		for _, p := range []*pli.Provider{pf, pt} {
+			if st := p.CacheStats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+				t.Errorf("workers %d: level-wise run used the PLI cache: %+v", workers, st)
+			}
+		}
+	}
+}
+
+// TestLevelErrorSumsAllocsFlat checks that the prefix path reuses its PLIs:
+// counting a whole level allocates no more than counting its first eighth,
+// because the allocations belong to the worker slot and the path depths,
+// not to the sets.
+func TestLevelErrorSumsAllocsFlat(t *testing.T) {
 	p := pli.NewProvider(dataset.Ionosphere(16, 351), nil)
-	fun, err := FunContext(context.Background(), p, 2)
-	if err != nil {
-		t.Fatal(err)
+	var level []bitset.Set
+	for c := 0; c < 16; c++ {
+		level = append(level, bitset.Single(c))
 	}
-	if fun.Checks != 44711 {
-		t.Errorf("FUN checks = %d, want 44711", fun.Checks)
+	for k := 2; k <= 4; k++ {
+		level = bitset.AprioriGen(level)
 	}
-	tane, err := TaneContext(context.Background(), p, false, 2)
-	if err != nil {
-		t.Fatal(err)
+	allocs := func(sets []bitset.Set) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := levelErrorSums(context.Background(), p, 1, sets); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if tane.Checks != 366272 {
-		t.Errorf("TANE checks = %d, want 366272", tane.Checks)
+	part, full := allocs(level[:len(level)/8]), allocs(level)
+	if full > part {
+		t.Errorf("levelErrorSums allocates %v times for %d sets but %v for %d", full, len(level), part, len(level)/8)
 	}
-	if !reflect.DeepEqual(fun.FDs, tane.FDs) {
-		t.Error("FUN and TANE disagree on the ionosphere FDs")
+}
+
+// snapshotClusters copies every cluster of q in stored order.
+func snapshotClusters(q *pli.PLI) [][]int32 {
+	var out [][]int32
+	q.ForEachCluster(func(c []int32) { out = append(out, append([]int32(nil), c...)) })
+	return out
+}
+
+// TestLevelWiseLeavesProviderPLIsIntact runs FUN and TANE at 1 and 4 workers
+// and checks that every PLI the provider hands out, the single-column PLIs
+// and the empty set's, keeps its exact clusters in their stored order: the
+// prefix path overwrites only the PLIs it owns.
+func TestLevelWiseLeavesProviderPLIsIntact(t *testing.T) {
+	p := pli.NewProvider(dataset.Ionosphere(10, 351), nil)
+	n := p.Relation().NumColumns()
+	owned := make([]*pli.PLI, 0, n+1)
+	for c := 0; c < n; c++ {
+		owned = append(owned, p.SingleColumn(c))
 	}
-	if st := p.CacheStats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
-		t.Errorf("level-wise runs used the PLI cache: %+v", st)
+	owned = append(owned, p.Get(bitset.Set{}))
+	before := make([][][]int32, len(owned))
+	for i, q := range owned {
+		before[i] = snapshotClusters(q)
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := FunContext(context.Background(), p, workers); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TaneContext(context.Background(), p, true, workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, q := range owned {
+		if got := snapshotClusters(q); !reflect.DeepEqual(got, before[i]) {
+			t.Errorf("provider PLI %d changed during the level-wise runs", i)
+		}
+	}
+}
+
+// TestQuickFunMinimalityShapes checks FUN against the brute-force oracles on
+// the relation shapes where deciding minimality from the emitted left-hand
+// sides could diverge from comparing counts: constant columns (their FDs
+// have the empty left-hand side and they never enter a level), duplicated
+// input rows, and a key column that alone keeps otherwise equal rows apart
+// (every left-hand side of the key contains it, and every other column's
+// minimal left-hand sides stay small). Both worker counts must agree.
+func TestQuickFunMinimalityShapes(t *testing.T) {
+	ctx := context.Background()
+	if err := quick.Check(func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		nCols, nRows := 3+rnd.Intn(5), 4+rnd.Intn(30)
+		rows := make([][]string, nRows)
+		for r := range rows {
+			row := make([]string, nCols)
+			for c := range row {
+				row[c] = strconv.Itoa(rnd.Intn(3))
+			}
+			rows[r] = row
+		}
+		// Duplicate some rows, then give every row a key value, so the
+		// copies survive as rows that differ in the key column alone.
+		for i, m := 0, rnd.Intn(nRows); i < m; i++ {
+			rows = append(rows, append([]string(nil), rows[rnd.Intn(nRows)]...))
+		}
+		withKey, leadConst, tailConsts := rnd.Intn(2) == 0, rnd.Intn(2) == 0, rnd.Intn(3)
+		for r, row := range rows {
+			if withKey {
+				row = append(row, "k"+strconv.Itoa(r))
+			}
+			for i := 0; i < tailConsts; i++ {
+				row = append(row, "const")
+			}
+			if leadConst {
+				row = append([]string{"lead"}, row...)
+			}
+			rows[r] = row
+		}
+		names := make([]string, len(rows[0]))
+		for c := range names {
+			names[c] = "c" + strconv.Itoa(c)
+		}
+		p := pli.NewProvider(relation.MustNew("shape", names, rows), nil)
+		wantFDs, wantUCCs := BruteForce(p), ucc.BruteForce(p)
+		for _, workers := range []int{1, 4} {
+			got, err := FunContext(ctx, p, workers)
+			if err != nil || !reflect.DeepEqual(got.FDs, wantFDs) || !reflect.DeepEqual(got.MinimalUCCs, wantUCCs) {
+				t.Logf("seed %d: FUN at %d workers diverges from the oracles (err %v)", seed, workers, err)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -105,8 +105,8 @@ func (t *taneState) run() error {
 				return err
 			}
 			c := t.working
-			for _, sub := range x.DirectSubsets() {
-				c = c.Intersect(t.cplusOf(sub))
+			for b := x.First(); b >= 0; b = x.NextAfter(b) {
+				c = c.Intersect(t.cplusOf(x.Without(b)))
 			}
 			cs[i] = c
 			if !c.IsEmpty() {
@@ -173,8 +173,8 @@ func (t *taneState) cplusOf(y bitset.Set) bitset.Set {
 		return c
 	}
 	c := t.working
-	for _, sub := range y.DirectSubsets() {
-		c = c.Intersect(t.cplusOf(sub))
+	for b := y.First(); b >= 0; b = y.NextAfter(b) {
+		c = c.Intersect(t.cplusOf(y.Without(b)))
 	}
 	t.cplus[y] = c
 	return c

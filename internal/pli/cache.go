@@ -36,7 +36,8 @@ type CacheStats struct {
 	// the work the cache exists to avoid.
 	Intersections int64 `json:"intersections"`
 	// FastChecks counts validation questions (IsUnique, CheckFD, CheckFDs
-	// per candidate, Cardinality) answered by the non-materializing check
+	// per candidate, ForEachCluster, and ErrorSumWith, the level-wise
+	// count of FUN and TANE) answered by the non-materializing check
 	// kernels — no intersection PLI was built or cached for them.
 	FastChecks int64 `json:"fast_checks"`
 	// Materializations counts the PLIs the fast path chose to build and

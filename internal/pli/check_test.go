@@ -178,7 +178,7 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 		if got, want := fast.ErrorSumWith(parent, last, sc), refPLI.ErrorSum(); got != want {
 			t.Fatalf("ErrorSumWith(%v) = %d, want %d", s, got, want)
 		}
-		if got, want := canon(fast.Extend(parent, last, sc)), canon(refPLI); !reflect.DeepEqual(got, want) {
+		if got, want := canon(fast.Extend(nil, parent, last, sc)), canon(refPLI); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Extend(%v) = %v, want %v", s, got, want)
 		}
 		for a := 0; a < n; a++ {

@@ -2,6 +2,7 @@ package pli
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -48,10 +49,55 @@ func canonRef(p *ReferencePLI) [][]int32 {
 	return out
 }
 
+// checkExtendInto extends base by col into a destination PLI of three
+// shapes: one that held a larger PLI, one whose probe vector was
+// materialised, and one that held a unique result. Each overwrite must
+// return the destination itself, equal to fresh (clusters, their order and
+// the probe vector) and to the reference clusters want.
+func checkExtendInto(t *testing.T, base *PLI, col []int32, card int, fresh *PLI, want [][]int32) {
+	t.Helper()
+	s := NewScratch()
+	nRows := base.NumRows()
+	ids := make([]int32, nRows)
+	var pairs [][]int32
+	for i := range ids {
+		ids[i] = int32(i)
+		if i%2 == 1 {
+			pairs = append(pairs, []int32{int32(i - 1), int32(i)})
+		}
+	}
+	probed := FromClusters(nRows, pairs)
+	probed.ProbeVector()
+	unique := base.intersectKeyed(FromAllRows(nRows), ids, nRows, s)
+	if !unique.IsUnique() {
+		t.Fatalf("extending by a key column left %d clusters", unique.NumClusters())
+	}
+	for _, tc := range []struct {
+		name string
+		dst  *PLI
+	}{{"larger", FromAllRows(nRows)}, {"probed", probed}, {"unique", unique}} {
+		got := base.intersectKeyed(tc.dst, col, card, s)
+		if got != tc.dst {
+			t.Fatalf("%s destination: result is not written in place", tc.name)
+		}
+		if !reflect.DeepEqual(canon(got), want) {
+			t.Fatalf("%s destination diverges from the reference: %v, want %v", tc.name, canon(got), want)
+		}
+		if !slices.Equal(got.rows, fresh.rows) || !slices.Equal(got.offsets, fresh.offsets) || got.NumRows() != fresh.NumRows() {
+			t.Fatalf("%s destination diverges from a fresh extend: rows %v offsets %v, want %v %v",
+				tc.name, got.rows, got.offsets, fresh.rows, fresh.offsets)
+		}
+		if !slices.Equal(got.ProbeVector(), fresh.ProbeVector()) {
+			t.Fatalf("%s destination kept a stale probe vector: %v, want %v", tc.name, got.ProbeVector(), fresh.ProbeVector())
+		}
+	}
+}
+
 // FuzzPLIEquivalence differentially fuzzes the flat PLI against the
 // reference oracle: FromColumn, Intersect (both operand orders),
-// IntersectColumn, Refines, CheckRefinesMany without fold keys, ErrorSum and
-// DistinctCount must agree on arbitrary relations. This is the safety net
+// IntersectColumn, extend-into-destination (checkExtendInto), Refines,
+// CheckRefinesMany without fold keys, ErrorSum and DistinctCount must agree
+// on arbitrary relations. This is the safety net
 // under the layout refactor — any grouping, probe-caching or scratch-reset
 // bug surfaces as a divergence from the pre-flat implementation.
 func FuzzPLIEquivalence(f *testing.F) {
@@ -91,6 +137,7 @@ func FuzzPLIEquivalence(f *testing.F) {
 				if flat[a].Refines(cols[b]) != ref[a].Refines(cols[b]) {
 					t.Fatalf("Refines(%d,%d) diverges", a, b)
 				}
+				checkExtendInto(t, flat[a], cols[b], card, fc, canonRef(rc))
 			}
 			// The batched refinement sweep across all columns.
 			got := make([]bool, len(cols))

@@ -256,7 +256,7 @@ func (p *PLI) IntersectScratch(q *PLI, s *Scratch) *PLI {
 	if small.ErrorSum() > big.ErrorSum() {
 		small, big = big, small
 	}
-	return small.intersectKeyed(big.ProbeVector(), big.NumClusters(), s)
+	return small.intersectKeyed(nil, big.ProbeVector(), big.NumClusters(), s)
 }
 
 // IntersectColumn returns the PLI of X ∪ {A} given the PLI of X and the
@@ -272,24 +272,45 @@ func (p *PLI) IntersectColumn(col []int32, cardinality int) *PLI {
 // IntersectColumnScratch is IntersectColumn with a caller-owned Scratch arena
 // (see the ownership contract in scratch.go).
 func (p *PLI) IntersectColumnScratch(col []int32, cardinality int, s *Scratch) *PLI {
-	if p.IsUnique() {
-		return &PLI{nRows: p.nRows}
-	}
-	return p.intersectKeyed(col, cardinality, s)
+	return p.intersectKeyed(nil, col, cardinality, s)
 }
 
 // intersectKeyed groups the rows of p's clusters by keys[row], dropping rows
 // with a negative key (singletons of the probed side) and groups of size one,
 // and emits the surviving groups as a flat PLI. keyRange bounds the key
 // values; s provides the map-free grouping arenas. Within a cluster, groups
-// are emitted in order of first occurrence, which is deterministic.
-func (p *PLI) intersectKeyed(keys []int32, keyRange int, s *Scratch) *PLI {
+// are emitted in order of first occurrence, which is deterministic. A
+// cluster-free (unique) receiver short-circuits to the empty PLI.
+//
+// dst == nil allocates a fresh result whose arrays are shrunk to fit, the
+// form a cached or retained PLI needs. A non-nil dst is overwritten in place
+// and returned: the capacity of its row and offset arrays is reused, the
+// shrink copy is skipped, and every other field is reset, the lazily built
+// probe vector and its sync.Once included. dst must be owned by the caller
+// and must not be p.
+func (p *PLI) intersectKeyed(dst *PLI, keys []int32, keyRange int, s *Scratch) *PLI {
+	reuse := dst != nil
+	var buf, offsets []int32
+	if reuse {
+		buf, offsets = dst.rows[:0], dst.offsets[:0]
+	} else {
+		dst = new(PLI)
+	}
+	*dst = PLI{nRows: p.nRows, rows: buf, offsets: offsets}
+	if p.IsUnique() {
+		return dst
+	}
 	s.ensure(keyRange)
-	out := &PLI{nRows: p.nRows}
 	// The output cannot hold more rows than the scanned clusters, nor more
-	// clusters than half of that: allocate the bounds once, shrink below.
-	buf := make([]int32, len(p.rows))
-	offsets := make([]int32, 1, len(p.rows)/2+2)
+	// clusters than half of that: size the arrays to these bounds once.
+	if cap(buf) < len(p.rows) {
+		buf = make([]int32, len(p.rows))
+	}
+	buf = buf[:len(p.rows)]
+	if cap(offsets) < len(p.rows)/2+2 {
+		offsets = make([]int32, 0, len(p.rows)/2+2)
+	}
+	offsets = append(offsets, 0)
 	cursor := int32(0)
 	counts, starts := s.counts, s.starts
 	touched := s.touched[:0]
@@ -328,19 +349,21 @@ func (p *PLI) intersectKeyed(keys []int32, keyRange int, s *Scratch) *PLI {
 		}
 	}
 	s.touched = touched[:0] // keep the grown capacity for the next call
-	if cursor == 0 {
-		return out
-	}
-	if int(cursor) <= len(buf)/2 {
+	switch {
+	case cursor == 0:
+		if reuse {
+			// Unique result: keep the capacity for the next overwrite.
+			dst.rows, dst.offsets = buf[:0], offsets[:0]
+		}
+		return dst
+	case !reuse && int(cursor) <= len(buf)/2:
 		// The bound over-shot by 2x or more: copy down so the retained (and
 		// possibly cached) PLI does not pin the oversized buffer.
 		buf = append([]int32(nil), buf[:cursor]...)
-	} else {
-		buf = buf[:cursor]
 	}
-	out.rows = buf
-	out.offsets = offsets
-	return out
+	dst.rows = buf[:cursor]
+	dst.offsets = offsets
+	return dst
 }
 
 // Refines reports whether the FD X → A holds given the PLI of X and the

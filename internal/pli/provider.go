@@ -165,22 +165,27 @@ func (p *Provider) Get(s bitset.Set) *PLI {
 
 // intersectColumn performs one counted column intersection on a scratch
 // from the package pool (Get is called from arbitrary goroutines, so no
-// worker slot is available here; see scratch.go).
+// worker slot is available here; see scratch.go). The result is fresh and
+// shrunk to fit, as a cached PLI must be.
 func (p *Provider) intersectColumn(base *PLI, c int) *PLI {
 	s := getScratch()
 	defer putScratch(s)
-	return p.Extend(base, c, s)
+	return p.Extend(nil, base, c, s)
 }
 
 // Extend returns the PLI of X ∪ {c} given base, the PLI of X, as one counted
 // column intersection on the caller-owned Scratch s. The result is not
-// cached: it is the prefix-path step of the level-wise FD algorithms, which
-// hold their own short-lived PLIs outside the cache. The armed
-// faults.PLIIntersect point panics here (there is no error channel); the
-// engine's panic isolation converts it into a failed job.
-func (p *Provider) Extend(base *PLI, c int, s *Scratch) *PLI {
+// cached. dst == nil allocates a fresh, shrink-to-fit PLI. A non-nil dst is
+// overwritten in place and returned, reusing its arrays: this is the
+// prefix-path step of the level-wise FD algorithms, which own one PLI per
+// path depth outside the cache. dst must then be a PLI the caller built with
+// Extend, never base, a SingleColumn PLI or any other PLI the Provider or
+// its cache hands out. The armed faults.PLIIntersect point panics here
+// (there is no error channel); the engine's panic isolation converts it into
+// a failed job.
+func (p *Provider) Extend(dst, base *PLI, c int, s *Scratch) *PLI {
 	faults.Check(faults.PLIIntersect)
-	out := base.IntersectColumnScratch(p.rel.Column(c), p.rel.Cardinality(c), s)
+	out := base.intersectKeyed(dst, p.rel.Column(c), p.rel.Cardinality(c), s)
 	p.intersections.Add(1)
 	return out
 }

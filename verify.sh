@@ -34,6 +34,7 @@ echo "== benchmark module (perfbench: vet + test) =="
 
 echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
+go test -race -count=1 -run 'TestQuickLevelWiseWorkersAgree|TestLevelWiseChecksPinned' ./internal/fd/
 
 echo "== CSV fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/relation/

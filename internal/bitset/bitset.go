@@ -126,19 +126,16 @@ func (s Set) IsEmpty() bool {
 	return true
 }
 
-// Hash returns a 64-bit hash of s (FNV-1a over the words). The sharded PLI
-// cache uses it to pick a shard; it is not a cryptographic hash.
+// Hash returns a 64-bit hash of s: per word, a multiply by an odd constant
+// and an xorshift that folds the high product bits back into the low ones,
+// so that the low bits depend on every column. The sharded PLI cache picks
+// a shard by the low bits; it is not a cryptographic hash.
 func (s Set) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	const mult = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+	var h uint64
 	for _, w := range s.w {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (w >> shift) & 0xff
-			h *= prime64
-		}
+		h = (h ^ w) * mult
+		h ^= h >> 32
 	}
 	return h
 }

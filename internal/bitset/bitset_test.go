@@ -294,3 +294,45 @@ func TestQuickColumnsRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHashSpreadsLowBits routes every 2- and 3-subset of 18 columns to 4
+// shards by the low bits of Hash, as the sharded PLI cache does, and
+// requires an even spread: a chi-square statistic below 11.34, the 1% point
+// of the distribution with 3 degrees of freedom.
+func TestHashSpreadsLowBits(t *testing.T) {
+	const shards = 4
+	var count [shards]int
+	total := 0
+	for k := 2; k <= 3; k++ {
+		Full(18).SubsetsOfSize(k, func(s Set) bool {
+			count[s.Hash()%shards]++
+			total++
+			return true
+		})
+	}
+	want := float64(total) / shards
+	chi2 := 0.0
+	for _, n := range count {
+		d := float64(n) - want
+		chi2 += d * d / want
+	}
+	if chi2 >= 11.34 {
+		t.Errorf("shard counts %v of %d sets: chi-square %.2f", count, total, chi2)
+	}
+}
+
+var hashSink uint64
+
+// BenchmarkSetHash hashes the 3-subsets of 18 columns, the keys the PLI
+// cache routes to its shards.
+func BenchmarkSetHash(b *testing.B) {
+	var sets []Set
+	Full(18).SubsetsOfSize(3, func(s Set) bool {
+		sets = append(sets, s)
+		return true
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink += sets[i%len(sets)].Hash()
+	}
+}

@@ -27,6 +27,12 @@ type uccTask struct {
 // minimizeFDs discovers all minimal FDs whose left-hand side is a subset of
 // a minimal UCC and whose right-hand side belongs to Z.
 func (m *mudsFD) minimizeFDs() {
+	// Every visit looks up the UCC unions of its direct subsets and their
+	// connectors, and the same sets recur across visits: memoise them for
+	// the phase.
+	m.uccUnions = make(map[bitset.Set]bitset.Set)
+	defer func() { m.uccUnions = nil }()
+
 	type key struct{ lhs, mUcc bitset.Set }
 	processed := make(map[key]bitset.Set)
 

@@ -42,6 +42,15 @@ type mudsFD struct {
 	shadowSeen      map[bitset.Set]bitset.Set
 	shadowProcessed map[bitset.Set]bitset.Set
 	removeUCCCache  map[bitset.Set][]bitset.Set
+	// changed collects the left-hand sides whose stored right-hand sides
+	// changed since the last shadowed-FD generation round: every emitted
+	// left-hand side and every superset an emission removes. Each round
+	// takes and resets it (see generateShadowedTasks).
+	changed map[bitset.Set]bool
+
+	// uccUnions memoises uccUnion while minimizeFDs runs and is nil
+	// otherwise.
+	uccUnions map[bitset.Set]bitset.Set
 
 	// workers bounds the worker pool of the per-RHS walk phases
 	// (calculateRZ, completionSweep); <= 0 selects GOMAXPROCS. The task
@@ -61,6 +70,7 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 		shadowSeen:      make(map[bitset.Set]bitset.Set),
 		shadowProcessed: make(map[bitset.Set]bitset.Set),
 		removeUCCCache:  make(map[bitset.Set][]bitset.Set),
+		changed:         make(map[bitset.Set]bool),
 	}
 	for _, u := range minimalUCCs {
 		m.uccs.Add(u)
@@ -88,7 +98,8 @@ func (m *mudsFD) run(phase func()) func() error {
 
 // emit records the verified-minimal FD lhs → a, deduplicating against
 // earlier emissions. A defensive guard removes any stored superset left
-// behind if a smaller left-hand side arrives late.
+// behind if a smaller left-hand side arrives late. Every left-hand side
+// whose stored right-hand sides change is marked in m.changed.
 func (m *mudsFD) emit(lhs bitset.Set, a int) {
 	fam := &m.perRHS[a]
 	if fam.CoversSubsetOf(lhs) {
@@ -96,9 +107,11 @@ func (m *mudsFD) emit(lhs bitset.Set, a int) {
 	}
 	for _, sup := range fam.SupersetsOf(lhs) {
 		m.store.Remove(sup, a)
+		m.changed[sup] = true
 	}
 	fam.Add(lhs)
 	m.store.Add(lhs, a)
+	m.changed[lhs] = true
 }
 
 // knownValid reports whether lhs → a follows from already-emitted FDs.
@@ -168,7 +181,7 @@ func (m *mudsFD) checkFDs(lhs bitset.Set, rhs bitset.Set) bitset.Set {
 // connector itself. The resulting columns are the right-hand-side candidates
 // reachable from left-hand sides that connect to the given connector.
 func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
-	return m.uccs.UnionOfSupersetsOf(connector).Diff(connector)
+	return m.uccUnion(connector).Diff(connector)
 }
 
 // impossibleColumns implements pruning rule 1 of paper Sec. 4: an FD cannot
@@ -176,7 +189,22 @@ func (m *mudsFD) connectorLookup(connector bitset.Set) bitset.Set {
 // the impossible right-hand sides are the columns a with lhs ∪ {a} inside
 // some minimal UCC, i.e. the union of the minimal UCCs containing lhs.
 func (m *mudsFD) impossibleColumns(lhs bitset.Set) bitset.Set {
-	return m.uccs.UnionOfSupersetsOf(lhs).Diff(lhs)
+	return m.uccUnion(lhs).Diff(lhs)
+}
+
+// uccUnion returns the union of the minimal UCCs containing x, through the
+// memo m.uccUnions when minimizeFDs has set one up. The minimal UCCs do not
+// change during the FD phases, so a memoised union stays exact.
+func (m *mudsFD) uccUnion(x bitset.Set) bitset.Set {
+	if m.uccUnions == nil {
+		return m.uccs.UnionOfSupersetsOf(x)
+	}
+	u, ok := m.uccUnions[x]
+	if !ok {
+		u = m.uccs.UnionOfSupersetsOf(x)
+		m.uccUnions[x] = u
+	}
+	return u
 }
 
 // rzColumns returns R \ Z: the working columns in no minimal UCC. By pruning

@@ -17,7 +17,9 @@ import (
 // until no new FD appears, because freshly minimised FDs can expose further
 // shadowed left-hand sides. The fixpoint is a strict superset of the single
 // pass and is required for completeness (verified against a brute-force
-// oracle by the property tests).
+// oracle by the property tests). A round after the first regenerates only
+// what the FDs emitted or removed since the previous round can add, with
+// the same tasks as a full regeneration (see generateShadowedTasks).
 
 // shadowTask is one (left-hand side, right-hand sides) minimisation task.
 type shadowTask struct {
@@ -29,41 +31,73 @@ type shadowTask struct {
 // left-hand sides from every known FD and validate them immediately ("each
 // task immediately checks if the FD holds", Sec. 6.4). Only tasks with at
 // least one validated right-hand side survive.
+//
+// Algorithm 2 iterates over all subsets of every left-hand side flhs and
+// looks up FDs[connector]; only connectors that are themselves stored
+// left-hand sides contribute shadowed attributes, so the subset enumeration
+// is served by a set index over the stored left-hand sides (Sec. 5.4) —
+// same semantics, without enumerating 2^|lhs| empty look-ups.
+//
+// Rounds after the first run semi-naively. A pair (flhs, connector) where
+// the stored right-hand sides of neither left-hand side changed since the
+// previous round contributes the same candidates it contributed then, and
+// shadowSeen already holds all of them. So a changed flhs pairs with every
+// stored connector, an unchanged one only with the changed connectors; the
+// tasks and checks are those of a full regeneration. In the first round every
+// stored left-hand side is changed, since all of them arrived through emit
+// (the constant columns' ∅ aside, which never contributes).
 func (m *mudsFD) generateShadowedTasks() []shadowTask {
-	merged := make(map[bitset.Set]bitset.Set) // candidate lhs → rhs attrs to minimise
-
-	// Algorithm 2 iterates over all subsets of every left-hand side and looks
-	// up FDs[connector]; only connectors that are themselves stored left-hand
-	// sides contribute shadowed attributes, so the subset enumeration is
-	// served by a set index over the stored left-hand sides (Sec. 5.4) —
-	// same semantics, without enumerating 2^|lhs| empty look-ups.
-	var lhsIndex settrie.Index
-	for _, lhs := range m.store.LHSs() {
-		lhsIndex.Add(lhs)
+	changed := m.changed
+	m.changed = make(map[bitset.Set]bool)
+	lhss := m.store.LHSs()
+	var all, fresh settrie.Index
+	for _, lhs := range lhss {
+		all.Add(lhs)
+		if changed[lhs] {
+			fresh.Add(lhs)
+		}
 	}
-
-	// Distinct extended left-hand sides with the union of their target
-	// right-hand sides: many (FD, connector) pairs produce the same newLhs,
-	// so the expensive UCC-stripping runs once per distinct set.
 	targets := make(map[bitset.Set]bitset.Set)
-	m.store.ForEach(func(flhs, frhs bitset.Set) bool {
+	for _, flhs := range lhss {
 		if m.aborted() {
-			return false
+			return nil
 		}
-		if flhs.IsEmpty() {
-			return true // constant columns shadow nothing
+		connectors := &fresh
+		if changed[flhs] {
+			connectors = &all
 		}
-		for _, connector := range lhsIndex.SubsetsOf(flhs) {
-			shadowedRhs := m.store.RHS(connector)
-			// Constant columns never belong to a minimal left-hand side.
-			newLhs := flhs.Union(shadowedRhs).Intersect(m.working)
-			if newLhs == flhs {
-				continue // nothing shadowed; flhs is already minimised
-			}
-			targets[newLhs] = targets[newLhs].Union(frhs)
+		m.addShadowTargets(targets, flhs, connectors)
+	}
+	return m.shadowTasks(targets)
+}
+
+// addShadowTargets pairs the stored FD flhs → FDs[flhs] with every
+// connector of the index inside flhs and records each extended left-hand
+// side with the right-hand sides to minimise there. Many pairs produce the
+// same extended left-hand side, so targets collects the distinct ones with
+// the union of their right-hand sides, and the expensive UCC-stripping runs
+// once per distinct set.
+func (m *mudsFD) addShadowTargets(targets map[bitset.Set]bitset.Set, flhs bitset.Set, connectors *settrie.Index) {
+	if flhs.IsEmpty() {
+		return // constant columns shadow nothing
+	}
+	frhs := m.store.RHS(flhs)
+	for _, connector := range connectors.SubsetsOf(flhs) {
+		shadowedRhs := m.store.RHS(connector)
+		// Constant columns never belong to a minimal left-hand side.
+		newLhs := flhs.Union(shadowedRhs).Intersect(m.working)
+		if newLhs == flhs {
+			continue // nothing shadowed; flhs is already minimised
 		}
-		return true
-	})
+		targets[newLhs] = targets[newLhs].Union(frhs)
+	}
+}
+
+// shadowTasks strips the minimal UCCs from every extended left-hand side
+// (Algorithm 3), merges the candidates per reduced left-hand side and
+// validates the right-hand sides no earlier round generated there.
+func (m *mudsFD) shadowTasks(targets map[bitset.Set]bitset.Set) []shadowTask {
+	merged := make(map[bitset.Set]bitset.Set) // candidate lhs → rhs attrs to minimise
 	newLhss := make([]bitset.Set, 0, len(targets))
 	for lhs := range targets {
 		newLhss = append(newLhss, lhs)

@@ -121,15 +121,6 @@ func (s *Store) All() []FD {
 	return out
 }
 
-// ForEach visits every (lhs, rhs-set) pair in deterministic order.
-func (s *Store) ForEach(fn func(lhs, rhs bitset.Set) bool) {
-	for _, lhs := range s.LHSs() {
-		if !fn(lhs, s.byLHS[lhs]) {
-			return
-		}
-	}
-}
-
 // ConstantColumns returns the set of columns with at most one distinct
 // value. Such columns are exactly the FDs with empty left-hand side; every
 // FD algorithm extracts them up front and excludes them from lattice work

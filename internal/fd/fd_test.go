@@ -54,16 +54,8 @@ func TestStoreBasics(t *testing.T) {
 	if all[0].String() != "C → A" || all[3].String() != "AB → D" {
 		t.Errorf("ordering: %v", letters(all))
 	}
-	var visited int
-	s.ForEach(func(lhs, rhs bitset.Set) bool {
-		visited++
-		return visited < 2
-	})
-	if visited != 2 {
-		t.Errorf("ForEach early stop visited %d", visited)
-	}
-	if got := s.LHSs(); len(got) != 2 {
-		t.Errorf("LHSs = %v", got)
+	if got, want := s.LHSs(), []bitset.Set{bitset.FromLetters("C"), lhs}; !reflect.DeepEqual(got, want) {
+		t.Errorf("LHSs = %v, want %v", got, want)
 	}
 }
 

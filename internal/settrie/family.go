@@ -31,12 +31,12 @@ func (f *MinimalFamily) CoversSubsetOf(x bitset.Set) bool {
 	return f.ix.hasSubsetOf(x)
 }
 
-// SubsetsOf returns all stored sets contained in x, in prefix-tree order.
+// SubsetsOf returns all stored sets contained in x, in insertion order.
 func (f *MinimalFamily) SubsetsOf(x bitset.Set) []bitset.Set {
 	return f.ix.SubsetsOf(x)
 }
 
-// SupersetsOf returns all stored sets containing x, in prefix-tree order.
+// SupersetsOf returns all stored sets containing x, in insertion order.
 func (f *MinimalFamily) SupersetsOf(x bitset.Set) []bitset.Set {
 	return f.ix.supersetsOf(x)
 }
@@ -49,7 +49,7 @@ func (f *MinimalFamily) UnionOfSupersetsOf(x bitset.Set) bitset.Set {
 	return f.ix.unionOfSupersetsOf(x)
 }
 
-// All returns the stored sets in prefix-tree order.
+// All returns the stored sets in insertion order.
 func (f *MinimalFamily) All() []bitset.Set { return f.ix.all() }
 
 // MaximalFamily maintains an antichain of ⊆-maximal sets: inserting a set
@@ -80,5 +80,5 @@ func (f *MaximalFamily) CoversSupersetOf(x bitset.Set) bool {
 	return f.ix.hasSupersetOf(x)
 }
 
-// All returns the stored sets in prefix-tree order.
+// All returns the stored sets in insertion order.
 func (f *MaximalFamily) All() []bitset.Set { return f.ix.all() }

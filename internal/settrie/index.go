@@ -9,8 +9,9 @@
 // the AND of the bitmaps of x's columns; the members inside x are those in
 // none of the bitmaps of the other columns. A query combines these bitmaps
 // word by word, so an existence query stops at the first non-zero word.
-// Queries only read, so an index that no longer changes may be queried from
-// concurrent goroutines.
+// Enumerations walk the slots in order and so return the members in the
+// order they were inserted, unsorted. Queries only read, so an index that no
+// longer changes may be queried from concurrent goroutines.
 //
 // On top of the plain index, MinimalFamily and MaximalFamily maintain
 // antichains of minimal respectively maximal sets, the stores used for
@@ -19,15 +20,14 @@ package settrie
 
 import (
 	"math/bits"
-	"slices"
 
 	"holistic/internal/bitset"
 )
 
 // Index is a set of column combinations supporting subset and superset
-// queries. Enumerations return the members in the preorder of a prefix tree
-// over their ascending column sequences: lexicographic, a prefix before its
-// extensions. The zero value is an empty index ready for use.
+// queries. Enumerations return the members in insertion order; callers that
+// need a canonical order sort. The zero value is an empty index ready for
+// use.
 type Index struct {
 	slots []bitset.Set // members and removed members, in insertion order
 	live  []uint64     // bitmap over slots: the current members
@@ -77,7 +77,8 @@ func (ix *Index) widen(width int) {
 }
 
 // compact rebuilds the index from its members once removed slots outnumber
-// them, so that queries stop scanning dead words.
+// them, so that queries stop scanning dead words. It adds the members back
+// in slot order, which keeps the slots in insertion order.
 func (ix *Index) compact() {
 	members := ix.slots[:0]
 	for wi, w := range ix.live {
@@ -92,7 +93,7 @@ func (ix *Index) compact() {
 }
 
 // SubsetsOf returns the members that are subsets of x (x itself and the
-// empty set included), in prefix-tree order.
+// empty set included), in insertion order.
 func (ix *Index) SubsetsOf(x bitset.Set) []bitset.Set {
 	return ix.collect(bitset.Set{}, ix.used.Diff(x))
 }
@@ -181,8 +182,8 @@ func (ix *Index) any(in, out bitset.Set) bool {
 	return false
 }
 
-// collect returns, in prefix-tree order, the members holding every column
-// of in and no column of out.
+// collect returns, in insertion order (the order of the slots), the members
+// holding every column of in and no column of out.
 func (ix *Index) collect(in, out bitset.Set) []bitset.Set {
 	var sel selector
 	if !sel.set(ix.used, in, out) {
@@ -194,7 +195,6 @@ func (ix *Index) collect(in, out bitset.Set) []bitset.Set {
 			res = append(res, ix.slots[wi*64+bits.TrailingZeros64(w)])
 		}
 	}
-	slices.SortFunc(res, preorder)
 	return res
 }
 
@@ -225,24 +225,4 @@ func (ix *Index) unionOfSupersetsOf(x bitset.Set) bitset.Set {
 		}
 	}
 	return u
-}
-
-// preorder compares a and b by the preorder of a prefix tree over ascending
-// column sequences. Below the lowest column c in exactly one of them the two
-// sequences agree. The set holding c continues with it; the other one either
-// ends there, which makes it a prefix and so the smaller, or continues with
-// a larger column.
-func preorder(a, b bitset.Set) int {
-	c := a.Diff(b).Union(b.Diff(a)).First()
-	if c < 0 {
-		return 0
-	}
-	holderFirst, other := -1, b // the order when the holder of c is smaller
-	if !a.Has(c) {
-		holderFirst, other = 1, a
-	}
-	if other.NextAfter(c) >= 0 {
-		return holderFirst
-	}
-	return -holderFirst
 }

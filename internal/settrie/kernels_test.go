@@ -15,20 +15,18 @@ import (
 // columns so that they cross the 64-bit word boundary of bitset.Set, and
 // families grow past 64 members so that the slot bitmaps span several words.
 
-// scanModel is the linear-scan oracle: the members as a plain slice.
+// scanModel is the linear-scan oracle: the members as a plain slice in
+// insertion order. An Add that removes members keeps the order of the
+// others and appends the new set, as the index does.
 type scanModel []bitset.Set
 
-// sorted returns the members in prefix-tree order, the lexicographic order
-// of the ascending column sequences (a prefix first), or nil when empty.
-func (m scanModel) sorted() []bitset.Set {
+// members returns the members in insertion order, the order the index
+// enumerates them in, or nil when empty.
+func (m scanModel) members() []bitset.Set {
 	if len(m) == 0 {
 		return nil
 	}
-	out := slices.Clone(m)
-	slices.SortFunc(out, func(a, b bitset.Set) int {
-		return slices.Compare(a.Columns(), b.Columns())
-	})
-	return out
+	return m
 }
 
 func (m scanModel) contains(x bitset.Set) bool { return slices.Contains(m, x) }
@@ -44,11 +42,11 @@ func (m scanModel) filter(keep func(bitset.Set) bool) scanModel {
 }
 
 func (m scanModel) subsetsOf(x bitset.Set) []bitset.Set {
-	return m.filter(func(s bitset.Set) bool { return s.IsSubsetOf(x) }).sorted()
+	return m.filter(func(s bitset.Set) bool { return s.IsSubsetOf(x) }).members()
 }
 
 func (m scanModel) supersetsOf(x bitset.Set) []bitset.Set {
-	return m.filter(func(s bitset.Set) bool { return x.IsSubsetOf(s) }).sorted()
+	return m.filter(func(s bitset.Set) bool { return x.IsSubsetOf(s) }).members()
 }
 
 // addMinimal applies MinimalFamily.Add's rule by scanning.
@@ -88,8 +86,8 @@ func checkMinimal(t *testing.T, f *MinimalFamily, m scanModel, x bitset.Set) {
 		t.Fatalf("SupersetsOf(%v) = %v, want %v", x, f.SupersetsOf(x), sups)
 	case f.UnionOfSupersetsOf(x) != union:
 		t.Fatalf("UnionOfSupersetsOf(%v) = %v, want %v", x, f.UnionOfSupersetsOf(x), union)
-	case !reflect.DeepEqual(f.All(), m.sorted()):
-		t.Fatalf("All = %v, want %v", f.All(), m.sorted())
+	case !reflect.DeepEqual(f.All(), m.members()):
+		t.Fatalf("All = %v, want %v", f.All(), m.members())
 	}
 }
 
@@ -101,8 +99,8 @@ func checkMaximal(t *testing.T, f *MaximalFamily, m scanModel, x bitset.Set) {
 		t.Fatalf("CoversSupersetOf(%v) = %v over %v", x, f.CoversSupersetOf(x), m)
 	case f.Len() != len(m):
 		t.Fatalf("Len = %d, want %d", f.Len(), len(m))
-	case !reflect.DeepEqual(f.All(), m.sorted()):
-		t.Fatalf("All = %v, want %v", f.All(), m.sorted())
+	case !reflect.DeepEqual(f.All(), m.members()):
+		t.Fatalf("All = %v, want %v", f.All(), m.members())
 	}
 }
 

@@ -69,8 +69,10 @@ func TestEmptySetElement(t *testing.T) {
 	}
 }
 
-// TestPrefixTreeFigure5 reproduces Figure 5 of the paper: the prefix tree of
-// the UCCs (1,3,8), (1,5), (1,10), (1,12), (7), (15,18), (1,11,17).
+// TestPrefixTreeFigure5 stores the UCCs of Figure 5 of the paper, (1,3,8),
+// (1,5), (1,10), (1,12), (7), (15,18), (1,11,17), and runs the look-ups the
+// figure's prefix tree serves. Enumerations keep insertion order rather
+// than the tree's preorder.
 func TestPrefixTreeFigure5(t *testing.T) {
 	var ix Index
 	uccs := []bitset.Set{
@@ -88,19 +90,20 @@ func TestPrefixTreeFigure5(t *testing.T) {
 	if ix.n != 7 {
 		t.Fatalf("Len = %d, want 7", ix.n)
 	}
-	// The figure's preorder: the root entries 1, 7, 15, and below 1 the
-	// entries 3, 5, 10, 11, 12.
+	if got := ix.all(); !reflect.DeepEqual(got, uccs) {
+		t.Errorf("All = %v, want the insertion order %v", got, uccs)
+	}
+	// The subtree below the figure's root entry 1 holds the entries 3, 5,
+	// 10, 11 and 12.
 	want := []bitset.Set{
 		bitset.New(1, 3, 8),
 		bitset.New(1, 5),
 		bitset.New(1, 10),
-		bitset.New(1, 11, 17),
 		bitset.New(1, 12),
-		bitset.New(7),
-		bitset.New(15, 18),
+		bitset.New(1, 11, 17),
 	}
-	if got := ix.all(); !reflect.DeepEqual(got, want) {
-		t.Errorf("All = %v, want %v", got, want)
+	if got := ix.supersetsOf(bitset.New(1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("supersetsOf(1) = %v, want %v", got, want)
 	}
 	// Subset look-up as in Sec. 5.4: subsets of X = {1,5,8,18}.
 	got := ix.SubsetsOf(bitset.New(1, 5, 8, 18))
@@ -165,9 +168,30 @@ func TestAllOrder(t *testing.T) {
 	for _, s := range sets("B", "AC", "A") {
 		ix.Add(s)
 	}
-	// Prefix-tree order: a prefix before its extensions, then ascending.
-	if got, want := ix.all(), sets("A", "AC", "B"); !reflect.DeepEqual(got, want) {
+	// Insertion order, not sorted.
+	if got, want := ix.all(), sets("B", "AC", "A"); !reflect.DeepEqual(got, want) {
 		t.Errorf("All = %v, want %v", got, want)
+	}
+
+	// Removals and a compaction keep the survivors in insertion order.
+	var f MinimalFamily
+	for _, s := range sets("BC", "AD", "AE", "AF", "G") {
+		f.Add(s)
+	}
+	f.Add(bitset.FromLetters("A")) // removes AD, AE, AF, then compacts
+	f.Add(bitset.FromLetters("H"))
+	if len(f.ix.slots) != 4 {
+		t.Fatalf("%d slots, want 4 after a compaction", len(f.ix.slots))
+	}
+	if got, want := f.All(), sets("BC", "G", "A", "H"); !reflect.DeepEqual(got, want) {
+		t.Errorf("All after compaction = %v, want %v", got, want)
+	}
+	f.Add(bitset.FromLetters("B")) // removes BC, leaving a dead slot
+	if got, want := f.All(), sets("G", "A", "H", "B"); !reflect.DeepEqual(got, want) {
+		t.Errorf("All after removal = %v, want %v", got, want)
+	}
+	if got, want := f.SupersetsOf(bitset.Set{}), sets("G", "A", "H", "B"); !reflect.DeepEqual(got, want) {
+		t.Errorf("SupersetsOf(∅) = %v, want %v", got, want)
 	}
 }
 
@@ -292,7 +316,7 @@ func TestQuickTrieMatchesNaive(t *testing.T) {
 				model = append(model, s)
 			}
 		}
-		if ix.n != len(model) || !reflect.DeepEqual(ix.all(), model.sorted()) {
+		if ix.n != len(model) || !reflect.DeepEqual(ix.all(), model.members()) {
 			return false
 		}
 		for _, q := range queries {

@@ -35,6 +35,7 @@ echo "== benchmark module (perfbench: vet + test) =="
 echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
 go test -race -count=1 -run 'TestQuickLevelWiseWorkersAgree|TestLevelWiseChecksPinned' ./internal/fd/
+go test -race -count=1 -run 'TestMudsChecksPinned|TestShadowedDeltaMatchesFullRegeneration' ./internal/core/
 
 echo "== CSV fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/relation/

@@ -185,6 +185,11 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		created: time.Now().UTC(),
 		updated: time.Now().UTC(),
 	}
+	// The session keeps its creation options, not its input: the initial
+	// job reads the bytes from src, and the creation record below journals
+	// the full request for recovery. Batch jobs copy d.req, so they start
+	// without a CSV too.
+	d.req.CSV = ""
 	// The id is assigned before the job is built (the job's datasetID links
 	// its journaled terminal record back to the session) and the creation is
 	// journaled before the dataset is published: a crash can forget an id
@@ -314,7 +319,13 @@ func (s *Server) handleAppendBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
+	s.appendBatch(w, d, rows, timeout)
+}
 
+// appendBatch claims d for a batch of parsed rows and queues the job that
+// folds them in, writing the response itself: 202 with the dataset view, or
+// the 409/400/429/503 rejection.
+func (s *Server) appendBatch(w http.ResponseWriter, d *dataset, rows [][]string, timeout time.Duration) {
 	// Claim the dataset (409 on any in-flight job) and check the batch width
 	// against the profiled schema under the same lock.
 	d.mu.Lock()

@@ -103,6 +103,19 @@ type job struct {
 	events *eventLog
 }
 
+// release drops the job's input once it is terminal: the inline CSV, the
+// memoised source (its byte copy and loaded relation) and the exec closure
+// (which captures a batch's rows or a dataset's source). Nothing reads them
+// after the terminal transition, so a retained record keeps only metadata,
+// its report and its event log.
+func (j *job) release() {
+	j.mu.Lock()
+	j.req.CSV = ""
+	j.src = nil
+	j.exec = nil
+	j.mu.Unlock()
+}
+
 // view renders the job's externally visible state.
 func (j *job) view() JobView {
 	j.mu.Lock()

@@ -96,13 +96,16 @@ func TestRestartRestoresStateCleanShutdown(t *testing.T) {
 
 	stopCleanly(t, s1, ts1)
 
-	_, stats, ts2 := openTestServer(t, cfg)
+	s2, stats, ts2 := openTestServer(t, cfg)
 	if !stats.CleanShutdown {
 		t.Error("recovery did not see the clean-shutdown marker")
 	}
 	if stats.RecoveredSessions != 1 || stats.FailedSessions != 0 {
 		t.Errorf("sessions recovered/failed = %d/%d, want 1/0", stats.RecoveredSessions, stats.FailedSessions)
 	}
+	// Restored records and the warm session keep metadata, not input: the
+	// journal holds the CSV for the next restart.
+	assertNoInput(t, s2)
 
 	after := getDataset(t, ts2, d.ID)
 	if after.State != DatasetReady || after.Version != 2 {
@@ -212,7 +215,10 @@ func TestRestartLostJobsAndPoisonedSession(t *testing.T) {
 
 	crash(t, s1, ts1)
 
-	_, stats, ts2 := openTestServer(t, cfg)
+	s2, stats, ts2 := openTestServer(t, cfg)
+	// The re-enqueued plain job reads its bytes from its source alone; the
+	// lost batch and the poisoned session hold no CSV either.
+	assertNoInput(t, s2)
 	if stats.LostJobs != 1 {
 		t.Errorf("LostJobs = %d, want 1 (the queued batch)", stats.LostJobs)
 	}

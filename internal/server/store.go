@@ -396,6 +396,10 @@ func (s *Server) recoverDataset(rd *replayedDataset, jobs map[string]*replayedJo
 		}
 	}
 
+	// The journaled creation record keeps the session's input for the next
+	// restart; the session itself has reloaded its relation (or is failed),
+	// so it drops the CSV.
+	d.req.CSV = ""
 	if d.state == DatasetFailed {
 		stats.FailedSessions++
 		s.logf("recovery: dataset %s restored failed: %s", d.id, d.err)
@@ -463,6 +467,9 @@ func (s *Server) restoreTerminalJob(rj *replayedJob, req *jobRequest, stats *Rec
 		// made before the crash gets this record back, not a duplicate run.
 		j.idemKey = req.IdempotencyKey
 	}
+	// Like a live terminal record, a restored one keeps the request's
+	// metadata but not its input.
+	j.release()
 	j.events.append(JobEvent{Event: core.Event{Type: EventReplay}})
 	j.events.append(JobEvent{Event: core.Event{Type: EventState}, State: rj.endState, Error: rj.endErr})
 	j.events.close()
@@ -488,6 +495,9 @@ func (s *Server) rebuildPlainJob(rj *replayedJob, stats *RecoveryStats) *job {
 	}
 	j.events.append(JobEvent{Event: core.Event{Type: EventReplay}})
 	key, src, _, err := j.req.normalize(s.cfg.DataDir)
+	// The journal keeps the admitted request; from here on the job's bytes
+	// live in src alone.
+	j.req.CSV = ""
 	if err != nil {
 		j.state = StateFailed
 		j.err = fmt.Sprintf("replay: %v", err)

@@ -77,7 +77,7 @@ echo "== WAL fault-injection and torn-write suite (race) =="
 go test -race -count=1 ./internal/durable/
 
 echo "== restart-semantics suite (race) =="
-go test -race -count=1 -run 'TestRestart' ./internal/server/
+go test -race -count=1 -run 'TestRestart|TestTerminalJob' ./internal/server/
 
 echo "== overload-resilience suite (admission, breakers, watermarks, race) =="
 go test -race -count=1 -run 'TestAdaptiveAdmission|TestAdmissionEstimate|TestDeadlineFromAdmission|TestIdempoten|TestCircuitBreaker|TestMemWatermark|TestOverload' ./internal/server/

@@ -61,7 +61,8 @@ func benchStrategies(b *testing.B, rel *relation.Relation, strategies ...string)
 
 // BenchmarkFigure6RowScalability is one point of the Figure 6 series: the
 // uniprot-like dataset at 10 columns. Paper shape: all three algorithms are
-// linear in rows; HFUN fastest, MUDS slowest (shadowed-FD cost).
+// linear in rows; HFUN fastest, MUDS slowest (the paper blames its
+// shadowed-FD phases).
 func BenchmarkFigure6RowScalability(b *testing.B) {
 	rel := dataset.Uniprot(20000)
 	benchStrategies(b, rel, core.StrategyBaseline, core.StrategyHolisticFun, core.StrategyMuds)
@@ -93,8 +94,10 @@ func BenchmarkTable3(b *testing.B) {
 }
 
 // BenchmarkFigure8Phases measures MUDS' phase breakdown on the ncvoter-like
-// dataset. Paper shape: SPIDER and DUCC negligible; the shadowed-FD phases
-// dominate. Per-phase seconds are reported as benchmark metrics.
+// dataset. Paper shape: SPIDER and DUCC negligible, the FD phases dominate;
+// here the completion sweep, which replaces the paper's shadowed-FD phases,
+// holds nearly all FD time. Per-phase seconds are reported as benchmark
+// metrics.
 func BenchmarkFigure8Phases(b *testing.B) {
 	rel := dataset.NCVoter(1000, 14)
 	totals := map[string]float64{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"holistic/internal/bitset"
+	"holistic/internal/dataset"
 	"holistic/internal/fd"
 	"holistic/internal/pli"
 	"holistic/internal/relation"
@@ -41,41 +43,27 @@ func randomRelation(rnd *rand.Rand, maxCols, maxRows, maxCard int) *relation.Rel
 	return relation.MustNew("rand", names, data)
 }
 
-// TestConnectorLookupPaperExample reproduces Table 2 of the paper: minimal
-// UCCs AFG, BDFG, DEF, CEFG; the connector FG matches AFG, BDFG, CEFG and
-// the union of the matched columns minus the connector is ABCDE.
-func TestConnectorLookupPaperExample(t *testing.T) {
-	store := fd.NewStore()
-	uccs := []bitset.Set{
-		bitset.FromLetters("AFG"),
-		bitset.FromLetters("BDFG"),
-		bitset.FromLetters("DEF"),
-		bitset.FromLetters("CEFG"),
-	}
-	m := newMudsFD(nil, bitset.Full(7), uccs, store, 0)
-	got := m.connectorLookup(bitset.FromLetters("FG"))
-	if want := bitset.FromLetters("ABCDE"); got != want {
-		t.Errorf("connectorLookup(FG) = %v, want %v", got, want)
-	}
-	// A connector matching nothing yields no candidates.
-	if got := m.connectorLookup(bitset.FromLetters("AB")); !got.IsEmpty() {
-		t.Errorf("connectorLookup(AB) = %v, want ∅", got)
-	}
-}
-
-// TestImpossibleColumnsRule1 checks pruning rule 1 of Sec. 4: no FD can lie
-// fully inside a minimal UCC.
+// TestImpossibleColumnsRule1 checks the false certificates that pruning
+// rules 1 and 2 of Sec. 4 seed a completion-sweep walk with: no FD lies
+// fully inside a minimal UCC, and no subset of R \ Z determines a column of
+// Z.
 func TestImpossibleColumnsRule1(t *testing.T) {
-	store := fd.NewStore()
-	uccs := []bitset.Set{bitset.FromLetters("ABC"), bitset.FromLetters("CD")}
-	m := newMudsFD(nil, bitset.Full(5), uccs, store, 0)
-	// lhs AB lies inside ABC: C is an impossible rhs.
-	if got := m.impossibleColumns(bitset.FromLetters("AB")); got != bitset.FromLetters("C") {
-		t.Errorf("impossibleColumns(AB) = %v, want C", got)
-	}
-	// lhs E lies in no UCC: nothing is impossible by rule 1.
-	if got := m.impossibleColumns(bitset.FromLetters("E")); !got.IsEmpty() {
-		t.Errorf("impossibleColumns(E) = %v, want ∅", got)
+	uccs := []bitset.Set{bitset.FromLetters("ABC"), bitset.FromLetters("CD"), bitset.FromLetters("F")}
+	m := newMudsFD(nil, bitset.Full(6), uccs, fd.NewStore(), 0)
+	for _, tc := range []struct {
+		rhs  int
+		want []bitset.Set
+	}{
+		// C lies in ABC and CD: neither AB nor D determines it, nor does
+		// R \ Z = E.
+		{2, []bitset.Set{bitset.FromLetters("E"), bitset.FromLetters("AB"), bitset.FromLetters("D")}},
+		{0, []bitset.Set{bitset.FromLetters("E"), bitset.FromLetters("BC")}},
+		// A single-column UCC leaves rule 1 nothing to exclude.
+		{5, []bitset.Set{bitset.FromLetters("E")}},
+	} {
+		if got := m.falseSeeds(tc.rhs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("falseSeeds(%d) = %v, want %v", tc.rhs, got, tc.want)
+		}
 	}
 }
 
@@ -88,37 +76,10 @@ func TestRZColumns(t *testing.T) {
 	}
 }
 
-// TestRemoveUCCs exercises Algorithm 3: stripping minimal UCCs out of a
-// candidate left-hand side.
-func TestRemoveUCCs(t *testing.T) {
-	store := fd.NewStore()
-	uccs := []bitset.Set{bitset.FromLetters("AB"), bitset.FromLetters("BC")}
-	m := newMudsFD(nil, bitset.Full(5), uccs, store, 0)
-
-	// No contained UCC: unchanged.
-	if got := m.removeUCCs(bitset.FromLetters("ADE")); !reflect.DeepEqual(got, []bitset.Set{bitset.FromLetters("ADE")}) {
-		t.Errorf("removeUCCs(ADE) = %v", got)
-	}
-	// ABC contains AB and BC; dropping B breaks both, dropping A and C
-	// breaks them separately. Maximal reduced sets: AC (drop B) and ...
-	// dropping A requires also dropping B or C for BC: {C}, {B}? B alone
-	// leaves BC ⊆? No: removing A and C leaves B: contains neither AB nor
-	// BC. Maximal results are AC and B.
-	got := m.removeUCCs(bitset.FromLetters("ABC"))
-	want := []bitset.Set{bitset.FromLetters("B"), bitset.FromLetters("AC")}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("removeUCCs(ABC) = %v, want %v", got, want)
-	}
-	for _, r := range got {
-		if m.uccs.CoversSubsetOf(r) {
-			t.Errorf("reduced lhs %v still contains a UCC", r)
-		}
-	}
-}
-
 // TestShadowedPaperExample builds a relation realising the shadowed-FD
 // example of Sec. 4.3: minimal FD AC → B whose left-hand side spans the
-// minimal UCCs and is invisible to the connector look-up. MUDS must find it.
+// minimal UCCs, so the paper's connector look-up cannot propose it. MUDS
+// must find it.
 func TestShadowedPaperExample(t *testing.T) {
 	// Construct data with minimal UCCs BCD, CDE, AD and the FD AC → B among
 	// others. We approximate the example with a small concrete instance and
@@ -143,6 +104,36 @@ func verifyMudsMatchesOracles(t *testing.T, rel *relation.Relation, seed int64) 
 	if !reflect.DeepEqual(res.UCCs, wantUCCs) {
 		t.Fatalf("MUDS UCCs mismatch (seed %d): got %v want %v\nrows: %v",
 			seed, res.UCCs, wantUCCs, rel.Rows())
+	}
+}
+
+// TestMudsChecksPinned pins the validity checks of MUDS and a digest of its
+// FDs at one and two workers. The checks move whenever the walks' visiting
+// order changes, the digests never should. The hepatitis row fails if the
+// redundant work of the paper's minimizeFDs and shadowed-FD phases returns:
+// with them, MUDS made 262,671 checks there.
+func TestMudsChecksPinned(t *testing.T) {
+	hepatitis, err := dataset.UCI("hepatitis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rel    *relation.Relation
+		checks int
+		digest string
+	}{
+		{dataset.Ionosphere(12, 351), 466, "7fa02529b329c2c4"},
+		{dataset.NCVoter(500, 10), 1155, "42cfdf544c736b4b"},
+		{hepatitis, 84404, "97d3bbedad95b512"},
+	} {
+		for _, workers := range []int{1, 2} {
+			res := Muds(tc.rel, Options{Seed: 1, Workers: workers})
+			digest := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(res.FDs))))[:16]
+			if res.Checks != tc.checks || digest != tc.digest {
+				t.Errorf("%s workers %d: %d checks, FD digest %s; want %d, %s",
+					tc.rel.Name(), workers, res.Checks, digest, tc.checks, tc.digest)
+			}
+		}
 	}
 }
 

@@ -86,10 +86,13 @@ func unknownStrategyError(name string) error {
 
 // recorder is the engine-installed Observer: it assembles Result.Phases and
 // Result.Checks from the phase/check events while forwarding every event to
-// the user's observer. Durations of repeated phases (fixpoint rounds, the
-// baseline's extra input passes) are merged into one entry at the phase's
-// first position, matching the paper's Figure 8 layout.
+// the user's observer. Durations of repeated phases (the baseline's extra
+// input passes) are merged into one entry at the phase's first position,
+// matching the paper's Figure 8 layout.
 type recorder struct {
+	// ctx is the run's context: a phase that ends after it is done was cut
+	// short.
+	ctx    context.Context
 	user   Observer
 	phases []Phase
 	index  map[string]int
@@ -100,11 +103,11 @@ type recorder struct {
 	current string
 }
 
-func newRecorder(user Observer) *recorder {
+func newRecorder(ctx context.Context, user Observer) *recorder {
 	if user == nil {
 		user = NopObserver{}
 	}
-	return &recorder{user: user, index: make(map[string]int)}
+	return &recorder{ctx: ctx, user: user, index: make(map[string]int)}
 }
 
 func (r *recorder) PhaseStart(name string) {
@@ -113,7 +116,7 @@ func (r *recorder) PhaseStart(name string) {
 }
 
 func (r *recorder) PhaseEnd(name string, d time.Duration) {
-	if r.current == name {
+	if r.current == name && r.ctx.Err() == nil {
 		r.current = ""
 	}
 	if i, ok := r.index[name]; ok {
@@ -149,7 +152,9 @@ func (r *recorder) finish(res *Result) {
 func (r *recorder) completeness() *Completeness {
 	c := &Completeness{InterruptedPhase: r.current}
 	for _, p := range r.phases {
-		c.CompletedPhases = append(c.CompletedPhases, p.Name)
+		if p.Name != r.current {
+			c.CompletedPhases = append(c.CompletedPhases, p.Name)
+		}
 	}
 	return c
 }
@@ -195,7 +200,7 @@ func RunContext(ctx context.Context, strategy string, src Source, opts Options, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rec := newRecorder(obs)
+	rec := newRecorder(ctx, obs)
 	var rel *relation.Relation
 	err := timePhase(ctx, rec, PhaseLoad, func() (err error) {
 		defer func() {
@@ -223,7 +228,7 @@ func RunRelationContext(ctx context.Context, strategy string, rel *relation.Rela
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return profileWith(ctx, s, rel, opts, newRecorder(obs))
+	return profileWith(ctx, s, rel, opts, newRecorder(ctx, obs))
 }
 
 // profileWith runs s under the recorder (with panic isolation) and finalises

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,12 +195,11 @@ func TestRunContextDeadline(t *testing.T) {
 
 // TestMudsContextDeadlineInFDPhases gives MUDS enough time to finish SPIDER
 // and DUCC so the deadline lands in the FD phases, exercising the
-// cancellation polls of the connector minimisation, the R\Z walks, the
-// shadowed fixpoint and the completion sweep. An uncancelled run on this
-// input takes about 6 s on a 2-CPU machine, SPIDER and DUCC about 0.1 s of
-// it.
+// cancellation polls of the per-RHS walks. An uncancelled run on this input
+// takes about 5.8 s on a 2-CPU machine, SPIDER and DUCC about 0.1 s of it
+// and the R\Z walks none, so the completion sweep is the phase cut short.
 func TestMudsContextDeadlineInFDPhases(t *testing.T) {
-	rel := dataset.NCVoter(2000, 20)
+	rel := dataset.Ionosphere(23, 351)
 	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -213,5 +213,10 @@ func TestMudsContextDeadlineInFDPhases(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("cancelled run must return the partial result")
+	}
+	c := res.Completeness
+	if c.InterruptedPhase != PhaseCompletionSweep || slices.Contains(c.CompletedPhases, PhaseCompletionSweep) ||
+		!slices.Contains(c.CompletedPhases, PhaseDucc) {
+		t.Errorf("completeness %+v, want %q interrupted after %q completed", c, PhaseCompletionSweep, PhaseDucc)
 	}
 }

@@ -67,7 +67,9 @@ func (o Options) NewProvider(rel *relation.Relation) *pli.Provider {
 
 // Muds runs the full holistic MUDS algorithm (paper Sec. 5) on a loaded
 // relation: SPIDER while reading (shared I/O), DUCC on the shared PLIs, and
-// the three-phase UCC-first FD discovery with inter-task pruning.
+// UCC-first FD discovery: one lattice walk per right-hand side, first over
+// the columns in no minimal UCC, then over the rest, seeded with the
+// certificates the minimal UCCs imply.
 func Muds(rel *relation.Relation, opts Options) *Result {
 	res, _ := MudsContext(context.Background(), rel, opts, nil)
 	return res
@@ -84,7 +86,7 @@ func MudsContext(ctx context.Context, rel *relation.Relation, opts Options, obs 
 		ctx = context.Background()
 	}
 	s, _ := Lookup(StrategyMuds)
-	return profileWith(ctx, s, rel, opts, newRecorder(obs))
+	return profileWith(ctx, s, rel, opts, newRecorder(ctx, obs))
 }
 
 // mudsProfile is the registered MUDS strategy implementation. Phase timings
@@ -140,7 +142,7 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 		m := newMudsFD(p, working, res.UCCs, store, opts.Seed)
 		m.ctx = ctx
 		m.workers = workers
-		err = mudsFDPhases(ctx, m, store, obs)
+		err = mudsFDPhases(ctx, m, obs)
 		obs.Checks(m.checks)
 	}
 
@@ -148,57 +150,27 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 	return res, err
 }
 
-// mudsFDPhases runs the three FD phases of MUDS (paper Sec. 5) plus the
-// completion sweep, stopping at the first phase that reports cancellation.
-func mudsFDPhases(ctx context.Context, m *mudsFD, store *fd.Store, obs Observer) error {
-	// minimizeFDs and the shadowed-FD fixpoint work off shared task queues
-	// whose tasks prune each other (processed/shadowSeen dedup maps, emitted
-	// FDs feeding connector look-ups), so they stay sequential; the per-RHS
-	// walks of calculateRZ and the completion sweep are independent and fan
-	// out across the worker pool.
-	err := timePhase(ctx, obs, PhaseMinimizeFDs, m.run(func() {
-		obs.Parallelism(PhaseMinimizeFDs, 1)
-		m.minimizeFDs()
-	}))
-	if err != nil {
-		return err
-	}
-	err = timePhase(ctx, obs, PhaseCalculateRZ, m.run(func() {
-		obs.Parallelism(PhaseCalculateRZ, m.workerCount())
-		m.calculateRZ()
-	}))
-	if err != nil {
-		return err
-	}
-
-	// Shadowed-FD fixpoint: generate + minimise until no new FD appears
-	// (see shadowed.go for why a single pass is not enough).
-	for {
-		var tasks []shadowTask
-		err := timePhase(ctx, obs, PhaseGenerateShadowed, func() error {
-			obs.Parallelism(PhaseGenerateShadowed, 1)
-			tasks = m.generateShadowedTasks()
-			return m.ctx.Err()
-		})
-		if err != nil {
-			return err
-		}
-		before := store.Count()
-		err = timePhase(ctx, obs, PhaseMinimizeShadowed, m.run(func() {
-			obs.Parallelism(PhaseMinimizeShadowed, 1)
-			m.minimizeShadowed(tasks)
+// mudsFDPhases runs the two FD phases of MUDS, stopping at the first that
+// reports cancellation: the R\Z walks (paper Sec. 5.2), then the completion
+// sweep over Z, which replaces the paper's minimizeFDs and shadowed-FD
+// phases (see sweep.go). The R\Z phase runs first so that the sweep's
+// canonicalLHS sees its FDs. Both fan out one walk per right-hand side
+// across the worker pool.
+func mudsFDPhases(ctx context.Context, m *mudsFD, obs Observer) error {
+	for _, phase := range []struct {
+		name string
+		run  func()
+	}{
+		{PhaseCalculateRZ, m.calculateRZ},
+		{PhaseCompletionSweep, m.completionSweep},
+	} {
+		err := timePhase(ctx, obs, phase.name, m.run(func() {
+			obs.Parallelism(phase.name, m.workerCount())
+			phase.run()
 		}))
 		if err != nil {
 			return err
 		}
-		if store.Count() == before {
-			break
-		}
 	}
-
-	// Guarantee the complete minimal cover (see sweep.go).
-	return timePhase(ctx, obs, PhaseCompletionSweep, m.run(func() {
-		obs.Parallelism(PhaseCompletionSweep, m.workerCount())
-		m.completionSweep()
-	}))
+	return nil
 }

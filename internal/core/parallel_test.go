@@ -97,9 +97,11 @@ func TestParallelRelationEncodingEquivalence(t *testing.T) {
 
 // TestParallelMudsCancellation proves the worker pools do not outlive the
 // context: a deadline mid-run must surface promptly even when the per-RHS
-// walks and PLI builds are fanned out over many workers.
+// walks and PLI builds are fanned out over many workers. An uncancelled run
+// on this input takes about 2 s on a 2-CPU machine, DUCC about 0.1 s of it,
+// so the deadline lands in the fanned-out completion sweep.
 func TestParallelMudsCancellation(t *testing.T) {
-	rel := dataset.NCVoter(2000, 18)
+	rel := dataset.Ionosphere(21, 351)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -76,7 +76,7 @@ func (r *Result) Total() time.Duration {
 }
 
 // PhaseDuration returns the duration of the named phase (0 if absent).
-// Repeated phases (fixpoint rounds) are summed.
+// Repeated phases (the baseline's input passes) are summed.
 func (r *Result) PhaseDuration(name string) time.Duration {
 	var t time.Duration
 	for _, p := range r.Phases {
@@ -87,7 +87,10 @@ func (r *Result) PhaseDuration(name string) time.Duration {
 	return t
 }
 
-// Canonical MUDS phase names (Figure 8 of the paper).
+// Canonical MUDS phase names (Figure 8 of the paper). MUDS no longer emits
+// PhaseMinimizeFDs, PhaseGenerateShadowed or PhaseMinimizeShadowed: the
+// completion sweep replaced those phases. The names stay for readers of
+// older phase breakdowns.
 const (
 	PhaseSpider           = "SPIDER"
 	PhaseDucc             = "DUCC"

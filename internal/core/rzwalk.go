@@ -6,9 +6,11 @@ import (
 	"holistic/internal/walker"
 )
 
-// This file implements the second FD phase of MUDS (paper Secs. 4.2 and
-// 5.2): FDs whose right-hand side lies in R \ Z, the columns outside every
-// minimal UCC. For each such right-hand side A one sub-lattice over R \ {A}
+// This file implements the per-RHS lattice walks of MUDS' FD part, first
+// for the phase of paper Secs. 4.2 and 5.2: FDs whose right-hand side lies
+// in R \ Z, the columns outside every minimal UCC. The completion sweep
+// (sweep.go) walks the right-hand sides in Z with the same machinery. For
+// each right-hand side A one sub-lattice over R \ {A}
 // is traversed with the DUCC-style random walk; "X determines A" is a
 // monotone predicate, so downward pruning of non-FDs (Lemma 4) and upward
 // pruning of supersets of found left-hand sides both apply, and unvisited
@@ -17,8 +19,8 @@ import (
 //
 // The walks of different right-hand sides are independent: each one reads
 // the shared PLI provider (concurrency-safe when the engine runs with
-// workers > 1), the trusted certificate families built before the fan-out,
-// and the per-RHS FD families — which are only *read* during a walk (via
+// workers > 1), the minimal UCCs its certificates derive from, and the
+// per-RHS FD families — which are only *read* during a walk (via
 // canonicalLHS) and only *written* by the ordered emission pass after the
 // pool drains. Each walk therefore runs as one worker-pool task writing its
 // outcome into an indexed slot; the emissions are applied in right-hand-side
@@ -27,15 +29,31 @@ import (
 // preserves closures, so predicate values — and with them the seed-driven
 // walk — do not depend on which FDs other walks have already found.
 
-// calculateRZ discovers all minimal FDs with right-hand side in R \ Z.
+// calculateRZ discovers all minimal FDs with right-hand side in R \ Z. The
+// rules of Sec. 4 give these walks no certificates: their right-hand sides
+// lie in no minimal UCC.
 func (m *mudsFD) calculateRZ() {
-	rz := m.rzColumns().Columns()
-	walks := make([]walkOutcome, len(rz))
-	parallel.For(m.ctx, m.workerCount(), len(rz), func(i int) {
-		walks[i] = m.walkRHS(rz[i], nil, nil)
+	m.walkAll(m.rzColumns().Columns(), nil)
+}
+
+// walkAll runs one walk per right-hand side in cols, seeded with the false
+// certificates seeds returns for it (none when seeds is nil), as one
+// worker-pool task each, and emits the walks' minimal left-hand sides in
+// the order of cols.
+func (m *mudsFD) walkAll(cols []int, seeds func(a int) []bitset.Set) {
+	walks := make([]walkOutcome, len(cols))
+	parallel.For(m.ctx, m.workerCount(), len(cols), func(i int) {
+		var knownFalse []bitset.Set
+		if seeds != nil {
+			knownFalse = seeds(cols[i])
+		}
+		walks[i] = m.walkRHS(cols[i], knownFalse)
 	})
-	for i, a := range rz {
-		m.applyWalk(a, walks[i])
+	for i, a := range cols {
+		m.checks += walks[i].checks
+		for _, lhs := range walks[i].minimal {
+			m.emit(lhs, a)
+		}
 	}
 }
 
@@ -44,15 +62,15 @@ func (m *mudsFD) calculateRZ() {
 type walkOutcome struct {
 	minimal []bitset.Set // verified-minimal left-hand sides (nil on error)
 	checks  int
-	err     error
 }
 
 // walkRHS runs the sub-lattice walk for one right-hand side and returns the
-// minimal left-hand sides found. knownTrue/knownFalse seed the walk with
-// certificates (used by the completion sweep; nil for the plain R\Z phase).
-// It only reads shared state, so walks of distinct right-hand sides may run
-// concurrently.
-func (m *mudsFD) walkRHS(a int, knownTrue, knownFalse []bitset.Set) walkOutcome {
+// minimal left-hand sides found. knownFalse seeds the walk with false
+// certificates. A cancelled walk may report non-minimal left-hand sides;
+// they are discarded rather than emitted as unverified FDs into the partial
+// result. It only reads shared state, so walks of distinct right-hand sides
+// may run concurrently.
+func (m *mudsFD) walkRHS(a int, knownFalse []bitset.Set) walkOutcome {
 	base := m.working.Without(a)
 	pred := func(s bitset.Set) bool {
 		// Known-FD pruning (paper Sec. 5.2): drop attributes of s that are
@@ -63,24 +81,13 @@ func (m *mudsFD) walkRHS(a int, knownTrue, knownFalse []bitset.Set) walkOutcome 
 	}
 	res, err := walker.RunContext(m.ctx, base, pred, walker.Options{
 		Seed:       m.seed + int64(a)*7919,
-		KnownTrue:  knownTrue,
 		KnownFalse: knownFalse,
 	})
-	out := walkOutcome{checks: res.Checks, err: err}
+	out := walkOutcome{checks: res.Checks}
 	if err == nil {
 		out.minimal = res.MinimalTrue
 	}
 	return out
-}
-
-// applyWalk merges one walk's outcome into the shared state. A cancelled
-// walk may report non-minimal left-hand sides; they are discarded rather
-// than emitted as unverified FDs into the partial result.
-func (m *mudsFD) applyWalk(a int, out walkOutcome) {
-	m.checks += out.checks
-	for _, lhs := range out.minimal {
-		m.emit(lhs, a)
-	}
 }
 
 // canonicalLHS removes attributes from s that are functionally determined by

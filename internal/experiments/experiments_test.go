@@ -73,12 +73,17 @@ func TestFig8SmallScale(t *testing.T) {
 	if len(res.FDs) == 0 {
 		t.Error("no FDs found")
 	}
-	// The Figure 8 phases must all be present in the output.
-	for _, name := range []string{core.PhaseSpider, core.PhaseDucc, core.PhaseMinimizeFDs,
-		core.PhaseCalculateRZ, core.PhaseGenerateShadowed, core.PhaseMinimizeShadowed,
-		core.PhaseCompletionSweep} {
+	// MUDS' phases must all be present in the output, and the paper's
+	// phases that the completion sweep replaced must be absent.
+	for _, name := range []string{core.PhaseSpider, core.PhaseDucc,
+		core.PhaseCalculateRZ, core.PhaseCompletionSweep} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("phase %s missing from output", name)
+		}
+	}
+	for _, name := range []string{core.PhaseMinimizeFDs, core.PhaseGenerateShadowed, core.PhaseMinimizeShadowed} {
+		if strings.Contains(buf.String(), name) {
+			t.Errorf("removed phase %s in output", name)
 		}
 	}
 }

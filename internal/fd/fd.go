@@ -43,7 +43,7 @@ func Sort(fds []FD) {
 }
 
 // Store collects FDs grouped by left-hand side, the map(lhs → rhs-set)
-// representation used by MUDS' algorithms (paper Algorithm 1/2).
+// representation of paper Algorithms 1 and 2, which closures scan.
 type Store struct {
 	byLHS map[bitset.Set]bitset.Set
 	count int
@@ -66,44 +66,6 @@ func (s *Store) Add(lhs bitset.Set, rhs int) {
 		s.byLHS[lhs] = next
 		s.count++
 	}
-}
-
-// AddAll records lhs → A for every A in rhs.
-func (s *Store) AddAll(lhs bitset.Set, rhs bitset.Set) {
-	rhs.ForEach(func(a int) { s.Add(lhs, a) })
-}
-
-// RHS returns the right-hand sides recorded for lhs (the "FDs[lhs]" look-up
-// of Algorithm 2).
-func (s *Store) RHS(lhs bitset.Set) bitset.Set { return s.byLHS[lhs] }
-
-// Remove deletes lhs → rhs if present and reports whether it was stored.
-func (s *Store) Remove(lhs bitset.Set, rhs int) bool {
-	prev, ok := s.byLHS[lhs]
-	if !ok || !prev.Has(rhs) {
-		return false
-	}
-	next := prev.Without(rhs)
-	if next.IsEmpty() {
-		delete(s.byLHS, lhs)
-	} else {
-		s.byLHS[lhs] = next
-	}
-	s.count--
-	return true
-}
-
-// Count returns the number of FDs (lhs, single rhs attribute) stored.
-func (s *Store) Count() int { return s.count }
-
-// LHSs returns all left-hand sides in deterministic order.
-func (s *Store) LHSs() []bitset.Set {
-	out := make([]bitset.Set, 0, len(s.byLHS))
-	for lhs := range s.byLHS {
-		out = append(out, lhs)
-	}
-	bitset.Sort(out)
-	return out
 }
 
 // All returns the stored FDs sorted (nil when empty).

@@ -36,16 +36,8 @@ func TestStoreBasics(t *testing.T) {
 	s.Add(lhs, 2)
 	s.Add(lhs, 2) // duplicate, not double counted
 	s.Add(lhs, 3)
-	s.AddAll(bitset.FromLetters("C"), bitset.New(0, 1))
-	if s.Count() != 4 {
-		t.Errorf("Count = %d, want 4", s.Count())
-	}
-	if got := s.RHS(lhs); got != bitset.New(2, 3) {
-		t.Errorf("RHS = %v", got)
-	}
-	if got := s.RHS(bitset.FromLetters("Z")); !got.IsEmpty() {
-		t.Errorf("missing lhs should have empty rhs, got %v", got)
-	}
+	s.Add(bitset.FromLetters("C"), 0)
+	s.Add(bitset.FromLetters("C"), 1)
 	all := s.All()
 	if len(all) != 4 {
 		t.Fatalf("All = %v", all)
@@ -53,9 +45,6 @@ func TestStoreBasics(t *testing.T) {
 	// Sorted: C→A, C→B come before AB→C, AB→D (cardinality order).
 	if all[0].String() != "C → A" || all[3].String() != "AB → D" {
 		t.Errorf("ordering: %v", letters(all))
-	}
-	if got, want := s.LHSs(), []bitset.Set{bitset.FromLetters("C"), lhs}; !reflect.DeepEqual(got, want) {
-		t.Errorf("LHSs = %v, want %v", got, want)
 	}
 }
 

@@ -31,24 +31,6 @@ func (f *MinimalFamily) CoversSubsetOf(x bitset.Set) bool {
 	return f.ix.hasSubsetOf(x)
 }
 
-// SubsetsOf returns all stored sets contained in x, in insertion order.
-func (f *MinimalFamily) SubsetsOf(x bitset.Set) []bitset.Set {
-	return f.ix.SubsetsOf(x)
-}
-
-// SupersetsOf returns all stored sets containing x, in insertion order.
-func (f *MinimalFamily) SupersetsOf(x bitset.Set) []bitset.Set {
-	return f.ix.supersetsOf(x)
-}
-
-// UnionOfSupersetsOf returns the union of the stored sets containing x
-// without allocating. Every set contains the empty set, so x = ∅ gives the
-// union of the family: the set Z of paper Sec. 4 when the family holds the
-// minimal UCCs. For a connector x it is the connector look-up of Sec. 5.1.
-func (f *MinimalFamily) UnionOfSupersetsOf(x bitset.Set) bitset.Set {
-	return f.ix.unionOfSupersetsOf(x)
-}
-
 // All returns the stored sets in insertion order.
 func (f *MinimalFamily) All() []bitset.Set { return f.ix.all() }
 

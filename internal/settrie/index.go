@@ -1,8 +1,8 @@
 // Package settrie stores families of column combinations and answers the
 // subset and superset queries of the discovery algorithms: the look-ups that
-// paper Sec. 5.4 serves from a prefix tree (Fig. 5), such as the connector
-// look-up (the minimal UCCs containing a connector) and shadowed-FD pruning
-// (the minimal UCCs inside a left-hand side).
+// paper Sec. 5.4 serves from a prefix tree (Fig. 5), such as upward pruning
+// (is a known minimal UCC or FD left-hand side inside x?) and downward
+// pruning (does a known non-UCC or non-FD left-hand side contain x?).
 //
 // An Index keeps its members in slots and, per column, a bitmap over the
 // slots of the members holding that column. The members containing x are
@@ -90,16 +90,6 @@ func (ix *Index) compact() {
 	for _, s := range members {
 		ix.Add(s)
 	}
-}
-
-// SubsetsOf returns the members that are subsets of x (x itself and the
-// empty set included), in insertion order.
-func (ix *Index) SubsetsOf(x bitset.Set) []bitset.Set {
-	return ix.collect(bitset.Set{}, ix.used.Diff(x))
-}
-
-func (ix *Index) supersetsOf(x bitset.Set) []bitset.Set {
-	return ix.collect(x, bitset.Set{})
 }
 
 func (ix *Index) all() []bitset.Set {
@@ -210,19 +200,4 @@ func (ix *Index) remove(in, out bitset.Set) {
 		ix.live[wi] &^= w
 		ix.n -= bits.OnesCount64(w)
 	}
-}
-
-// unionOfSupersetsOf returns the union of the members holding x.
-func (ix *Index) unionOfSupersetsOf(x bitset.Set) bitset.Set {
-	var u bitset.Set
-	var sel selector
-	if !sel.set(ix.used, x, bitset.Set{}) {
-		return u
-	}
-	for wi := range ix.live {
-		for w := ix.word(&sel, wi); w != 0; w &= w - 1 {
-			u = u.Union(ix.slots[wi*64+bits.TrailingZeros64(w)])
-		}
-	}
-	return u
 }

@@ -71,21 +71,15 @@ func (m *scanModel) addMaximal(s bitset.Set) bool {
 func checkMinimal(t *testing.T, f *MinimalFamily, m scanModel, x bitset.Set) {
 	t.Helper()
 	subs, sups := m.subsetsOf(x), m.supersetsOf(x)
-	var union bitset.Set
-	for _, s := range sups {
-		union = union.Union(s)
-	}
 	switch {
 	case f.Contains(x) != m.contains(x):
 		t.Fatalf("Contains(%v) = %v over %v", x, f.Contains(x), m)
 	case f.CoversSubsetOf(x) != (subs != nil):
 		t.Fatalf("CoversSubsetOf(%v) = %v over %v", x, f.CoversSubsetOf(x), m)
-	case !reflect.DeepEqual(f.SubsetsOf(x), subs):
-		t.Fatalf("SubsetsOf(%v) = %v, want %v", x, f.SubsetsOf(x), subs)
-	case !reflect.DeepEqual(f.SupersetsOf(x), sups):
-		t.Fatalf("SupersetsOf(%v) = %v, want %v", x, f.SupersetsOf(x), sups)
-	case f.UnionOfSupersetsOf(x) != union:
-		t.Fatalf("UnionOfSupersetsOf(%v) = %v, want %v", x, f.UnionOfSupersetsOf(x), union)
+	case !reflect.DeepEqual(subsetsOf(&f.ix, x), subs):
+		t.Fatalf("subsets of %v = %v, want %v", x, subsetsOf(&f.ix, x), subs)
+	case !reflect.DeepEqual(supersetsOf(&f.ix, x), sups):
+		t.Fatalf("SupersetsOf(%v) = %v, want %v", x, supersetsOf(&f.ix, x), sups)
 	case !reflect.DeepEqual(f.All(), m.members()):
 		t.Fatalf("All = %v, want %v", f.All(), m.members())
 	}
@@ -184,7 +178,7 @@ func TestFamilyQueriesMatchLinearScan(t *testing.T) {
 				if minF.CoversSubsetOf(x) {
 					subHits++
 				}
-				if minF.SupersetsOf(x) != nil {
+				if supersetsOf(&minF.ix, x) != nil {
 					supHits++
 				}
 			}
@@ -231,14 +225,8 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, x := range queries {
-				sups := minM.supersetsOf(x)
-				var union bitset.Set
-				for _, s := range sups {
-					union = union.Union(s)
-				}
 				if minF.CoversSubsetOf(x) != (minM.subsetsOf(x) != nil) ||
-					!reflect.DeepEqual(minF.SupersetsOf(x), sups) ||
-					minF.UnionOfSupersetsOf(x) != union ||
+					!reflect.DeepEqual(supersetsOf(&minF.ix, x), minM.supersetsOf(x)) ||
 					maxF.CoversSupersetOf(x) != (maxM.supersetsOf(x) != nil) {
 					t.Errorf("concurrent query at %v disagrees with the oracle", x)
 					return
@@ -288,8 +276,8 @@ func FuzzSetFamilyMatchesLinearScan(f *testing.F) {
 			}
 			checkMinimal(t, &minF, minM, s)
 			checkMaximal(t, &maxF, maxM, s)
-			if got, want := ix.SubsetsOf(s), ixM.subsetsOf(s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Index.SubsetsOf(%v) = %v, want %v", s, got, want)
+			if got, want := subsetsOf(&ix, s), ixM.subsetsOf(s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Index subsets of %v = %v, want %v", s, got, want)
 			}
 		}
 	})

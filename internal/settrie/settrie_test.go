@@ -17,6 +17,17 @@ func sets(letters ...string) []bitset.Set {
 	return out
 }
 
+// subsetsOf and supersetsOf enumerate the members of ix inside and
+// containing x, through the query kernel that the existence tests and
+// remove use.
+func subsetsOf(ix *Index, x bitset.Set) []bitset.Set {
+	return ix.collect(bitset.Set{}, ix.used.Diff(x))
+}
+
+func supersetsOf(ix *Index, x bitset.Set) []bitset.Set {
+	return ix.collect(x, bitset.Set{})
+}
+
 func TestAddContainsRemove(t *testing.T) {
 	var f MinimalFamily
 	a := bitset.FromLetters("ACD")
@@ -50,8 +61,8 @@ func TestEmptySetElement(t *testing.T) {
 	if !ix.hasSupersetOf(bitset.Set{}) {
 		t.Error("empty set is a superset of the empty set")
 	}
-	if got := ix.SubsetsOf(bitset.FromLetters("AB")); !reflect.DeepEqual(got, []bitset.Set{{}}) {
-		t.Errorf("SubsetsOf(AB) = %v, want [∅]", got)
+	if got := subsetsOf(&ix, bitset.FromLetters("AB")); !reflect.DeepEqual(got, []bitset.Set{{}}) {
+		t.Errorf("subsets of AB = %v, want [∅]", got)
 	}
 
 	var minF MinimalFamily
@@ -102,13 +113,13 @@ func TestPrefixTreeFigure5(t *testing.T) {
 		bitset.New(1, 12),
 		bitset.New(1, 11, 17),
 	}
-	if got := ix.supersetsOf(bitset.New(1)); !reflect.DeepEqual(got, want) {
+	if got := supersetsOf(&ix, bitset.New(1)); !reflect.DeepEqual(got, want) {
 		t.Errorf("supersetsOf(1) = %v, want %v", got, want)
 	}
 	// Subset look-up as in Sec. 5.4: subsets of X = {1,5,8,18}.
-	got := ix.SubsetsOf(bitset.New(1, 5, 8, 18))
+	got := subsetsOf(&ix, bitset.New(1, 5, 8, 18))
 	if want := []bitset.Set{bitset.New(1, 5)}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SubsetsOf = %v, want %v", got, want)
+		t.Errorf("subsets = %v, want %v", got, want)
 	}
 	// {7} is found inside any set containing column 7.
 	if !ix.hasSubsetOf(bitset.New(0, 7, 20)) {
@@ -130,8 +141,8 @@ func TestSubsetQueries(t *testing.T) {
 	if ix.hasSubsetOf(bitset.FromLetters("AC")) {
 		t.Error("nothing is a subset of AC")
 	}
-	if got := ix.SubsetsOf(bitset.FromLetters("ABCD")); !reflect.DeepEqual(got, sets("AB", "BC", "D")) {
-		t.Errorf("SubsetsOf(ABCD) = %v", got)
+	if got := subsetsOf(&ix, bitset.FromLetters("ABCD")); !reflect.DeepEqual(got, sets("AB", "BC", "D")) {
+		t.Errorf("subsets of ABCD = %v", got)
 	}
 }
 
@@ -142,7 +153,7 @@ func TestSupersetQueries(t *testing.T) {
 	for _, s := range sets("AFG", "BDFG", "DEF", "CEFG") {
 		f.Add(s)
 	}
-	got := f.SupersetsOf(bitset.FromLetters("FG"))
+	got := supersetsOf(&f.ix, bitset.FromLetters("FG"))
 	want := sets("AFG", "BDFG", "CEFG")
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("SupersetsOf(FG) = %v, want %v", got, want)
@@ -152,14 +163,6 @@ func TestSupersetQueries(t *testing.T) {
 	}
 	if f.ix.hasSupersetOf(bitset.FromLetters("AB")) {
 		t.Error("no superset of AB stored")
-	}
-	// Union of matched minus connector = ABCDE (Table 2's result).
-	connector := bitset.FromLetters("FG")
-	if diff := f.UnionOfSupersetsOf(connector).Diff(connector); diff != bitset.FromLetters("ABCDE") {
-		t.Errorf("connector union = %v, want ABCDE", diff)
-	}
-	if z := f.UnionOfSupersetsOf(bitset.Set{}); z != bitset.FromLetters("ABCDEFG") {
-		t.Errorf("union of the family = %v, want ABCDEFG", z)
 	}
 }
 
@@ -190,7 +193,7 @@ func TestAllOrder(t *testing.T) {
 	if got, want := f.All(), sets("G", "A", "H", "B"); !reflect.DeepEqual(got, want) {
 		t.Errorf("All after removal = %v, want %v", got, want)
 	}
-	if got, want := f.SupersetsOf(bitset.Set{}), sets("G", "A", "H", "B"); !reflect.DeepEqual(got, want) {
+	if got, want := supersetsOf(&f.ix, bitset.Set{}), sets("G", "A", "H", "B"); !reflect.DeepEqual(got, want) {
 		t.Errorf("SupersetsOf(∅) = %v, want %v", got, want)
 	}
 }
@@ -210,17 +213,14 @@ func TestDeadSlotInvisible(t *testing.T) {
 		ix.hasSubsetOf(bitset.FromLetters("AC")) {
 		t.Error("an existence query saw the dead slot")
 	}
-	if got := ix.supersetsOf(bitset.FromLetters("A")); got != nil {
+	if got := supersetsOf(&ix, bitset.FromLetters("A")); got != nil {
 		t.Errorf("supersetsOf(A) = %v, want none", got)
 	}
-	if got := ix.SubsetsOf(bitset.FromLetters("ABCD")); !reflect.DeepEqual(got, []bitset.Set{b}) {
-		t.Errorf("SubsetsOf(ABCD) = %v, want [B]", got)
+	if got := subsetsOf(&ix, bitset.FromLetters("ABCD")); !reflect.DeepEqual(got, []bitset.Set{b}) {
+		t.Errorf("subsets of ABCD = %v, want [B]", got)
 	}
 	if got := ix.all(); !reflect.DeepEqual(got, []bitset.Set{b}) {
 		t.Errorf("All = %v, want [B]", got)
-	}
-	if got := ix.unionOfSupersetsOf(bitset.FromLetters("A")); !got.IsEmpty() {
-		t.Errorf("unionOfSupersetsOf(A) = %v, want ∅", got)
 	}
 }
 
@@ -242,20 +242,17 @@ func TestMinimalFamily(t *testing.T) {
 		t.Errorf("All = %v, want one set", got)
 	}
 	f.Add(bitset.FromLetters("CD"))
-	if got := f.UnionOfSupersetsOf(bitset.Set{}); got != bitset.FromLetters("ABCD") {
-		t.Errorf("union of the family = %v", got)
-	}
 	if !f.CoversSubsetOf(bitset.FromLetters("ABE")) {
 		t.Error("AB ⊆ ABE expected")
 	}
 	if f.CoversSubsetOf(bitset.FromLetters("AD")) {
 		t.Error("no stored subset of AD")
 	}
-	if got := f.SupersetsOf(bitset.FromLetters("C")); len(got) != 1 || got[0] != bitset.FromLetters("CD") {
+	if got := supersetsOf(&f.ix, bitset.FromLetters("C")); len(got) != 1 || got[0] != bitset.FromLetters("CD") {
 		t.Errorf("SupersetsOf(C) = %v", got)
 	}
-	if got := f.SubsetsOf(bitset.FromLetters("ABCD")); len(got) != 2 {
-		t.Errorf("SubsetsOf(ABCD) = %v", got)
+	if got := subsetsOf(&f.ix, bitset.FromLetters("ABCD")); len(got) != 2 {
+		t.Errorf("subsets of ABCD = %v", got)
 	}
 }
 
@@ -325,7 +322,7 @@ func TestQuickTrieMatchesNaive(t *testing.T) {
 				ix.contains(q) != model.contains(q) {
 				return false
 			}
-			if !reflect.DeepEqual(ix.SubsetsOf(q), subs) || !reflect.DeepEqual(ix.supersetsOf(q), sups) {
+			if !reflect.DeepEqual(subsetsOf(&ix, q), subs) || !reflect.DeepEqual(supersetsOf(&ix, q), sups) {
 				return false
 			}
 		}

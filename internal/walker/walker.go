@@ -42,9 +42,9 @@ type Options struct {
 	// Seed fixes the randomized traversal order. Results are independent of
 	// the seed; only the number of checks varies.
 	Seed int64
-	// KnownTrue seeds the walk with sets already certified true (e.g. FD
-	// left-hand sides inferred by earlier MUDS phases). They are trusted
-	// without re-evaluation. Ideally they are already minimal; a
+	// KnownTrue seeds the walk with sets already certified true (e.g. the
+	// still-valid FD left-hand sides of an incremental repair). They are
+	// trusted without re-evaluation. Ideally they are already minimal; a
 	// non-minimal seed is repaired during hole filling at the cost of
 	// extra predicate evaluations.
 	KnownTrue []bitset.Set

@@ -35,7 +35,7 @@ echo "== benchmark module (perfbench: vet + test) =="
 echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
 go test -race -count=1 -run 'TestQuickLevelWiseWorkersAgree|TestLevelWiseChecksPinned' ./internal/fd/
-go test -race -count=1 -run 'TestMudsChecksPinned|TestShadowedDeltaMatchesFullRegeneration' ./internal/core/
+go test -race -count=1 -run 'TestMudsChecksPinned|TestMudsContextDeadlineInFDPhases' ./internal/core/
 
 echo "== CSV fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/relation/
@@ -51,6 +51,9 @@ go test -run='^$' -fuzz='^FuzzMinimalHittingSets$' -fuzztime=10s ./internal/walk
 
 echo "== set-family differential fuzz smoke (column-bitmap families vs linear scan) =="
 go test -run='^$' -fuzz='^FuzzSetFamilyMatchesLinearScan$' -fuzztime=10s ./internal/settrie/
+
+echo "== MUDS differential fuzz smoke (MUDS vs brute-force oracles) =="
+go test -run='^$' -fuzz='^FuzzMudsMatchesOracles$' -fuzztime=10s ./internal/core/
 
 echo "== PLI bench smoke (compile + one iteration) =="
 go test -run='^$' -bench 'Intersect|Check' -benchtime=1x ./internal/pli/

@@ -153,9 +153,8 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 // mudsFDPhases runs the two FD phases of MUDS, stopping at the first that
 // reports cancellation: the R\Z walks (paper Sec. 5.2), then the completion
 // sweep over Z, which replaces the paper's minimizeFDs and shadowed-FD
-// phases (see sweep.go). The R\Z phase runs first so that the sweep's
-// canonicalLHS sees its FDs. Both fan out one walk per right-hand side
-// across the worker pool.
+// phases (see sweep.go). The two phases share no state but the provider;
+// both fan out one walk per right-hand side across the worker pool.
 func mudsFDPhases(ctx context.Context, m *mudsFD, obs Observer) error {
 	for _, phase := range []struct {
 		name string

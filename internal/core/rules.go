@@ -7,13 +7,12 @@ import (
 	"holistic/internal/fd"
 	"holistic/internal/parallel"
 	"holistic/internal/pli"
-	"holistic/internal/settrie"
 )
 
 // mudsFD is the state of MUDS' FD discovery part (paper Sec. 5): the shared
 // PLI provider handed over from DUCC, the minimal UCCs that decide R \ Z and
 // seed the walks with pruning rules 1 and 2 (Sec. 4), and the FD result
-// store with per-rhs minimal-lhs families.
+// store.
 type mudsFD struct {
 	// ctx governs cancellation: the worker pool and every walk poll it and
 	// stop early when it is done, so a deadline stops the run at the
@@ -24,11 +23,8 @@ type mudsFD struct {
 	uccs    []bitset.Set // the minimal UCCs
 	z       bitset.Set   // union of all minimal UCCs (Sec. 4)
 	store   *fd.Store
-	// perRHS[a] holds the minimal left-hand sides emitted for right-hand
-	// side a.
-	perRHS []settrie.MinimalFamily
-	checks int
-	seed   int64
+	checks  int
+	seed    int64
 
 	// workers bounds the worker pool of the per-RHS walks; <= 0 selects
 	// GOMAXPROCS.
@@ -42,7 +38,6 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 		working: working,
 		uccs:    minimalUCCs,
 		store:   store,
-		perRHS:  make([]settrie.MinimalFamily, working.Last()+1),
 		seed:    seed,
 	}
 	for _, u := range minimalUCCs {
@@ -61,15 +56,6 @@ func (m *mudsFD) run(phase func()) func() error {
 	return func() error {
 		phase()
 		return m.ctx.Err()
-	}
-}
-
-// emit records the verified-minimal FD lhs → a. Each right-hand side is
-// walked once and its walk yields an antichain, so a stored left-hand side
-// is never superseded; a repeated emission is ignored.
-func (m *mudsFD) emit(lhs bitset.Set, a int) {
-	if m.perRHS[a].Add(lhs) {
-		m.store.Add(lhs, a)
 	}
 }
 

@@ -19,15 +19,12 @@ import (
 //
 // The walks of different right-hand sides are independent: each one reads
 // the shared PLI provider (concurrency-safe when the engine runs with
-// workers > 1), the minimal UCCs its certificates derive from, and the
-// per-RHS FD families — which are only *read* during a walk (via
-// canonicalLHS) and only *written* by the ordered emission pass after the
-// pool drains. Each walk therefore runs as one worker-pool task writing its
-// outcome into an indexed slot; the emissions are applied in right-hand-side
-// order, so the discovered FD set is identical for every worker count. The
-// walk results themselves are scheduling-independent anyway: canonicalLHS
-// preserves closures, so predicate values — and with them the seed-driven
-// walk — do not depend on which FDs other walks have already found.
+// workers > 1) and the minimal UCCs its certificates derive from, and
+// answers its checks through a pli.Walk of its own, which holds the PLI of
+// the node the walk stands on (see the pli.Walk doc). Each walk therefore
+// runs as one worker-pool task writing its outcome into an indexed slot;
+// the FDs are stored in right-hand-side order after the pool drains, so
+// the discovered FD set is identical for every worker count.
 
 // calculateRZ discovers all minimal FDs with right-hand side in R \ Z. The
 // rules of Sec. 4 give these walks no certificates: their right-hand sides
@@ -38,8 +35,9 @@ func (m *mudsFD) calculateRZ() {
 
 // walkAll runs one walk per right-hand side in cols, seeded with the false
 // certificates seeds returns for it (none when seeds is nil), as one
-// worker-pool task each, and emits the walks' minimal left-hand sides in
-// the order of cols.
+// worker-pool task each, and stores the walks' minimal left-hand sides in
+// the order of cols. Each right-hand side is walked once, and its walk
+// yields an antichain, so every stored FD is minimal.
 func (m *mudsFD) walkAll(cols []int, seeds func(a int) []bitset.Set) {
 	walks := make([]walkOutcome, len(cols))
 	parallel.For(m.ctx, m.workerCount(), len(cols), func(i int) {
@@ -52,7 +50,7 @@ func (m *mudsFD) walkAll(cols []int, seeds func(a int) []bitset.Set) {
 	for i, a := range cols {
 		m.checks += walks[i].checks
 		for _, lhs := range walks[i].minimal {
-			m.emit(lhs, a)
+			m.store.Add(lhs, a)
 		}
 	}
 }
@@ -72,14 +70,7 @@ type walkOutcome struct {
 // may run concurrently.
 func (m *mudsFD) walkRHS(a int, knownFalse []bitset.Set) walkOutcome {
 	base := m.working.Without(a)
-	pred := func(s bitset.Set) bool {
-		// Known-FD pruning (paper Sec. 5.2): drop attributes of s that are
-		// determined by the rest of s before touching PLIs — the canonical
-		// set has the same closure and a cheaper fold plan. CheckFD answers
-		// on the validation fast path without materialising the lhs PLI.
-		return m.p.CheckFD(m.canonicalLHS(s), a)
-	}
-	res, err := walker.RunContext(m.ctx, base, pred, walker.Options{
+	res, err := walker.RunContext(m.ctx, base, m.p.FDWalk(a).Check, walker.Options{
 		Seed:       m.seed + int64(a)*7919,
 		KnownFalse: knownFalse,
 	})
@@ -88,27 +79,4 @@ func (m *mudsFD) walkRHS(a int, knownFalse []bitset.Set) walkOutcome {
 		out.minimal = res.MinimalTrue
 	}
 	return out
-}
-
-// canonicalLHS removes attributes from s that are functionally determined by
-// the remaining attributes according to already-emitted FDs ("the
-// combination of a left hand side with its right hand side can never be the
-// left hand side of an already known minimal FD", Sec. 5.2). The closure is
-// unchanged, so predicate values are preserved. It reads the per-RHS
-// families without mutating them, which keeps concurrent walks race-free.
-func (m *mudsFD) canonicalLHS(s bitset.Set) bitset.Set {
-	for {
-		reduced := false
-		for b := s.First(); b >= 0; b = s.NextAfter(b) {
-			rest := s.Without(b)
-			if m.perRHS[b].CoversSubsetOf(rest) {
-				s = rest
-				reduced = true
-				break
-			}
-		}
-		if !reduced {
-			return s
-		}
-	}
 }

@@ -11,8 +11,8 @@ package core
 // walk per right-hand side in Z — the same machinery as the R\Z phase —
 // finds the complete minimal cover by itself. The minimal UCCs keep the
 // walks holistic: pruning rules 1 and 2 seed every walk with false
-// certificates before it touches the data (see falseSeeds), and the R\Z
-// FDs found first shorten its predicates through canonicalLHS.
+// certificates before it touches the data (see falseSeeds), and the walks
+// answer their checks from the PLI provider DUCC filled.
 //
 // As in the R\Z phase, a walk for right-hand side a emits only a's FDs,
 // which no other walk's certificates or predicate values depend on, so the

@@ -40,8 +40,7 @@ func RepairRHS(ctx context.Context, p *pli.Provider, base bitset.Set, rhs int, v
 	for _, h := range hits {
 		knownFalse = append(knownFalse, base.Diff(h))
 	}
-	res, err := walker.RunContext(ctx, base, func(x bitset.Set) bool {
-		return p.CheckFD(x, rhs)
-	}, walker.Options{Seed: seed, KnownTrue: valid, KnownFalse: knownFalse})
+	res, err := walker.RunContext(ctx, base, p.FDWalk(rhs).Check,
+		walker.Options{Seed: seed, KnownTrue: valid, KnownFalse: knownFalse})
 	return res.MinimalTrue, res.Checks, err
 }

@@ -39,7 +39,6 @@ func (p *PLI) checkRefines1(rhs, col []int32, card int, s *Scratch) bool {
 	defer func() { s.touched = touched[:0] }() // keep grown capacity
 	for ci, n := 0, p.NumClusters(); ci < n; ci++ {
 		cluster := p.rows[p.offsets[ci]:p.offsets[ci+1]]
-		s.work += len(cluster)
 		if len(cluster) <= 3 {
 			// Tiny clusters: check each same-key pair's rhs agreement directly.
 			for i := 0; i < len(cluster); i++ {
@@ -89,7 +88,6 @@ func (p *PLI) checkErrorSum1(col []int32, card int, s *Scratch) int {
 	es := 0
 	for ci, n := 0, p.NumClusters(); ci < n; ci++ {
 		cluster := p.rows[p.offsets[ci]:p.offsets[ci+1]]
-		s.work += len(cluster)
 		if len(cluster) == 2 {
 			if col[cluster[0]] == col[cluster[1]] {
 				es++
@@ -171,7 +169,6 @@ func (p *PLI) fold(keys [][]int32, cards []int, s *Scratch, each func(group []in
 	for ci := 0; ci < n; ci++ {
 		// Generation 0 is the whole cluster as a single group.
 		srcRows := p.rows[p.offsets[ci]:p.offsets[ci+1]]
-		s.work += len(srcRows)
 		if len(srcRows) <= 3 {
 			// Tiny clusters — the common case when the base PLI sits near
 			// the uniqueness boundary — are resolved by direct tuple
@@ -415,7 +412,6 @@ func (p *PLI) fold1PLI(col []int32, card int, s *Scratch) *PLI {
 	offsets := make([]int32, 1, capHint/2+2)
 	for ci, n := 0, p.NumClusters(); ci < n; ci++ {
 		cluster := p.rows[p.offsets[ci]:p.offsets[ci+1]]
-		s.work += len(cluster)
 		touched = touched[:0]
 		for _, row := range cluster {
 			k := col[row]

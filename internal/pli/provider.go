@@ -13,51 +13,58 @@ import (
 // Provider computes and caches PLIs for arbitrary column combinations of one
 // relation. It is the "shared data structure" of the holistic algorithms
 // (paper Sec. 3): a single Provider is handed from the UCC phase to the FD
-// phases so that intersections computed once are reused. The cache serves
-// the random walks of DUCC and MUDS; the level-wise FD algorithms (FUN,
-// TANE) build their PLIs with the uncached Extend step and never probe or
-// fill it.
+// phases so that intersections computed once are reused.
 //
-// Lookup strategy for an uncached set X: if any PLI of X minus one column is
-// cached, extend it with one column intersection; otherwise fold over X's
-// columns in ascending order, caching every prefix. Random-walk neighbours
-// therefore cost one intersection in the common case.
+// The lattice walks — DUCC, MUDS' per-RHS FD walks and their incremental
+// repairs — check sets through a Walk (walk.go). Most of their checks probe
+// a direct superset of the node the walk stands on; the Walk holds that
+// node's PLI outside the cache and answers each such check with one fold
+// over it, probing no cache. Their other checks — the downward steps, the
+// hole-filling jumps, the first check of every upward walk — go through the
+// planner below, like IsUnique and CheckFD. The level-wise FD algorithms
+// (FUN, TANE) build their PLIs with the uncached Extend step and never probe
+// or fill the cache.
+//
+// Get's lookup strategy for an uncached set X: if any PLI of X minus one
+// column is cached, extend it with one column intersection; otherwise fold
+// over X's columns in ascending order, caching every prefix. No walk calls
+// Get; it is the materializing path for callers that need the PLI itself.
 //
 // The multi-column store behind Get is the sharded Cache (see cache.go).
 //
 // # Validation fast path
 //
-// Get materialises and caches; it is the right call when the PLI itself is
-// needed again (ancestors on a lattice walk, agree-set construction). The
-// boolean questions of the walks — IsUnique, CheckFD, CheckFDs,
-// ForEachCluster — instead go through the non-materializing check kernels
-// of check.go: they pick the cheapest cached ancestor of the
-// probed set (fewest stored rows wins — direct subsets, distance-2 subsets,
-// ascending prefixes and singles are all candidates) and fold the missing
-// columns over its clusters with early exit, building no PLI at all.
-// Admission control keeps validate-only probes from flooding the
-// byte-budgeted cache. The FD checks admit nothing: a refuted or confirmed
-// FD verdict is pure scanning. IsUnique is verdict-aware: a refuted probe is
-// the walk's reuse path (DUCC ascends from it), so its survivors — already
-// in hand from the fused fold that derived the verdict — are admitted as a
-// stepping stone, while confirmed-unique probes, whose supersets DUCC
-// prunes, are never materialised. A plan stuck at fold distance >= 2 may
-// additionally promote ONE intermediate (the ancestor extended by one
-// column), gated by a doorkeeper that admits on the second request, so
-// one-shot probe sweeps cost zero promotions. The FastChecks and
-// Materializations counters in CacheStats expose the split.
+// The boolean questions — IsUnique, CheckFD, CheckFDs, ForEachCluster —
+// go through the non-materializing check kernels of check.go: plan picks
+// the cheapest cached ancestor of the probed set (fewest stored rows wins —
+// direct subsets, distance-2 subsets, ascending prefixes and singles are
+// all candidates) and the missing columns are folded over its clusters
+// with early exit, building no PLI at all. Admission control keeps
+// validate-only probes from flooding the byte-budgeted cache. The FD checks
+// admit nothing: a refuted or confirmed FD verdict is pure scanning.
+// IsUnique is verdict-aware: a refuted probe is the walk's reuse path (DUCC
+// ascends from it), so its survivors — already in hand from the fused fold
+// that derived the verdict — are admitted as a stepping stone, while
+// confirmed-unique probes, whose supersets DUCC prunes, are never
+// materialised. A Walk's uniqueness checks admit the same way, whether
+// they are planned or folded over the held PLI. A plan stuck at fold
+// distance >= 2 may additionally promote ONE intermediate (the ancestor
+// extended by one column), gated by a doorkeeper that admits on the second
+// request, so one-shot probe sweeps cost zero promotions. The FastChecks
+// and Materializations counters in CacheStats expose the split.
 //
 // Concurrency contract: a Provider is always safe to share across
 // goroutines. After construction it is immutable except for the atomic
 // counters, the doorkeeper and the concurrency-safe Cache, so Get, IsUnique,
 // CheckFD, CheckFDs, ForEachCluster, Extend and ErrorSumWith may be called
 // from any number of goroutines (Refresh is the one exclusive operation;
-// Extend and ErrorSumWith need one Scratch per goroutine). Concurrent
-// Gets of the same uncached combination may duplicate an intersection —
-// both goroutines compute and store the same PLI — which wastes a little
-// work but never produces a wrong result, because PLIs are immutable once
-// built. The fast paths borrow pooled Scratch arenas per call (see
-// scratch.go), so they hold no shared mutable state across goroutines.
+// Extend and ErrorSumWith need one Scratch per goroutine, and a Walk
+// serves one goroutine). Concurrent Gets of the same uncached combination
+// may duplicate an intersection — both goroutines compute and store the
+// same PLI — which wastes a little work but never produces a wrong result,
+// because PLIs are immutable once built. The fast paths borrow pooled
+// Scratch arenas per call (see scratch.go), so they hold no shared mutable
+// state across goroutines.
 type Provider struct {
 	rel    *relation.Relation
 	single []*PLI
@@ -389,17 +396,25 @@ func (p *Provider) IsUnique(s bitset.Set) bool {
 	sc := getScratch()
 	defer putScratch(sc)
 	base, fold := p.plan(s, sc)
+	ok, _ := p.uniqueFrom(s, base, fold, sc)
+	return ok
+}
+
+// uniqueFrom answers IsUnique(s) by folding the columns fold over base, the
+// PLI of s minus fold. A refuted s has its PLI built by the fold; it is
+// admitted to the cache and returned.
+func (p *Provider) uniqueFrom(s bitset.Set, base *PLI, fold []int, sc *Scratch) (bool, *PLI) {
 	if len(fold) == 0 {
-		return base.IsUnique()
+		return base.IsUnique(), base
 	}
 	keys, cards := p.foldKeys(fold, sc)
 	out := base.foldPLI(keys, cards, sc)
 	if out.IsUnique() {
-		return true
+		return true, nil
 	}
 	p.cachePut(s, out)
 	p.materializations.Add(1)
-	return false
+	return false, out
 }
 
 // CheckFD reports whether the FD lhs → rhs holds on the relation, on the
@@ -410,10 +425,16 @@ func (p *Provider) CheckFD(lhs bitset.Set, rhs int) bool {
 		return true // trivial FD
 	}
 	p.fastChecks.Add(1)
-	col := p.rel.Column(rhs)
 	sc := getScratch()
 	defer putScratch(sc)
 	base, fold := p.plan(lhs, sc)
+	return p.refinesFrom(base, fold, rhs, sc)
+}
+
+// refinesFrom answers CheckFD for the set of base's columns plus fold by
+// folding the columns fold over base.
+func (p *Provider) refinesFrom(base *PLI, fold []int, rhs int, sc *Scratch) bool {
+	col := p.rel.Column(rhs)
 	if len(fold) == 0 {
 		return base.Refines(col)
 	}

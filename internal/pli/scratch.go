@@ -50,13 +50,6 @@ type Scratch struct {
 	okBuf    []bool
 	active   []int32
 	foldCols []int
-
-	// work accumulates the base rows scanned by the check kernels since the
-	// caller last reset it. The Provider's adaptive admission reads it after
-	// a refuted check: a refutation that had to scan a large share of the
-	// base marks a near-boundary set whose materialisation will pay for
-	// itself (see Provider.IsUnique).
-	work int
 }
 
 // NewScratch returns an empty Scratch; its arenas grow on demand.

@@ -41,7 +41,7 @@ func benchIndex(in []bitset.Set) *Index {
 var boolSink bool
 
 // BenchmarkSubsetLookup measures the Sec. 5.4 subset query of upward
-// pruning that the lattice walks and canonicalLHS perform per candidate.
+// pruning that the lattice walks perform per candidate.
 func BenchmarkSubsetLookup(b *testing.B) {
 	ix := benchIndex(benchSets(2000, 20, 1))
 	queries := benchSets(64, 20, 2)

@@ -42,7 +42,7 @@ func DuccContext(ctx context.Context, p *pli.Provider, seed int64) (Result, erro
 // lattice region above the violations.
 func DuccSeeded(ctx context.Context, p *pli.Provider, seed int64, knownTrue, knownFalse []bitset.Set) (Result, error) {
 	base := p.Relation().AllColumns()
-	res, err := walker.RunContext(ctx, base, p.IsUnique, walker.Options{
+	res, err := walker.RunContext(ctx, base, p.UniqueWalk().Check, walker.Options{
 		Seed:       seed,
 		KnownTrue:  knownTrue,
 		KnownFalse: knownFalse,

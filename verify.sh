@@ -36,6 +36,9 @@ echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
 go test -race -count=1 -run 'TestQuickLevelWiseWorkersAgree|TestLevelWiseChecksPinned' ./internal/fd/
 go test -race -count=1 -run 'TestMudsChecksPinned|TestMudsContextDeadlineInFDPhases' ./internal/core/
+go test -race -count=1 -run 'TestDuccChecksPinned' ./internal/ucc/
+go test -race -count=1 -run 'TestRepairChecksPinned' ./internal/incremental/
+go test -race -count=1 -run 'TestConcurrentWalks' ./internal/pli/
 
 echo "== CSV fuzz smoke =="
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=10s ./internal/relation/
@@ -45,6 +48,9 @@ go test -run='^$' -fuzz='^FuzzPLIEquivalence$' -fuzztime=10s ./internal/pli/
 
 echo "== check-kernel differential fuzz smoke (fast path vs materializing) =="
 go test -run='^$' -fuzz='^FuzzCheckEquivalence$' -fuzztime=10s ./internal/pli/
+
+echo "== walk check-path differential fuzz smoke (held PLI vs planner) =="
+go test -run='^$' -fuzz='^FuzzWalkCheckEquivalence$' -fuzztime=10s ./internal/pli/
 
 echo "== hitting-set differential fuzz smoke (MMCS vs brute-force transversals) =="
 go test -run='^$' -fuzz='^FuzzMinimalHittingSets$' -fuzztime=10s ./internal/walker/

@@ -121,8 +121,8 @@ func BenchmarkFigure8Phases(b *testing.B) {
 
 // BenchmarkParallelScaling measures the worker-pool speedup of the parallel
 // phases: MUDS on the ncvoter-like dataset at workers=1 versus all CPUs.
-// cmd/experiments -parallel runs the full series (more datasets and worker
-// counts) and writes the measurements to BENCH_parallel.json.
+// That every worker count finds the same dependencies is
+// TestWorkerCountEquivalence's job (internal/core).
 func BenchmarkParallelScaling(b *testing.B) {
 	rel := dataset.NCVoter(2000, 16)
 	src := core.RelationSource{Rel: rel}

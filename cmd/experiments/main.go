@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-fig6] [-fig7] [-table3] [-fig8] [-sweep] [-parallel] [-pli]
-//	            [-validate] [-incremental] [-all] [-scale f] [-full] [-seed n]
+//	experiments [-fig6] [-fig7] [-table3] [-fig8] [-sweep] [-all] [-full] [-seed n]
 //
 // By default every experiment runs at a reduced scale that finishes in a few
 // minutes; -full selects the paper-scale parameters (expect long runtimes,
@@ -21,27 +20,17 @@ import (
 
 func main() {
 	var (
-		fig6    = flag.Bool("fig6", false, "row scalability on uniprot (Figure 6)")
-		fig7    = flag.Bool("fig7", false, "column scalability on ionosphere (Figure 7)")
-		table3  = flag.Bool("table3", false, "UCI dataset comparison (Table 3)")
-		fig8    = flag.Bool("fig8", false, "MUDS phase breakdown on ncvoter (Figure 8)")
-		sweep   = flag.Bool("sweep", false, "dataset-property ablation (Section 6.5)")
-		par     = flag.Bool("parallel", false, "worker-pool scaling benchmark (writes BENCH_parallel.json)")
-		parJSON = flag.String("parallel-json", "BENCH_parallel.json", "output path of the -parallel measurements (empty = no file)")
-		pliB    = flag.Bool("pli", false, "PLI intersection micro-benchmark (writes BENCH_pli.json)")
-		pliJSON = flag.String("pli-json", "BENCH_pli.json", "output path of the -pli measurements (empty = no file)")
-		valB    = flag.Bool("validate", false, "validation fast-path benchmark (writes BENCH_validate.json)")
-		valJSON = flag.String("validate-json", "BENCH_validate.json", "output path of the -validate measurements (empty = no file)")
-		valRows = flag.Int("validate-rows", 100000, "row count of the -validate generators")
-		incB    = flag.Bool("incremental", false, "incremental batch-append benchmark (writes BENCH_incremental.json)")
-		incJSON = flag.String("incremental-json", "BENCH_incremental.json", "output path of the -incremental measurements (empty = no file)")
-		incRows = flag.Int("incremental-rows", 100000, "row count of the -incremental generators")
-		all     = flag.Bool("all", false, "run every experiment")
-		full    = flag.Bool("full", false, "paper-scale parameters (slow)")
-		seed    = flag.Int64("seed", 1, "random-walk seed")
+		fig6   = flag.Bool("fig6", false, "row scalability on uniprot (Figure 6)")
+		fig7   = flag.Bool("fig7", false, "column scalability on ionosphere (Figure 7)")
+		table3 = flag.Bool("table3", false, "UCI dataset comparison (Table 3)")
+		fig8   = flag.Bool("fig8", false, "MUDS phase breakdown on ncvoter (Figure 8)")
+		sweep  = flag.Bool("sweep", false, "dataset-property ablation (Section 6.5)")
+		all    = flag.Bool("all", false, "run every experiment")
+		full   = flag.Bool("full", false, "paper-scale parameters (slow)")
+		seed   = flag.Int64("seed", 1, "random-walk seed")
 	)
 	flag.Parse()
-	if !(*fig6 || *fig7 || *table3 || *fig8 || *sweep || *par || *pliB || *valB || *incB || *all) {
+	if !(*fig6 || *fig7 || *table3 || *fig8 || *sweep || *all) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -95,26 +84,6 @@ func main() {
 	}
 	if *all || *sweep {
 		_, err := experiments.PropertySweep(w, *seed)
-		fail(err)
-		fmt.Fprintln(w)
-	}
-	if *all || *par {
-		_, err := experiments.ParallelBench(w, *parJSON, nil, *seed)
-		fail(err)
-		fmt.Fprintln(w)
-	}
-	if *all || *pliB {
-		_, err := experiments.PLIBench(w, *pliJSON)
-		fail(err)
-		fmt.Fprintln(w)
-	}
-	if *all || *valB {
-		_, err := experiments.ValidateBench(w, *valJSON, *valRows, *seed)
-		fail(err)
-		fmt.Fprintln(w)
-	}
-	if *all || *incB {
-		_, err := experiments.IncrementalBench(w, *incJSON, *incRows, *seed)
 		fail(err)
 		fmt.Fprintln(w)
 	}

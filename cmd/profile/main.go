@@ -71,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		cacheMax  = flag.Int64("max-cache-bytes", 0, "PLI cache byte budget (0 = default, -1 = unbudgeted); over budget the cache sheds and recomputes, results are identical for every value")
 		naryArity = flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 		approxEps = flag.Float64("approx", 0, "also discover approximate FDs with g3 error ≤ eps (0 = off)")
-		asJSON    = flag.Bool("json", false, "deprecated alias for -format json")
 		sqlNulls  = flag.Bool("distinct-nulls", false, "SQL NULL semantics: empty fields compare unequal to each other")
 		appendCSV = flag.String("append", "", "CSV file of rows to append incrementally after profiling the input (revalidation instead of re-discovery)")
 		snapPath  = flag.String("snapshot", "", "profile snapshot file: resumed when it exists (with -append: skips the initial full profile), written/updated after the run")
@@ -82,9 +81,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if len(*sep) != 1 {
 		return usageError{msg: "-sep must be a single character"}
-	}
-	if *asJSON {
-		*format = "json"
 	}
 	if *format != "text" && *format != "json" {
 		return usageError{msg: fmt.Sprintf("unknown -format %q (want text or json)", *format)}

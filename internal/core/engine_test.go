@@ -193,23 +193,60 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestMudsContextDeadlineInFDPhases gives MUDS enough time to finish SPIDER
-// and DUCC so the deadline lands in the FD phases, exercising the
-// cancellation polls of the per-RHS walks. An uncancelled run on this input
-// takes about 5.8 s on a 2-CPU machine, SPIDER and DUCC about 0.1 s of it
-// and the R\Z walks none, so the completion sweep is the phase cut short.
+// phaseDeadline is a context whose deadline passes delay after the named
+// phase starts. It is armed by the run's own Observer, so the deadline
+// lands inside that phase however long the phases before it take (under
+// -race or on a loaded machine a fixed timeout can expire before it).
+type phaseDeadline struct {
+	context.Context
+	NopObserver
+	phase string
+	delay time.Duration
+	timer *time.Timer
+	done  chan struct{}
+	at    time.Time // when done closed
+}
+
+func newPhaseDeadline(phase string, delay time.Duration) *phaseDeadline {
+	return &phaseDeadline{Context: context.Background(), phase: phase, delay: delay, done: make(chan struct{})}
+}
+
+func (d *phaseDeadline) Done() <-chan struct{} { return d.done }
+
+func (d *phaseDeadline) Err() error {
+	select {
+	case <-d.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+func (d *phaseDeadline) PhaseStart(name string) {
+	if name == d.phase && d.timer == nil {
+		d.timer = time.AfterFunc(d.delay, func() {
+			d.at = time.Now()
+			close(d.done)
+		})
+	}
+}
+
+// TestMudsContextDeadlineInFDPhases cuts MUDS 100 ms into its completion
+// sweep, exercising the cancellation polls of the per-RHS walks. An
+// uncancelled run on this input takes about 5.8 s on a 2-CPU machine,
+// SPIDER and DUCC about 0.1 s of it and the R\Z walks none, so the
+// deadline falls well inside the sweep.
 func TestMudsContextDeadlineInFDPhases(t *testing.T) {
 	rel := dataset.Ionosphere(23, 351)
-	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	res, err := MudsContext(ctx, rel, Options{Seed: 1}, nil)
-	elapsed := time.Since(start)
+	ctx := newPhaseDeadline(PhaseCompletionSweep, 100*time.Millisecond)
+	res, err := MudsContext(ctx, rel, Options{Seed: 1}, ctx)
+	returned := time.Now()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if elapsed > 4*time.Second {
-		t.Fatalf("cancelled run took %v, want prompt return", elapsed)
+	<-ctx.done // orders the read of ctx.at after its write
+	if late := returned.Sub(ctx.at); late > 2500*time.Millisecond {
+		t.Fatalf("cancelled run returned %v after the deadline, want prompt return", late)
 	}
 	if res == nil {
 		t.Fatal("cancelled run must return the partial result")

@@ -103,10 +103,10 @@ func TestLevelWiseChecksPinned(t *testing.T) {
 			t.Errorf("workers %d: TANE checks = %d, want 366272", workers, tane.Checks)
 		}
 		if workers == 1 {
-			if got := pf.IntersectionCount(); got != 42093 {
+			if got := pf.CacheStats().Intersections; got != 42093 {
 				t.Errorf("FUN intersections = %d, want 42093", got)
 			}
-			if got := pt.IntersectionCount(); got != 58131 {
+			if got := pt.CacheStats().Intersections; got != 58131 {
 				t.Errorf("TANE intersections = %d, want 58131", got)
 			}
 		}

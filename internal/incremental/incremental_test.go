@@ -10,6 +10,7 @@ import (
 
 	"holistic/internal/bitset"
 	"holistic/internal/core"
+	"holistic/internal/dataset"
 	"holistic/internal/fd"
 	"holistic/internal/ind"
 	"holistic/internal/relation"
@@ -33,7 +34,20 @@ func randomRows(rng *rand.Rand, rows, cols int, nullRate float64, tag string) []
 	return out
 }
 
-func mustRelation(t *testing.T, rows [][]string, cols int, opts relation.Options) *relation.Relation {
+// relationRows turns a relation back into its rows of values.
+func relationRows(rel *relation.Relation) [][]string {
+	out := make([][]string, rel.NumRows())
+	for i := range out {
+		row := make([]string, rel.NumColumns())
+		for c := range row {
+			row[c] = rel.Value(i, c)
+		}
+		out[i] = row
+	}
+	return out
+}
+
+func mustRelation(t testing.TB, rows [][]string, cols int, opts relation.Options) *relation.Relation {
 	t.Helper()
 	names := make([]string, cols)
 	for c := range names {
@@ -78,6 +92,8 @@ func assertSameResult(t *testing.T, label string, got, want *core.Result, hasIND
 // randomized bases, 1–5 appended batches, three strategies, both NULL
 // semantics — after every batch the incrementally maintained result must
 // equal a from-scratch run of the same strategy on the concatenated rows.
+// The 5,000-row uniprot and ncvoter generators, each taking two batches of
+// 0.5% of the rows under MUDS, add the shapes BenchmarkAppendBatch times.
 func TestIncrementalEquivalence(t *testing.T) {
 	strategies := []string{core.StrategyMuds, core.StrategyTane, core.StrategyHolisticFun}
 	rng := rand.New(rand.NewSource(17))
@@ -128,6 +144,28 @@ func TestIncrementalEquivalence(t *testing.T) {
 					assertSameResult(t, fmt.Sprintf("%s batch %d", label, bi), got, want, hasINDs, hasUCCs)
 				}
 			}
+		}
+	}
+
+	for _, full := range []*relation.Relation{dataset.Uniprot(5000), dataset.NCVoter(5000, 12)} {
+		all := relationRows(full)
+		cols, batch := full.NumColumns(), len(all)/200
+		base := len(all) - 2*batch
+		opts := core.Options{Seed: 1}
+		p, _, err := NewProfiler(ctx, mustRelation(t, all[:base], cols, relation.Options{}), core.StrategyMuds, opts, nil)
+		if err != nil {
+			t.Fatalf("%s: initial profile: %v", full.Name(), err)
+		}
+		for end := base + batch; end <= len(all); end += batch {
+			got, err := p.AppendBatch(ctx, all[end-batch:end], nil)
+			if err != nil {
+				t.Fatalf("%s: append up to row %d: %v", full.Name(), end, err)
+			}
+			want, err := core.RunRelationContext(ctx, core.StrategyMuds, mustRelation(t, all[:end], cols, relation.Options{}), opts, nil)
+			if err != nil {
+				t.Fatalf("%s: from-scratch up to row %d: %v", full.Name(), end, err)
+			}
+			assertSameResult(t, fmt.Sprintf("%s up to row %d", full.Name(), end), got, want, true, true)
 		}
 	}
 }

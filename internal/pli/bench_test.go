@@ -26,35 +26,14 @@ func benchRelation(rows, cols, card int) *relation.Relation {
 	return relation.MustNew("bench", names, data)
 }
 
-// benchSizes are the row counts of the intersection micro-benchmarks; they
-// match the sizes recorded in BENCH_pli.json.
+// benchSizes are the row counts of the fold micro-benchmarks.
 var benchSizes = []int{10000, 100000}
 
-// BenchmarkIntersect measures the probe-table PLI intersection, the
-// operation the paper identifies as the primary cost of FD checks. In the
-// steady state the left operand's attribute vector is cached, grouping runs
-// on pooled scratch arenas, and the only allocations are the result PLI's
-// own arrays — ReportAllocs makes a map-grouping regression show up as an
+// BenchmarkIntersectColumn measures the single-column fold that builds every
+// multi-column PLI (Provider.Extend runs the same kernel). Grouping runs on
+// pooled scratch arenas, so the only allocations are the result PLI's own
+// arrays: ReportAllocs makes a map-grouping regression show up as an
 // allocs/op explosion.
-func BenchmarkIntersect(b *testing.B) {
-	for _, rows := range benchSizes {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			rel := benchRelation(rows, 3, 100)
-			a := FromColumn(rel.Column(0), rel.Cardinality(0))
-			c := FromColumn(rel.Column(1), rel.Cardinality(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if a.Intersect(c).NumRows() != rel.NumRows() {
-					b.Fatal("bad result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkIntersectColumn measures the column-variant intersection used on
-// lattice walks.
 func BenchmarkIntersectColumn(b *testing.B) {
 	for _, rows := range benchSizes {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {

@@ -77,7 +77,7 @@ type Cache struct {
 
 type shard struct {
 	mu         sync.Mutex
-	entries    map[bitset.Set]cacheEntry
+	entries    map[bitset.Set]*PLI
 	maxEntries int
 	maxBytes   int64 // 0 = no byte budget
 	bytes      int64
@@ -87,15 +87,6 @@ type shard struct {
 	// Pad shards apart so two cores probing neighbouring shards do not
 	// false-share the mutex and counters.
 	_ [64]byte
-}
-
-// cacheEntry pins the byte size accounted at put time next to the PLI. A
-// PLI's ApproxBytes can grow later (the probe vector materialises lazily),
-// so evictions must subtract exactly what put added — the pinned size —
-// or the ledger would drift.
-type cacheEntry struct {
-	pli   *PLI
-	bytes int64
 }
 
 // NewCache builds a Cache with at least shards shards, rounded up to a power
@@ -121,7 +112,7 @@ func NewCache(shards, maxEntries int, maxBytes int64) *Cache {
 	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.entries = make(map[bitset.Set]cacheEntry)
+		sh.entries = make(map[bitset.Set]*PLI)
 		sh.maxEntries = perShard
 		sh.maxBytes = perShardBytes
 	}
@@ -140,19 +131,23 @@ func (c *Cache) shardFor(s bitset.Set) *shard {
 func (c *Cache) get(s bitset.Set) (*PLI, bool) {
 	sh := c.shardFor(s)
 	sh.mu.Lock()
-	e, ok := sh.entries[s]
+	pli, ok := sh.entries[s]
 	if ok {
 		sh.hits++
 	} else {
 		sh.misses++
 	}
 	sh.mu.Unlock()
-	return e.pli, ok
+	return pli, ok
 }
 
 // put stores the PLI of s, evicting roughly half the shard's entries when
 // its entry bound is hit and shedding entries when its byte budget is
-// exceeded. The stored PLI's size is snapshotted here (see cacheEntry).
+// exceeded. The shard's byte ledger adds the PLI's ApproxBytes here and
+// subtracts the same value when the entry leaves: cached PLIs are
+// immutable, so their size cannot drift in between. (Provider.Refresh
+// re-puts the new PLIs it builds, and the PLIs a Walk or a prefix path
+// overwrites in place are never cached.)
 func (c *Cache) put(s bitset.Set, pli *PLI) {
 	sz := pli.ApproxBytes()
 	sh := c.shardFor(s)
@@ -164,15 +159,15 @@ func (c *Cache) put(s bitset.Set, pli *PLI) {
 		// drop the entry it would replace. The Provider recomputes it when
 		// needed — slower, never OOM.
 		if replacing {
-			sh.bytes -= old.bytes
+			sh.bytes -= old.ApproxBytes()
 			delete(sh.entries, s)
 		}
 		sh.evictions++
 		return
 	}
 	if replacing {
-		sh.bytes += sz - old.bytes
-		sh.entries[s] = cacheEntry{pli: pli, bytes: sz}
+		sh.bytes += sz - old.ApproxBytes()
+		sh.entries[s] = pli
 		sh.shedOver(s)
 		return
 	}
@@ -182,13 +177,13 @@ func (c *Cache) put(s bitset.Set, pli *PLI) {
 			if drop == 0 {
 				break
 			}
-			sh.bytes -= v.bytes
+			sh.bytes -= v.ApproxBytes()
 			delete(sh.entries, k)
 			sh.evictions++
 			drop--
 		}
 	}
-	sh.entries[s] = cacheEntry{pli: pli, bytes: sz}
+	sh.entries[s] = pli
 	sh.bytes += sz
 	sh.shedOver(s)
 }
@@ -207,7 +202,7 @@ func (sh *shard) shedOver(keep bitset.Set) {
 		if k == keep {
 			continue
 		}
-		sh.bytes -= v.bytes
+		sh.bytes -= v.ApproxBytes()
 		delete(sh.entries, k)
 		sh.evictions++
 	}
@@ -231,16 +226,16 @@ func (c *Cache) stats() CacheStats {
 }
 
 // forEach visits every cached entry until fn returns false, shard by shard
-// in unspecified order. It exists so incremental maintenance can patch
-// cached PLIs in place after a relation append. Each shard's mutex is held
-// while it is walked, so fn must not call back into the cache. Hit/miss
-// counters are not touched.
+// in unspecified order. It exists so incremental maintenance can collect
+// the cached PLIs it patches and re-puts after a relation append. Each
+// shard's mutex is held while it is walked, so fn must not call back into
+// the cache. Hit/miss counters are not touched.
 func (c *Cache) forEach(fn func(s bitset.Set, pli *PLI) bool) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k, v := range sh.entries {
-			if !fn(k, v.pli) {
+			if !fn(k, v) {
 				sh.mu.Unlock()
 				return
 			}

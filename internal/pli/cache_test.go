@@ -90,17 +90,21 @@ func budgetOf(c *Cache) int64 {
 	return total
 }
 
-// checkLedger requires the byte ledger to equal a re-summation of the
-// cached PLIs' sizes.
+// checkLedger requires every shard's byte ledger to equal the sum of its
+// entries' ApproxBytes: put adds a PLI's size and eviction, shedding and
+// replacement subtract the size of the PLI that leaves, so an immutable PLI
+// leaves the ledger exact.
 func checkLedger(t *testing.T, c *Cache) {
 	t.Helper()
-	var want int64
-	c.forEach(func(_ bitset.Set, q *PLI) bool {
-		want += q.ApproxBytes()
-		return true
-	})
-	if got := c.stats().Bytes; got != want {
-		t.Fatalf("byte ledger %d, re-summed ApproxBytes %d", got, want)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		var want int64
+		for _, q := range sh.entries {
+			want += q.ApproxBytes()
+		}
+		if sh.bytes != want {
+			t.Fatalf("shard %d: byte ledger %d, sum of entry ApproxBytes %d", i, sh.bytes, want)
+		}
 	}
 }
 
@@ -469,19 +473,16 @@ func TestSyncCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestProviderCacheStats checks that the snapshot agrees with the Provider's
-// own counters: Entries matches CachedEntries, Intersections matches the
-// atomic counter, and repeated Gets turn into hits.
+// TestProviderCacheStats checks the snapshot against what a Get on an empty
+// cache does: it folds and caches both ascending prefixes of a three-column
+// set, and a repeated Get turns into a hit.
 func TestProviderCacheStats(t *testing.T) {
 	p := NewProvider(cacheTestRelation(t), NewCache(1, 8, 0))
 	s := bitset.New(0, 1, 2)
 	p.Get(s)
 	first := p.CacheStats()
-	if first.Intersections != p.IntersectionCount() {
-		t.Errorf("Intersections = %d, want %d", first.Intersections, p.IntersectionCount())
-	}
-	if first.Entries != p.CachedEntries() {
-		t.Errorf("Entries = %d, want %d", first.Entries, p.CachedEntries())
+	if first.Intersections != 2 || first.Entries != 2 {
+		t.Errorf("first Get of %v: %d intersections, %d entries; want 2 and 2", s, first.Intersections, first.Entries)
 	}
 	if first.Hits != 0 || first.Misses == 0 {
 		t.Errorf("first Get of %v must only miss, got %+v", s, first)
@@ -535,16 +536,15 @@ func TestConcurrentProviderSharedGets(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p.IntersectionCount() == 0 {
+	if p.CacheStats().Intersections == 0 {
 		t.Error("no intersections recorded")
 	}
 }
 
 // TestApproxBytesModel pins the byte-accounting model the memory governor
-// budgets against: 96 bytes of struct overhead, four bytes per stored row id
-// and per offset entry, plus — once materialised — four bytes per relation
-// row for the cached attribute vector. For the flat layout this is exact up
-// to the struct constant.
+// budgets against: 96 bytes of struct overhead plus four bytes per stored
+// row id and per offset entry. For the flat layout this is exact up to the
+// struct constant.
 func TestApproxBytesModel(t *testing.T) {
 	// One cluster of 10 rows: 96 + 4*(10 rows + 2 offsets).
 	if got := FromAllRows(10).ApproxBytes(); got != 144 {
@@ -558,28 +558,5 @@ func TestApproxBytesModel(t *testing.T) {
 	p := FromColumn([]int32{0, 1, 0, 1, 0, 1}, 2)
 	if got := p.ApproxBytes(); got != 132 {
 		t.Errorf("two-cluster ApproxBytes() = %d, want 132", got)
-	}
-	// Materialising the attribute vector folds it into the accounting:
-	// + 4*6 rows.
-	p.ProbeVector()
-	if got := p.ApproxBytes(); got != 156 {
-		t.Errorf("ApproxBytes() with probe = %d, want 156", got)
-	}
-}
-
-// TestCacheLedgerStableAcrossProbeMaterialization pins the snapshot-at-put
-// semantics: a PLI whose attribute vector materialises after it was cached
-// must not corrupt the byte ledger when it is later replaced or shed —
-// evictions subtract exactly what put added.
-func TestCacheLedgerStableAcrossProbeMaterialization(t *testing.T) {
-	c := NewCache(1, 64, 1<<20)
-	s := bitset.New(0, 1)
-	p := FromAllRows(10)
-	c.put(s, p)
-	accounted := c.stats().Bytes
-	p.ProbeVector() // grows ApproxBytes after the put snapshot
-	c.put(s, FromAllRows(10))
-	if got := c.stats().Bytes; got != accounted {
-		t.Errorf("Bytes after replace = %d, want %d (ledger drifted)", got, accounted)
 	}
 }

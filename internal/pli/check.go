@@ -76,7 +76,7 @@ func (p *PLI) checkRefines1(rhs, col []int32, card int, s *Scratch) bool {
 	return true
 }
 
-// checkErrorSum1 is the single-fold-column fast case of CheckErrorSum: each
+// checkErrorSum1 returns the ErrorSum of p ∩ col without building it: each
 // base cluster contributes len(cluster) - distinct(key codes), which equals
 // the sum of (group size - 1) over its surviving groups. One counting pass
 // per cluster, no grouping.
@@ -342,26 +342,6 @@ func (p *PLI) CheckRefinesMany(rhs [][]int32, keys [][]int32, cards []int, ok []
 		}
 		return len(active) > 0
 	})
-}
-
-// CheckErrorSum returns sum(|group| - 1) over the groups of p ∩ keys[0] ∩ …,
-// i.e. the ErrorSum the materialised intersection would have. DistinctCount
-// follows as NumRows - CheckErrorSum. There is no early exit — every group
-// contributes — but the fold still allocates nothing. s may be nil.
-func (p *PLI) CheckErrorSum(keys [][]int32, cards []int, s *Scratch) int {
-	if s == nil {
-		s = getScratch()
-		defer putScratch(s)
-	}
-	if len(keys) == 1 {
-		return p.checkErrorSum1(keys[0], cards[0], s)
-	}
-	es := 0
-	p.fold(keys, cards, s, func(group []int32) bool {
-		es += len(group) - 1
-		return true
-	})
-	return es
 }
 
 // foldPLI materialises the intersection p ∩ keys[0] ∩ … as a PLI in ONE

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"holistic/internal/bitset"
+	"holistic/internal/dataset"
 	"holistic/internal/relation"
 )
 
@@ -94,8 +95,10 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 			keys, cards := relKeys(rel, foldCols...)
 			ref := chainIntersect(base, keys, cards)
 
-			if got, want := base.CheckErrorSum(keys, cards, nil), ref.ErrorSum(); got != want {
-				t.Errorf("%+v depth %d: CheckErrorSum = %d, want %d", sh, depth, got, want)
+			if depth == 1 {
+				if got, want := base.checkErrorSum1(keys[0], cards[0], NewScratch()), ref.ErrorSum(); got != want {
+					t.Errorf("%+v: checkErrorSum1 = %d, want %d", sh, got, want)
+				}
 			}
 			for rhs := 0; rhs < sh.nCols; rhs++ {
 				col := rel.Column(rhs)
@@ -142,13 +145,50 @@ func TestCheckKernelsAgainstChain(t *testing.T) {
 	}
 }
 
+// abaloneShaped generates the UCI abalone column layout (one low-cardinality
+// categorical, seven near-continuous measurements, a small label) at the
+// requested row count, scaling the measurement cardinalities so each
+// column's distinctness ratio matches the 4,177-row original.
+func abaloneShaped(rows int) *relation.Relation {
+	scale := max(float64(rows)/4177, 1)
+	sc := func(card int) int { return int(float64(card) * scale) }
+	return dataset.Generate(dataset.Spec{
+		Name: fmt.Sprintf("abalone-%d", rows),
+		Rows: rows,
+		Seed: 104,
+		Columns: []dataset.ColumnSpec{
+			{Name: "sex", Kind: dataset.Zipf, Card: 3},
+			{Name: "length", Kind: dataset.Random, Card: sc(134)},
+			{Name: "diameter", Kind: dataset.Random, Card: sc(111)},
+			{Name: "height", Kind: dataset.Random, Card: sc(51)},
+			{Name: "whole_w", Kind: dataset.Random, Card: sc(2429)},
+			{Name: "shucked_w", Kind: dataset.Random, Card: sc(1515)},
+			{Name: "viscera_w", Kind: dataset.Random, Card: sc(880)},
+			{Name: "shell_w", Kind: dataset.Random, Card: sc(926)},
+			{Name: "rings", Kind: dataset.Random, Card: 28},
+		},
+	})
+}
+
 // TestProviderFastPathsAgainstGet compares every Provider fast path with the
-// materializing Get reference over all column subsets of a small relation —
-// on the same provider (fast first, then Get, so promotions are in play) and
-// across admission states.
+// materializing Get reference over all column subsets — on the same
+// provider (fast first, then Get, so promotions are in play) and across
+// admission states. The fast provider is budgeted like an engine run's.
+// Besides a small random relation it covers the 5,000-row abalone- and
+// ncvoter-shaped generators, whose walks mix near-unique measurement
+// columns with low-cardinality ones.
 func TestProviderFastPathsAgainstGet(t *testing.T) {
-	rel := checkRelation(t, 300, 5, 4, 7)
-	fast := NewProvider(rel, nil)
+	for _, rel := range []*relation.Relation{
+		checkRelation(t, 300, 5, 4, 7),
+		abaloneShaped(5000),
+		dataset.NCVoter(5000, 12),
+	} {
+		t.Run(rel.Name(), func(t *testing.T) { checkFastPathsAgainstGet(t, rel) })
+	}
+}
+
+func checkFastPathsAgainstGet(t *testing.T, rel *relation.Relation) {
+	fast := NewProvider(rel, NewCache(1, 0, DefaultCacheBytes))
 	ref := NewProvider(rel, nil)
 
 	n := rel.NumColumns()
@@ -208,9 +248,8 @@ func TestProviderFastPathsAgainstGet(t *testing.T) {
 	}
 	// Admission control: the fast provider must have admitted strictly fewer
 	// entries than Get's cache-every-set policy.
-	if fast.CachedEntries() >= ref.CachedEntries() {
-		t.Errorf("fast path admitted %d entries, reference Get %d — admission control ineffective",
-			fast.CachedEntries(), ref.CachedEntries())
+	if got, want := st.Entries, ref.CacheStats().Entries; got >= want {
+		t.Errorf("fast path admitted %d entries, reference Get %d — admission control ineffective", got, want)
 	}
 }
 
@@ -310,8 +349,8 @@ func FuzzCheckEquivalence(f *testing.F) {
 				keys = append(keys, cols[c])
 				keyCards = append(keyCards, card)
 				ref := chainIntersect(base, keys, keyCards)
-				if base.CheckErrorSum(keys, keyCards, nil) != ref.ErrorSum() {
-					t.Fatalf("CheckErrorSum(base %d, %d keys) diverges", b, len(keys))
+				if len(keys) == 1 && base.checkErrorSum1(keys[0], card, NewScratch()) != ref.ErrorSum() {
+					t.Fatalf("checkErrorSum1(base %d) diverges", b)
 				}
 				for rhs := range cols {
 					if base.CheckRefines(cols[rhs], keys, keyCards, nil) != ref.Refines(cols[rhs]) {

@@ -8,6 +8,16 @@
 // X → A holds iff every cluster of X's PLI is value-constant in column A
 // (partition refinement, Lemma 1).
 //
+// # Construction
+//
+// A single-column PLI is a counting sort of one dictionary-encoded column
+// (FromColumn). Every multi-column PLI is built by folding one more
+// dictionary column over the clusters of a parent PLI: X ∪ {A} groups each
+// cluster of X by A's codes (IntersectColumn, Provider.Extend, and the
+// materialising check folds of check.go). There is no PLI × PLI product: a
+// fold reads the column's code vector directly, so no PLI needs a
+// row-to-cluster index.
+//
 // # Memory layout
 //
 // A PLI stores its clusters in a flat layout: one backing row array holding
@@ -15,39 +25,23 @@
 // spans rows[offsets[i]:offsets[i+1]]. Building a PLI therefore costs two
 // allocations regardless of cluster count, and iterating clusters walks one
 // contiguous array instead of chasing a pointer per cluster. Access goes
-// through Cluster, ForEachCluster or ClusterIter; the backing arrays are
-// never handed out mutably.
+// through Cluster and ForEachCluster; the backing arrays are never handed
+// out mutably.
 //
-// Each PLI additionally caches a lazily materialised cluster-ID attribute
-// vector (ProbeVector): probe[row] is the cluster index of row, or -1 for
-// stripped singletons. Intersect probes it instead of rebuilding a probe
-// table per call, so repeated intersections against the same left operand
-// pay the build once. The vector is built under a sync.Once and published
-// atomically, making concurrent intersections of shared cached PLIs safe.
-//
-// Intersections group rows with reusable Scratch arenas (see scratch.go)
-// instead of per-call maps: the steady-state intersect path performs zero
-// map allocations.
+// Folds group rows with reusable Scratch arenas (see scratch.go) instead of
+// per-call maps: the steady-state fold performs zero map allocations.
 package pli
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
-
 // PLI is a stripped partition of a relation's rows. The zero value is not
-// useful; construct PLIs with FromColumn, FromAllRows, Intersect, or
-// IntersectColumn. A PLI is immutable after construction except for the
-// lazily cached probe vector, which is published atomically; all methods are
-// safe for concurrent use.
+// useful; construct PLIs with FromColumn, FromAllRows or IntersectColumn, or
+// through a Provider. A PLI is immutable once built, so its methods are safe
+// for concurrent use and its size (ApproxBytes) never changes. The one
+// exception is a destination PLI that its owner overwrites with
+// Provider.Extend; such a PLI is never shared or cached.
 type PLI struct {
 	rows    []int32 // cluster members, cluster by cluster (one allocation)
 	offsets []int32 // cluster i = rows[offsets[i]:offsets[i+1]]; nil if no clusters
 	nRows   int
-
-	probeOnce sync.Once
-	probe     atomic.Pointer[[]int32]
 }
 
 // FromColumn builds the PLI of a single dictionary-encoded column.
@@ -116,37 +110,6 @@ func FromAllRows(nRows int) *PLI {
 	return p
 }
 
-// FromClusters builds a PLI from explicit clusters, stripping singletons.
-// It is intended for tests and for reconstructing PLIs from raw partitions.
-// Row ids outside [0, nRows) are rejected with a panic — a silently accepted
-// out-of-range id would corrupt every probe vector built from the PLI.
-func FromClusters(nRows int, clusters [][]int32) *PLI {
-	nClusters, nStored := 0, 0
-	for _, c := range clusters {
-		for _, row := range c {
-			if row < 0 || int(row) >= nRows {
-				panic(fmt.Sprintf("pli.FromClusters: row id %d outside [0, %d)", row, nRows))
-			}
-		}
-		if len(c) >= 2 {
-			nClusters++
-			nStored += len(c)
-		}
-	}
-	p := &PLI{nRows: nRows}
-	if nClusters > 0 {
-		p.rows = make([]int32, 0, nStored)
-		p.offsets = make([]int32, 1, nClusters+1)
-		for _, c := range clusters {
-			if len(c) >= 2 {
-				p.rows = append(p.rows, c...)
-				p.offsets = append(p.offsets, int32(len(p.rows)))
-			}
-		}
-	}
-	return p
-}
-
 // NumRows returns the row count of the relation the PLI belongs to.
 func (p *PLI) NumRows() int { return p.nRows }
 
@@ -172,26 +135,6 @@ func (p *PLI) ForEachCluster(fn func(cluster []int32)) {
 	}
 }
 
-// ClusterIter walks a PLI's clusters without a closure; see PLI.Iter.
-type ClusterIter struct {
-	p *PLI
-	i int
-}
-
-// Iter returns an iterator over the clusters.
-func (p *PLI) Iter() ClusterIter { return ClusterIter{p: p} }
-
-// Next returns the next cluster (a read-only view, like Cluster) and whether
-// one was available.
-func (it *ClusterIter) Next() ([]int32, bool) {
-	if it.i >= it.p.NumClusters() {
-		return nil, false
-	}
-	c := it.p.Cluster(it.i)
-	it.i++
-	return c, true
-}
-
 // IsUnique reports whether the underlying column combination is a UCC:
 // a stripped partition with no clusters has only unique values.
 func (p *PLI) IsUnique() bool { return len(p.offsets) == 0 }
@@ -206,63 +149,10 @@ func (p *PLI) ErrorSum() int { return len(p.rows) - p.NumClusters() }
 // cardinality |X|_r used by FUN's free-set classification.
 func (p *PLI) DistinctCount() int { return p.nRows - p.ErrorSum() }
 
-// ProbeVector returns the cluster-ID attribute vector of the PLI:
-// probe[row] is the index of the cluster containing row, or -1 if row is a
-// stripped singleton. The vector is materialised on first use and cached for
-// the PLI's lifetime (it is what makes repeated Intersect calls against the
-// same left operand skip the probe-build pass). Callers must not modify it.
-func (p *PLI) ProbeVector() []int32 {
-	if v := p.probe.Load(); v != nil {
-		return *v
-	}
-	p.probeOnce.Do(func() {
-		probe := make([]int32, p.nRows)
-		for i := range probe {
-			probe[i] = -1
-		}
-		for ci, n := 0, p.NumClusters(); ci < n; ci++ {
-			for _, row := range p.Cluster(ci) {
-				probe[row] = int32(ci)
-			}
-		}
-		p.probe.Store(&probe)
-	})
-	return *p.probe.Load()
-}
-
-// probeMaterialized reports whether the attribute vector has been built (and
-// is therefore part of the PLI's heap footprint).
-func (p *PLI) probeMaterialized() bool { return p.probe.Load() != nil }
-
-// Intersect returns the PLI of X ∪ Y given the PLIs of X and Y. If either
-// operand is already unique the intersection is unique too and returned
-// without touching probe vectors or scratch space. Otherwise the operand
-// with the smaller ErrorSum is the side whose clusters are scanned — fewer
-// rows to group — and its rows are probed against the larger side's cached
-// cluster-ID vector.
-func (p *PLI) Intersect(q *PLI) *PLI {
-	s := getScratch()
-	defer putScratch(s)
-	return p.IntersectScratch(q, s)
-}
-
-// IntersectScratch is Intersect with a caller-owned Scratch arena (see the
-// ownership contract in scratch.go).
-func (p *PLI) IntersectScratch(q *PLI, s *Scratch) *PLI {
-	if p.IsUnique() || q.IsUnique() {
-		return &PLI{nRows: p.nRows}
-	}
-	small, big := p, q
-	if small.ErrorSum() > big.ErrorSum() {
-		small, big = big, small
-	}
-	return small.intersectKeyed(nil, big.ProbeVector(), big.NumClusters(), s)
-}
-
 // IntersectColumn returns the PLI of X ∪ {A} given the PLI of X and the
-// dictionary-encoded column A with the given dictionary size. This avoids
-// materialising A's PLI and is the intersection flavour used on lattice
-// walks. A cluster-free (unique) receiver short-circuits to the empty PLI.
+// dictionary-encoded column A with the given dictionary size, as one fold
+// of A's codes over p's clusters; A's PLI is never needed. A cluster-free
+// (unique) receiver short-circuits to the empty PLI.
 func (p *PLI) IntersectColumn(col []int32, cardinality int) *PLI {
 	s := getScratch()
 	defer putScratch(s)
@@ -275,19 +165,17 @@ func (p *PLI) IntersectColumnScratch(col []int32, cardinality int, s *Scratch) *
 	return p.intersectKeyed(nil, col, cardinality, s)
 }
 
-// intersectKeyed groups the rows of p's clusters by keys[row], dropping rows
-// with a negative key (singletons of the probed side) and groups of size one,
-// and emits the surviving groups as a flat PLI. keyRange bounds the key
-// values; s provides the map-free grouping arenas. Within a cluster, groups
+// intersectKeyed groups the rows of p's clusters by keys[row], a column's
+// dictionary codes, dropping groups of size one, and emits the surviving
+// groups as a flat PLI. keyRange bounds the key values (the dictionary
+// size); s provides the map-free grouping arenas. Within a cluster, groups
 // are emitted in order of first occurrence, which is deterministic. A
 // cluster-free (unique) receiver short-circuits to the empty PLI.
 //
 // dst == nil allocates a fresh result whose arrays are shrunk to fit, the
 // form a cached or retained PLI needs. A non-nil dst is overwritten in place
-// and returned: the capacity of its row and offset arrays is reused, the
-// shrink copy is skipped, and every other field is reset, the lazily built
-// probe vector and its sync.Once included. dst must be owned by the caller
-// and must not be p.
+// and returned: the capacity of its row and offset arrays is reused and the
+// shrink copy is skipped. dst must be owned by the caller and must not be p.
 func (p *PLI) intersectKeyed(dst *PLI, keys []int32, keyRange int, s *Scratch) *PLI {
 	reuse := dst != nil
 	var buf, offsets []int32
@@ -319,9 +207,6 @@ func (p *PLI) intersectKeyed(dst *PLI, keys []int32, keyRange int, s *Scratch) *
 		touched = touched[:0]
 		for _, row := range cluster {
 			k := keys[row]
-			if k < 0 {
-				continue // singleton on the probed side → singleton in the result
-			}
 			if counts[k] == 0 {
 				touched = append(touched, k)
 			}
@@ -338,7 +223,7 @@ func (p *PLI) intersectKeyed(dst *PLI, keys []int32, keyRange int, s *Scratch) *
 		}
 		for _, row := range cluster {
 			k := keys[row]
-			if k < 0 || starts[k] < 0 {
+			if starts[k] < 0 {
 				continue
 			}
 			buf[starts[k]] = row
@@ -383,19 +268,12 @@ func (p *PLI) Refines(col []int32) bool {
 }
 
 // ApproxBytes is the single byte-accounting method of a PLI, used by both
-// the cache stats surface and the memory governor: the struct itself, four
-// bytes per stored row id and offset, and — once materialised — four bytes
-// per row for the cached attribute vector. For the flat layout this is exact
-// up to the fixed struct overhead. Budgeted caches snapshot the value at Put
-// time (see cacheEntry), so a vector materialised after caching grows the
-// process heap but not the cache ledger; the Provider's lattice-walk path
-// never materialises vectors on cached PLIs, keeping the ledger truthful.
+// the cache stats surface and the memory governor: the struct itself plus
+// four bytes per stored row id and offset. For the flat layout this is exact
+// up to the fixed struct overhead. A PLI is immutable, so the value a cache
+// adds at put is the value it subtracts at eviction.
 func (p *PLI) ApproxBytes() int64 {
 	// PLI struct: three slice/pointer words of headers plus scalars, rounded.
 	const pliStructBytes = 96
-	b := pliStructBytes + 4*int64(len(p.rows)+len(p.offsets))
-	if p.probeMaterialized() {
-		b += 4 * int64(p.nRows)
-	}
-	return b
+	return pliStructBytes + 4*int64(len(p.rows)+len(p.offsets))
 }

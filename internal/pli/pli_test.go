@@ -70,7 +70,7 @@ func randomRelation(rnd *rand.Rand, maxCols, maxRows, maxCard int) *relation.Rel
 func TestFromColumn(t *testing.T) {
 	col := []int32{0, 1, 0, 2, 1, 0}
 	p := FromColumn(col, 3)
-	want := [][]int32{{0, 2, 5}, {1, 4}}
+	want := [][]int32{{0, 2, 5}, {1, 4}} // row 3 is a singleton: stripped
 	if got := canon(p); !reflect.DeepEqual(got, want) {
 		t.Errorf("clusters = %v, want %v", got, want)
 	}
@@ -108,10 +108,22 @@ func TestFromAllRows(t *testing.T) {
 	}
 }
 
+// TestFromClustersStripsSingletons builds the PLI of the explicit clusters
+// {0} {1,2} {3} {4}, given as a column of cluster codes, both directly and
+// by folding that column over the all-rows PLI: only {1,2} survives.
 func TestFromClustersStripsSingletons(t *testing.T) {
-	p := FromClusters(5, [][]int32{{0}, {1, 2}, {3}, {4}})
-	if p.NumClusters() != 1 {
-		t.Errorf("NumClusters = %d, want 1", p.NumClusters())
+	codes := []int32{0, 1, 1, 2, 3}
+	want := [][]int32{{1, 2}}
+	for name, p := range map[string]*PLI{
+		"FromColumn":      FromColumn(codes, 4),
+		"IntersectColumn": FromAllRows(5).IntersectColumn(codes, 4),
+	} {
+		if p.NumClusters() != 1 {
+			t.Errorf("%s: NumClusters = %d, want 1", name, p.NumClusters())
+		}
+		if got := canon(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: clusters = %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -119,15 +131,12 @@ func TestIntersectExample(t *testing.T) {
 	// Column A: x x y y z ; Column B: 1 1 1 2 2
 	a := FromColumn([]int32{0, 0, 1, 1, 2}, 3)
 	b := FromColumn([]int32{0, 0, 0, 1, 1}, 2)
-	got := canon(a.Intersect(b))
 	want := [][]int32{{0, 1}} // only rows 0,1 agree on both A and B
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Intersect = %v, want %v", got, want)
+	if got := canon(a.IntersectColumn([]int32{0, 0, 0, 1, 1}, 2)); !reflect.DeepEqual(got, want) {
+		t.Errorf("A folded with B = %v, want %v", got, want)
 	}
-	// IntersectColumn must agree.
-	got2 := canon(a.IntersectColumn([]int32{0, 0, 0, 1, 1}, 2))
-	if !reflect.DeepEqual(got2, want) {
-		t.Errorf("IntersectColumn = %v, want %v", got2, want)
+	if got := canon(b.IntersectColumn([]int32{0, 0, 1, 1, 2}, 3)); !reflect.DeepEqual(got, want) {
+		t.Errorf("B folded with A = %v, want %v", got, want)
 	}
 }
 
@@ -157,63 +166,30 @@ func TestCheckRefinesManyWithoutKeys(t *testing.T) {
 	}
 }
 
-func TestFromClustersRejectsOutOfRangeRows(t *testing.T) {
-	for _, bad := range [][][]int32{
-		{{0, 6}},  // row id == nRows
-		{{-1, 1}}, // negative row id
-		{{0, 1}, {2, 99}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("FromClusters(6, %v) did not panic", bad)
-				}
-			}()
-			FromClusters(6, bad)
-		}()
-	}
-	// In-range ids build fine and count stored rows correctly.
-	p := FromClusters(6, [][]int32{{0, 1, 2}, {3, 4}})
-	if stored := p.ErrorSum() + p.NumClusters(); stored != 5 {
-		t.Errorf("stored rows = %d, want 5", stored)
-	}
-}
-
-func TestClusterIter(t *testing.T) {
+// TestForEachCluster checks that ForEachCluster visits the clusters in
+// cluster order, each as the same view Cluster returns.
+func TestForEachCluster(t *testing.T) {
 	p := FromColumn([]int32{0, 1, 0, 2, 1, 0}, 3)
 	var got [][]int32
-	for it := p.Iter(); ; {
-		c, ok := it.Next()
-		if !ok {
-			break
-		}
+	p.ForEachCluster(func(c []int32) {
 		got = append(got, append([]int32(nil), c...))
-	}
-	want := canon(p)
-	sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+	})
+	want := [][]int32{{0, 2, 5}, {1, 4}} // ascending code order
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("iterator clusters = %v, want %v", got, want)
+		t.Errorf("ForEachCluster visited %v, want %v", got, want)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(p.Cluster(i), want[i]) {
+			t.Errorf("Cluster(%d) = %v, want %v", i, p.Cluster(i), want[i])
+		}
 	}
 	if n := p.NumClusters(); n != 2 {
 		t.Errorf("NumClusters = %d, want 2", n)
 	}
 }
 
-func TestProbeVector(t *testing.T) {
-	p := FromColumn([]int32{0, 1, 0, 2, 1, 0}, 3)
-	probe := p.ProbeVector()
-	want := []int32{0, 1, 0, -1, 1, 0} // cluster 0 = {0,2,5}, cluster 1 = {1,4}, row 3 singleton
-	if !reflect.DeepEqual(probe, want) {
-		t.Errorf("ProbeVector = %v, want %v", probe, want)
-	}
-	// The vector is cached: a second call returns the same backing array.
-	if &probe[0] != &p.ProbeVector()[0] {
-		t.Error("ProbeVector rebuilt instead of cached")
-	}
-}
-
-// Property: Intersect agrees with the brute-force partition of the union and
-// is commutative; IntersectColumn agrees with Intersect.
+// Property: IntersectColumn agrees with the brute-force partition of the
+// union, and folding B over A's PLI equals folding A over B's.
 func TestQuickIntersectCorrect(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 150,
@@ -229,15 +205,12 @@ func TestQuickIntersectCorrect(t *testing.T) {
 		b := bitset.Single(rnd.Intn(n))
 		p := NewProvider(r, nil)
 		pa, pb := p.Get(a), p.Get(b)
-		inter := pa.Intersect(pb)
+		inter := pa.IntersectColumn(r.Column(b.First()), r.Cardinality(b.First()))
 		if !reflect.DeepEqual(canon(inter), brutePLI(r, a.Union(b))) {
 			return false
 		}
-		if !reflect.DeepEqual(canon(pb.Intersect(pa)), canon(inter)) {
-			return false
-		}
-		viaCol := pa.IntersectColumn(r.Column(b.First()), r.Cardinality(b.First()))
-		return reflect.DeepEqual(canon(viaCol), canon(inter))
+		swapped := pb.IntersectColumn(r.Column(a.First()), r.Cardinality(a.First()))
+		return reflect.DeepEqual(canon(swapped), canon(inter))
 	}, cfg); err != nil {
 		t.Error(err)
 	}
@@ -372,8 +345,8 @@ func TestProviderCacheEviction(t *testing.T) {
 	for _, s := range sets {
 		p.Get(s)
 	}
-	if p.CachedEntries() > 4 {
-		t.Errorf("cache grew to %d entries, cap 4", p.CachedEntries())
+	if n := p.CacheStats().Entries; n > 4 {
+		t.Errorf("cache grew to %d entries, cap 4", n)
 	}
 	for _, s := range sets {
 		if !reflect.DeepEqual(canon(p.Get(s)), brutePLI(r, s)) {

@@ -80,10 +80,10 @@ type Provider struct {
 	// never wrong.
 	admit [admitSlots]atomic.Uint32
 
-	// intersections counts column intersections performed; read it via
-	// IntersectionCount. Updated with sync/atomic so a Provider shared
-	// across workers stays race-free. The other two are the fast-path
-	// counters surfaced through CacheStats.
+	// intersections counts the column intersections performed, and the
+	// other two are the fast-path counters; CacheStats reports all three.
+	// Updated with sync/atomic so a Provider shared across workers stays
+	// race-free.
 	intersections    atomic.Int64
 	fastChecks       atomic.Int64
 	materializations atomic.Int64
@@ -198,7 +198,7 @@ func (p *Provider) Extend(dst, base *PLI, c int, s *Scratch) *PLI {
 }
 
 // ErrorSumWith returns the error sum of X ∪ {c} given base, the PLI of X,
-// with the single-column CheckErrorSum fold on the caller-owned Scratch s:
+// with one single-column error-sum fold on the caller-owned Scratch s:
 // |X ∪ {c}|_r = NumRows - ErrorSumWith, and no PLI is built. It counts as
 // one fast check, and the armed faults.PLIIntersect point fires here as on
 // every fold.
@@ -227,10 +227,6 @@ func (p *Provider) cachePut(s bitset.Set, pli *PLI) {
 	p.cache.put(s, pli)
 }
 
-// IntersectionCount returns the number of column intersections performed so
-// far. It is safe to call concurrently with Get.
-func (p *Provider) IntersectionCount() int64 { return p.intersections.Load() }
-
 func (p *Provider) lookup(s bitset.Set) (*PLI, bool) {
 	switch s.Len() {
 	case 0:
@@ -240,9 +236,6 @@ func (p *Provider) lookup(s bitset.Set) (*PLI, bool) {
 	}
 	return p.cacheGet(s)
 }
-
-// CachedEntries returns the number of multi-column PLIs currently cached.
-func (p *Provider) CachedEntries() int { return p.cache.stats().Entries }
 
 // CacheStats snapshots the cache behaviour of this Provider: probe hits and
 // misses, evictions, the current entry count and bytes, the intersections

@@ -52,38 +52,6 @@ func (p *ReferencePLI) ErrorSum() int {
 // DistinctCount returns the number of distinct value combinations.
 func (p *ReferencePLI) DistinctCount() int { return p.nRows - p.ErrorSum() }
 
-// Intersect returns the reference PLI of X ∪ Y via the probe-table
-// algorithm with per-call probe array and map grouping.
-func (p *ReferencePLI) Intersect(q *ReferencePLI) *ReferencePLI {
-	probe := make([]int32, p.nRows)
-	for i := range probe {
-		probe[i] = -1
-	}
-	for ci, cluster := range p.clusters {
-		for _, row := range cluster {
-			probe[row] = int32(ci)
-		}
-	}
-	out := &ReferencePLI{nRows: p.nRows}
-	groups := make(map[int32][]int32)
-	for _, cluster := range q.clusters {
-		for _, row := range cluster {
-			pc := probe[row]
-			if pc < 0 {
-				continue // singleton in p → singleton in the intersection
-			}
-			groups[pc] = append(groups[pc], row)
-		}
-		for pc, g := range groups {
-			if len(g) >= 2 {
-				out.clusters = append(out.clusters, append([]int32(nil), g...))
-			}
-			delete(groups, pc)
-		}
-	}
-	return out
-}
-
 // IntersectColumn returns the reference PLI of X ∪ {A}.
 func (p *ReferencePLI) IntersectColumn(col []int32) *ReferencePLI {
 	out := &ReferencePLI{nRows: p.nRows}

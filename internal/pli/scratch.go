@@ -5,8 +5,8 @@ import "sync"
 // Scratch is a reusable grouping arena for PLI construction and
 // intersection. It replaces the per-call map[int32][]int32 grouping of the
 // pre-flat implementation: counts and starts are dense arrays indexed by
-// grouping key (dictionary code or probe cluster ID), touched remembers which
-// keys a cluster dirtied so resets cost O(cluster), not O(key range). In the
+// grouping key (a dictionary code), touched remembers which keys a cluster
+// dirtied so resets cost O(cluster), not O(key range). In the
 // steady state an intersection therefore performs zero map allocations and
 // only the output PLI's own arrays are allocated.
 //
@@ -15,13 +15,12 @@ import "sync"
 //
 //   - Worker-slot ownership: code fanning intersections out across
 //     internal/parallel owns one Scratch per worker slot and passes it to the
-//     *Scratch method flavours (FromColumnScratch, IntersectScratch,
-//     IntersectColumnScratch). parallel.ForWorker guarantees a slot is never
-//     run by two goroutines at once, so slot-indexed scratches need no locks.
+//     *Scratch method flavours (FromColumnScratch, IntersectColumnScratch).
+//     parallel.ForWorker guarantees a slot is never run by two goroutines at
+//     once, so slot-indexed scratches need no locks.
 //     The Provider's single-column build uses this path.
-//   - Pool fallback: the plain FromColumn/Intersect/IntersectColumn methods
-//     borrow a Scratch from a package-level sync.Pool for the duration of the
-//     call. This is the path for sequential callers and for code that reaches
+//   - Pool fallback: the plain FromColumn/IntersectColumn methods borrow a
+//     Scratch from a package-level sync.Pool for the duration of the call. This is the path for sequential callers and for code that reaches
 //     intersections through Provider.Get from arbitrary goroutines.
 //
 // Invariant between calls: counts is all-zero (each call resets exactly the

@@ -161,8 +161,8 @@ func TestWalkLeavesLargeNodesToPlanner(t *testing.T) {
 	if w.Check(node.With(2)) != ref.CheckFD(node.With(2), 11) {
 		t.Fatalf("Check(%v) disagrees with the planner", node.With(2))
 	}
-	if w.heldPLI != nil || p.IntersectionCount() != 0 {
-		t.Fatalf("the walk extended a PLI: held %v, %d intersections", w.held, p.IntersectionCount())
+	if w.heldPLI != nil || p.CacheStats().Intersections != 0 {
+		t.Fatalf("the walk extended a PLI: held %v, %d intersections", w.held, p.CacheStats().Intersections)
 	}
 	checkWalkAgainst(t, p, ref, 3, 200)
 }

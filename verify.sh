@@ -35,7 +35,8 @@ echo "== benchmark module (perfbench: vet + test) =="
 echo "== worker-count equivalence (workers=1 vs N) =="
 go test -race -count=1 -run 'TestWorkerCountEquivalence|TestParallelMudsCancellation' ./internal/core/
 go test -race -count=1 -run 'TestQuickLevelWiseWorkersAgree|TestLevelWiseChecksPinned' ./internal/fd/
-go test -race -count=1 -run 'TestMudsChecksPinned|TestMudsContextDeadlineInFDPhases' ./internal/core/
+go test -race -count=1 -run 'TestMudsChecksPinned' ./internal/core/
+go test -race -count=5 -run 'TestMudsContextDeadlineInFDPhases' ./internal/core/
 go test -race -count=1 -run 'TestDuccChecksPinned' ./internal/ucc/
 go test -race -count=1 -run 'TestRepairChecksPinned' ./internal/incremental/
 go test -race -count=1 -run 'TestConcurrentWalks' ./internal/pli/
@@ -65,19 +66,19 @@ echo "== PLI bench smoke (compile + one iteration) =="
 go test -run='^$' -bench 'Intersect|Check' -benchtime=1x ./internal/pli/
 
 echo "== lattice bench smoke (compile + one iteration) =="
-go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker ./internal/core ./internal/fd
+go test -run='^$' -bench . -benchtime=1x ./internal/bitset ./internal/settrie ./internal/walker ./internal/core ./internal/fd ./internal/incremental
 
 echo "== fast-path config equivalence (race) =="
 go test -race -count=1 -run 'TestFastPathConfigEquivalence' ./internal/core/
 
-echo "== validation bench smoke (5k rows) =="
-go run ./cmd/experiments -validate -validate-rows 5000 -validate-json ''
+echo "== fast-path agreement on the 5k-row abalone and ncvoter generators (race) =="
+go test -race -count=1 -run 'TestProviderFastPathsAgainstGet' ./internal/pli/
 
 echo "== incremental differential fuzz smoke (append path vs from-scratch) =="
 go test -run='^$' -fuzz='^FuzzIncrementalEquivalence$' -fuzztime=10s ./internal/incremental/
 
-echo "== incremental bench smoke (5k rows) =="
-go run ./cmd/experiments -incremental -incremental-rows 5000 -incremental-json ''
+echo "== incremental agreement on the 5k-row uniprot and ncvoter generators (race) =="
+go test -race -count=1 -run 'TestIncrementalEquivalence' ./internal/incremental/
 
 echo "== chaos suite (fault injection, race) =="
 go test -race -count=1 -run 'TestChaos|TestJobDeadlinePartialResult' ./internal/server/

@@ -195,9 +195,9 @@ func Statistics(rel *Relation) []ColumnStats {
 // batches (see the internal/incremental package).
 type (
 	// IncrementalProfiler is a warm incremental session: it owns the relation
-	// and a patched (never flushed) PLI provider, re-validates the prior
-	// metadata after each appended batch, and restarts the lattice walks only
-	// inside the invalidated region.
+	// and its metadata, re-validates the prior metadata after each appended
+	// batch over a PLI provider built for that batch, and restarts the
+	// lattice walks only inside the invalidated region.
 	IncrementalProfiler = incremental.Profiler
 	// ProfileSnapshot is the serializable state of an incremental session,
 	// written and resumed by the CLI's -snapshot flag and the profiling
@@ -226,8 +226,9 @@ func ReadProfileSnapshot(path string) (*ProfileSnapshot, error) {
 // ProfileIncremental profiles rel with MUDS and then folds each batch in
 // sequence. The returned result equals a from-scratch profile of the
 // concatenated rows, computed at the incremental price: rel is extended in
-// place, PLIs are patched rather than rebuilt, and the lattice walks restart
-// only where a batch violated prior metadata.
+// place, each batch re-checks the prior metadata over single-column PLIs
+// built for it, and the lattice walks restart only where a batch violated
+// prior metadata.
 func ProfileIncremental(ctx context.Context, rel *Relation, batches [][][]string, opts Options) (*Result, error) {
 	p, res, err := incremental.NewProfiler(ctx, rel, core.StrategyMuds, opts, nil)
 	if err != nil {

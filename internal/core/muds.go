@@ -58,9 +58,9 @@ func (o Options) cacheBudget() int64 {
 // NewProvider builds the PLI provider for one strategy run over a cache with
 // one shard per worker (a single shard when the run stays sequential),
 // byte-budgeted (the memory governor) per cacheBudget. It is exported for
-// the incremental layer, which must construct providers with exactly the
-// engine's cache configuration so that patched and from-scratch runs are
-// comparable.
+// the incremental layer, which builds one provider per appended batch with
+// exactly the engine's cache configuration, so that incremental and
+// from-scratch runs are comparable.
 func (o Options) NewProvider(rel *relation.Relation) *pli.Provider {
 	return pli.NewProvider(rel, pli.NewCache(o.workerCount(), o.CacheEntries, o.cacheBudget()))
 }

@@ -109,7 +109,7 @@ const (
 // the same way Figure 8 partitions a full run: fold the batch into the data
 // structures, re-check the prior metadata, then repair only what broke.
 const (
-	PhaseAppend     = "append"     // relation extension + PLI patch + provider refresh
+	PhaseAppend     = "append"     // relation extension + the batch's PLI provider
 	PhaseRevalidate = "revalidate" // re-check prior UCCs/FDs on the extended relation
 	PhaseUCCRepair  = "uccRepair"  // seeded DUCC restart over the invalidated region
 	PhaseFDRepair   = "fdRepair"   // per-RHS seeded lattice repair

@@ -170,16 +170,6 @@ func Enable(point Point, mode Mode, count int) {
 	mu.Unlock()
 }
 
-// Disable disarms point. Disabling an unarmed point is a no-op.
-func Disable(point Point) {
-	mu.Lock()
-	if _, ok := plans[point]; ok {
-		delete(plans, point)
-		armed.Add(-1)
-	}
-	mu.Unlock()
-}
-
 // Reset disarms every point. Tests call it in cleanup.
 func Reset() {
 	mu.Lock()

@@ -17,16 +17,18 @@ import (
 	"holistic/internal/walker"
 )
 
-// Profiler is a warm incremental profiling session: it owns the relation, a
-// PLI provider whose cache survives (patched, not flushed) across batches,
-// and the complete metadata of the rows profiled so far. AppendBatch folds
-// one batch of rows in and returns the updated result.
+// Profiler is a warm incremental profiling session: it owns the relation and
+// the complete metadata of the rows profiled so far. AppendBatch folds one
+// batch of rows in and returns the updated result. It holds no PLIs between
+// batches: each batch builds one provider over the extended relation, which
+// its revalidation and repair phases share and which is dropped with the
+// batch. A live session and one resumed from its snapshot therefore check
+// the next batch identically.
 //
 // A Profiler is not safe for concurrent use: AppendBatch mutates the relation
 // in place (see relation.Append's exclusivity contract).
 type Profiler struct {
 	rel  *relation.Relation
-	prov *pli.Provider
 	opts core.Options
 
 	algorithm string
@@ -62,7 +64,6 @@ func NewProfiler(ctx context.Context, rel *relation.Relation, algorithm string, 
 	}
 	p := &Profiler{
 		rel:       rel,
-		prov:      opts.NewProvider(rel),
 		opts:      opts,
 		algorithm: algorithm,
 		version:   0,
@@ -96,7 +97,6 @@ func Resume(rel *relation.Relation, snap *Snapshot, opts core.Options) (*Profile
 	opts.IND.IgnoreNulls = snap.IgnoreNulls
 	p := &Profiler{
 		rel:       rel,
-		prov:      opts.NewProvider(rel),
 		opts:      opts,
 		algorithm: snap.Algorithm,
 		hasINDs:   snap.HasINDs,
@@ -190,11 +190,14 @@ func (b *batchRun) addChecks(n int) {
 // to a from-scratch run of the same strategy on the concatenated rows.
 //
 // The work is phased like a full run: "append" extends the relation and
-// patches the PLI provider in place, "indDelta" maintains the IND matrix (or
-// re-runs SPIDER when NULL semantics require it), "revalidate" re-checks
-// every prior UCC and FD with the check kernels, and "uccRepair"/"fdRepair"
-// restart the lattice walks seeded with the surviving certificates — only
-// when the revalidation actually found violations.
+// builds the batch's PLI provider over it, "indDelta" maintains the IND
+// matrix (or re-runs SPIDER when NULL semantics require it), "revalidate"
+// re-checks every prior UCC and FD with the check kernels, and
+// "uccRepair"/"fdRepair" restart the lattice walks seeded with the
+// surviving certificates — only when the revalidation actually found
+// violations. The observer receives the batch provider's CacheStats at the
+// end; a batch whose rows all duplicate existing ones builds no provider
+// and reports none.
 //
 // obs may be nil. On cancellation the profiler state and the relation may be
 // mid-update; the session must be discarded (the returned error reports it).
@@ -226,27 +229,25 @@ func (p *Profiler) AppendBatch(ctx context.Context, rows [][]string, obs core.Ob
 
 func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun) (*core.Result, error) {
 	var delta relation.AppendDelta
+	var prov *pli.Provider
 	err := b.phase(ctx, core.PhaseAppend, func() error {
 		var err error
 		delta, err = p.rel.Append(rows)
-		if err != nil {
-			return err
+		if err == nil && delta.Appended > 0 {
+			prov = p.opts.NewProvider(p.rel)
 		}
-		if delta.Appended > 0 {
-			p.prov.Refresh(delta.OldRows)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { b.obs.CacheStats(p.prov.CacheStats()) }()
 	if delta.Appended == 0 {
 		// Every batch row duplicated an existing row: the de-duplicated
 		// relation, and therefore every dependency, is unchanged.
 		p.version++
 		return p.Result(), nil
 	}
+	defer func() { b.obs.CacheStats(prov.CacheStats()) }()
 
 	if p.hasINDs {
 		err = b.phase(ctx, core.PhaseINDDelta, func() error {
@@ -271,7 +272,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 			unique := make([]bool, len(p.uccs))
 			workers := parallel.Workers(p.opts.Workers)
 			if err := parallel.For(ctx, workers, len(p.uccs), func(i int) {
-				unique[i] = p.prov.IsUnique(p.uccs[i])
+				unique[i] = prov.IsUnique(p.uccs[i])
 			}); err != nil {
 				return err
 			}
@@ -286,7 +287,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 		}
 		if p.hasFDs {
 			var err error
-			fdState, err = p.revalidateFDs(ctx, b)
+			fdState, err = p.revalidateFDs(ctx, b, prov)
 			return err
 		}
 		return nil
@@ -297,7 +298,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 
 	if p.hasUCCs && len(uccViolated) > 0 {
 		err = b.phase(ctx, core.PhaseUCCRepair, func() error {
-			return p.repairUCCs(ctx, b, uccValid, uccViolated)
+			return p.repairUCCs(ctx, b, prov, uccValid, uccViolated)
 		})
 		if err != nil {
 			return p.Result(), err
@@ -306,7 +307,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 
 	if p.hasFDs && fdState.needsRepair() {
 		err = b.phase(ctx, core.PhaseFDRepair, func() error {
-			return p.repairFDs(ctx, b, fdState)
+			return p.repairFDs(ctx, b, prov, fdState)
 		})
 		if err != nil {
 			return p.Result(), err
@@ -344,7 +345,7 @@ func (p *Profiler) updateINDs(ctx context.Context, delta relation.AppendDelta) e
 // the prior maximal non-uniques (reconstructed from the prior minimal family
 // by hitting-set duality, still non-unique by monotonicity) as trusted
 // negatives, so the walk only explores supersets of the violations.
-func (p *Profiler) repairUCCs(ctx context.Context, b *batchRun, valid, violated []bitset.Set) error {
+func (p *Profiler) repairUCCs(ctx context.Context, b *batchRun, prov *pli.Provider, valid, violated []bitset.Set) error {
 	base := p.rel.AllColumns()
 	knownFalse := append([]bitset.Set(nil), violated...)
 	hits, err := walker.MinimalHittingSets(ctx, p.uccs, base)
@@ -354,7 +355,7 @@ func (p *Profiler) repairUCCs(ctx context.Context, b *batchRun, valid, violated 
 	for _, h := range hits {
 		knownFalse = append(knownFalse, base.Diff(h))
 	}
-	res, err := ucc.DuccSeeded(ctx, p.prov, p.opts.Seed, valid, knownFalse)
+	res, err := ucc.DuccSeeded(ctx, prov, p.opts.Seed, valid, knownFalse)
 	b.addChecks(res.Checks)
 	if err != nil {
 		return err
@@ -406,10 +407,10 @@ func (f *fdRevalidation) unchangedFDs() []fd.FD {
 // kernel (one fold of the LHS partition answers all of them). Previously
 // constant columns that the batch released are violations of their ∅ → A
 // form by definition — no data check needed.
-func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun) (*fdRevalidation, error) {
+func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun, prov *pli.Provider) (*fdRevalidation, error) {
 	n := p.rel.NumColumns()
 	st := &fdRevalidation{
-		constNew: fd.ConstantColumns(p.prov),
+		constNew: fd.ConstantColumns(prov),
 		oldLHSs:  make([][]bitset.Set, n),
 		valid:    make([][]bitset.Set, n),
 		violated: make([][]bitset.Set, n),
@@ -442,7 +443,7 @@ func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun) (*fdRevalidat
 	oks := make([]bitset.Set, len(keys))
 	workers := parallel.Workers(p.opts.Workers)
 	if err := parallel.For(ctx, workers, len(keys), func(i int) {
-		oks[i] = p.prov.CheckFDs(keys[i], groups[keys[i]])
+		oks[i] = prov.CheckFDs(keys[i], groups[keys[i]])
 	}); err != nil {
 		return st, err
 	}
@@ -465,7 +466,7 @@ func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun) (*fdRevalidat
 // lattice walk seeded with their surviving certificates (fd.RepairRHS). The
 // per-RHS repairs are independent and fan out across the worker pool, like
 // the calculateRZ phase of MUDS.
-func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, st *fdRevalidation) error {
+func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, prov *pli.Provider, st *fdRevalidation) error {
 	n := p.rel.NumColumns()
 	repaired := make([][]bitset.Set, n)
 	checks := make([]int, n)
@@ -481,7 +482,7 @@ func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, st *fdRevalidatio
 		rhs := targets[i]
 		base := st.working.Without(rhs)
 		repaired[rhs], checks[i], errs[i] = fd.RepairRHS(
-			ctx, p.prov, base, rhs, st.valid[rhs], st.violated[rhs], st.oldLHSs[rhs], p.opts.Seed)
+			ctx, prov, base, rhs, st.valid[rhs], st.violated[rhs], st.oldLHSs[rhs], p.opts.Seed)
 	}); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"holistic/internal/bitset"
@@ -13,6 +14,7 @@ import (
 	"holistic/internal/dataset"
 	"holistic/internal/fd"
 	"holistic/internal/ind"
+	"holistic/internal/pli"
 	"holistic/internal/relation"
 )
 
@@ -118,8 +120,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 				batches := 1 + rng.Intn(5)
 				for bi := 0; bi < batches; bi++ {
 					batch := randomRows(rng, 1+rng.Intn(12), cols, 0.08, fmt.Sprintf("b%d_", bi))
-					// Mix in repeats of earlier rows so duplicate dropping and
-					// the PLI merge path both see traffic.
+					// Mix in repeats of earlier rows so duplicate dropping sees
+					// traffic.
 					for k := 0; k < 1+rng.Intn(3); k++ {
 						batch = append(batch, append([]string(nil), all[rng.Intn(len(all))]...))
 					}
@@ -172,36 +174,43 @@ func TestIncrementalEquivalence(t *testing.T) {
 
 // TestSnapshotRoundTrip drives the CLI resume path: profile, snapshot to
 // JSON, rebuild the relation from the same rows, Resume, append — the result
-// must match both a warm profiler and a from-scratch run.
+// must match both a warm profiler and a from-scratch run. It then snapshots
+// the live session after that batch and resumes it again: the live and the
+// resumed session must check the next batch identically, down to its checks
+// and the cache counters of the batch's provider, since neither carries PLIs
+// from one batch to the next.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ctx := context.Background()
-	cols := 4
+	cols := 6
 	base := randomRows(rng, 40, cols, 0.05, "v")
 	rel := mustRelation(t, base, cols, relation.Options{})
-	opts := core.Options{Seed: 9}
+	opts := core.Options{Seed: 9, Workers: 1}
 	p, _, err := NewProfiler(ctx, rel, core.StrategyMuds, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := p.Snapshot().Write(&buf); err != nil {
-		t.Fatal(err)
+	roundTrip := func(p *Profiler, rows [][]string) *Profiler {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := p.Snapshot().Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Version != p.Version() || snap.Algorithm != core.StrategyMuds || !snap.HasINDs {
+			t.Fatalf("snapshot header off: %+v", snap)
+		}
+		resumed, err := Resume(mustRelation(t, rows, cols, relation.Options{}), snap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resumed
 	}
-	snap, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != 0 || snap.Algorithm != core.StrategyMuds || !snap.HasINDs {
-		t.Fatalf("snapshot header off: %+v", snap)
-	}
-
-	rel2 := mustRelation(t, base, cols, relation.Options{})
-	resumed, err := Resume(rel2, snap, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := roundTrip(p, base)
 
 	batch := randomRows(rng, 10, cols, 0.05, "x")
 	all := append(append([][]string(nil), base...), batch...)
@@ -219,7 +228,46 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	assertSameResult(t, "warm vs scratch", warm, scratch, true, true)
 	assertSameResult(t, "resumed vs scratch", cold, scratch, true, true)
+
+	// Resume after the first batch. Each row of the next batch copies a
+	// profiled row with one field changed, so it violates prior UCCs and
+	// FDs and runs the repair walks.
+	resumed = roundTrip(p, all)
+	next := make([][]string, 10)
+	for i := range next {
+		next[i] = append([]string(nil), all[rng.Intn(len(all))]...)
+		next[i][rng.Intn(cols)] = fmt.Sprintf("y%d", i)
+	}
+	var liveObs, resumedObs cacheStatsObserver
+	live, err := p.AppendBatch(ctx, next, &liveObs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := resumed.AppendBatch(ctx, next, &resumedObs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{core.PhaseUCCRepair, core.PhaseFDRepair} {
+		if !slices.ContainsFunc(live.Phases, func(p core.Phase) bool { return p.Name == phase }) {
+			t.Fatalf("next batch ran no %s phase: %v", phase, live.Phases)
+		}
+	}
+	assertSameResult(t, "live vs resumed", again, live, true, true)
+	if live.Checks == 0 || again.Checks != live.Checks {
+		t.Fatalf("checks: live %d, resumed %d; want equal and non-zero", live.Checks, again.Checks)
+	}
+	if len(liveObs.stats) != 1 || !reflect.DeepEqual(resumedObs.stats, liveObs.stats) {
+		t.Fatalf("cache stats: live %+v, resumed %+v; want one equal snapshot each", liveObs.stats, resumedObs.stats)
+	}
 }
+
+// cacheStatsObserver records the CacheStats snapshots an AppendBatch reports.
+type cacheStatsObserver struct {
+	core.NopObserver
+	stats []pli.CacheStats
+}
+
+func (o *cacheStatsObserver) CacheStats(st pli.CacheStats) { o.stats = append(o.stats, st) }
 
 // TestSnapshotValidate rejects mismatched relations.
 func TestSnapshotValidate(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package incremental maintains a profiling result under appended row
 // batches: instead of re-running discovery from scratch after every append,
-// it folds the batch into the shared data structures (dictionaries, code
-// vectors, PLIs), re-validates the previously discovered metadata with the
-// cheap check kernels, and restarts the lattice walks only inside the region
-// the batch invalidated.
+// it folds the batch into the relation's dictionaries and code vectors,
+// builds the batch's single-column PLIs, re-validates the previously
+// discovered metadata with the cheap check kernels, and restarts the lattice
+// walks only inside the region the batch invalidated.
 //
 // The repair strategy rests on how each metadata kind behaves under appends:
 //

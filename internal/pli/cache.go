@@ -145,9 +145,8 @@ func (c *Cache) get(s bitset.Set) (*PLI, bool) {
 // its entry bound is hit and shedding entries when its byte budget is
 // exceeded. The shard's byte ledger adds the PLI's ApproxBytes here and
 // subtracts the same value when the entry leaves: cached PLIs are
-// immutable, so their size cannot drift in between. (Provider.Refresh
-// re-puts the new PLIs it builds, and the PLIs a Walk or a prefix path
-// overwrites in place are never cached.)
+// immutable, so their size cannot drift in between. (The PLIs a Walk or a
+// prefix path overwrites in place are never cached.)
 func (c *Cache) put(s bitset.Set, pli *PLI) {
 	sz := pli.ApproxBytes()
 	sh := c.shardFor(s)
@@ -223,23 +222,4 @@ func (c *Cache) stats() CacheStats {
 		sh.mu.Unlock()
 	}
 	return st
-}
-
-// forEach visits every cached entry until fn returns false, shard by shard
-// in unspecified order. It exists so incremental maintenance can collect
-// the cached PLIs it patches and re-puts after a relation append. Each
-// shard's mutex is held while it is walked, so fn must not call back into
-// the cache. Hit/miss counters are not touched.
-func (c *Cache) forEach(fn func(s bitset.Set, pli *PLI) bool) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.entries {
-			if !fn(k, v) {
-				sh.mu.Unlock()
-				return
-			}
-		}
-		sh.mu.Unlock()
-	}
 }

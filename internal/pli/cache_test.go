@@ -2,8 +2,6 @@ package pli
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +47,6 @@ func TestCache(t *testing.T) {
 				t.Run("bounds", func(t *testing.T) { checkBounds(t, shards, b.maxBytes) })
 				t.Run("evicts", func(t *testing.T) { checkEviction(t, newCache(), entries) })
 				t.Run("oversize", func(t *testing.T) { checkOversize(t, newCache()) })
-				t.Run("refresh", func(t *testing.T) { checkRefresh(t, newCache()) })
 				t.Run("concurrent", func(t *testing.T) { checkConcurrent(t, newCache) })
 			})
 		}
@@ -135,10 +132,11 @@ func checkEviction(t *testing.T, c *Cache, entries int) {
 	}
 	checkLedger(t, c)
 	var resident []bitset.Set
-	c.forEach(func(s bitset.Set, _ *PLI) bool {
-		resident = append(resident, s)
-		return true
-	})
+	for i := range c.shards {
+		for s := range c.shards[i].entries {
+			resident = append(resident, s)
+		}
+	}
 	for i, s := range resident {
 		c.put(s, FromAllRows(11+i%3))
 	}
@@ -184,47 +182,6 @@ func checkOversize(t *testing.T, c *Cache) {
 		}
 	}
 	checkLedger(t, c)
-}
-
-// checkRefresh pins the full provider patch: after an append and a Refresh,
-// every previously requested set answers exactly like a fresh provider over
-// the extended relation, and the cache byte ledger matches the patched
-// contents.
-func checkRefresh(t *testing.T, c *Cache) {
-	rel := appendTestRelation(t, rand.New(rand.NewSource(3)), 80, 4, 4)
-	p := NewProvider(rel, c)
-	sets := []bitset.Set{
-		bitset.New(0, 1),
-		bitset.New(1, 2, 3),
-		bitset.New(0, 2),
-		bitset.New(0, 1, 2, 3),
-	}
-	for _, s := range sets {
-		p.Get(s)
-	}
-	oldRows := rel.NumRows()
-	batch := [][]string{
-		{"v0", "v1", "v2", "fresh"},
-		{"v0", "v1", "v2", "fresh"},
-		{"z", "z", "z", "z"},
-	}
-	if _, err := rel.Append(batch); err != nil {
-		t.Fatal(err)
-	}
-	p.Refresh(oldRows)
-	checkLedger(t, c)
-
-	fresh := NewProvider(rel, nil)
-	for _, s := range sets {
-		if !reflect.DeepEqual(canonicalClusters(p.Get(s)), canonicalClusters(fresh.Get(s))) {
-			t.Fatalf("set %v: patched provider disagrees with fresh provider", s)
-		}
-	}
-	for col := 0; col < rel.NumColumns(); col++ {
-		if !reflect.DeepEqual(canonicalClusters(p.SingleColumn(col)), canonicalClusters(fresh.SingleColumn(col))) {
-			t.Fatalf("single column %d not rebuilt", col)
-		}
-	}
 }
 
 // checkConcurrent shares one cache, and then one Provider over a fresh
@@ -377,7 +334,8 @@ func TestMapCacheBudgetDefault(t *testing.T) {
 // ledger never exceeds the budget after a put, shed entries are counted as
 // evictions, and the most recent store is retained.
 func TestMapCacheBudgetSheds(t *testing.T) {
-	// Each FromAllRows(10) PLI costs 144 bytes; a 300-byte budget holds two.
+	// Each FromAllRows(10) PLI costs pliStructBytes+48 bytes (104 on 64-bit
+	// platforms); a 300-byte budget holds two.
 	c := NewCache(1, 64, 300)
 	for i := 0; i < 5; i++ {
 		s := bitset.New(i, i+1)
@@ -404,7 +362,7 @@ func TestMapCacheBudgetSheds(t *testing.T) {
 func TestMapCacheOversizePLINeverCached(t *testing.T) {
 	c := NewCache(1, 64, 200)
 	small := bitset.New(0, 1)
-	c.put(small, FromAllRows(10)) // 144 bytes, fits
+	c.put(small, FromAllRows(10)) // pliStructBytes+48 bytes, fits
 	c.put(bitset.New(2, 3), FromAllRows(1000))
 	if got := c.stats().Entries; got != 1 {
 		t.Fatalf("Entries = %d, want 1 (oversize PLI must be refused)", got)
@@ -422,11 +380,11 @@ func TestMapCacheOversizePLINeverCached(t *testing.T) {
 func TestMapCacheBudgetReplaceAccounting(t *testing.T) {
 	c := NewCache(1, 64, 1<<20)
 	s := bitset.New(0, 1)
-	c.put(s, FromAllRows(10)) // 144
-	c.put(s, FromAllRows(20)) // 184
+	c.put(s, FromAllRows(10))
+	c.put(s, FromAllRows(20))
 	st := c.stats()
-	if st.Bytes != 184 {
-		t.Errorf("Bytes after replace = %d, want 184", st.Bytes)
+	if want := pliStructBytes + 4*(20+2); st.Bytes != want {
+		t.Errorf("Bytes after replace = %d, want %d", st.Bytes, want)
 	}
 	if st.Entries != 1 {
 		t.Errorf("Entries = %d, want 1 after replacing the same key", st.Entries)
@@ -542,21 +500,21 @@ func TestConcurrentProviderSharedGets(t *testing.T) {
 }
 
 // TestApproxBytesModel pins the byte-accounting model the memory governor
-// budgets against: 96 bytes of struct overhead plus four bytes per stored
-// row id and per offset entry. For the flat layout this is exact up to the
-// struct constant.
+// budgets against: the PLI struct's own size plus four bytes per stored row
+// id and per offset entry. For the flat layout this is exact up to the
+// allocator's rounding of the struct.
 func TestApproxBytesModel(t *testing.T) {
-	// One cluster of 10 rows: 96 + 4*(10 rows + 2 offsets).
-	if got := FromAllRows(10).ApproxBytes(); got != 144 {
-		t.Errorf("FromAllRows(10).ApproxBytes() = %d, want 144", got)
+	// One cluster of 10 rows: struct + 4*(10 rows + 2 offsets).
+	if got, want := FromAllRows(10).ApproxBytes(), pliStructBytes+48; got != want {
+		t.Errorf("FromAllRows(10).ApproxBytes() = %d, want %d", got, want)
 	}
 	// Single-row relations strip to zero clusters: struct overhead only.
-	if got := FromAllRows(1).ApproxBytes(); got != 96 {
-		t.Errorf("FromAllRows(1).ApproxBytes() = %d, want 96", got)
+	if got, want := FromAllRows(1).ApproxBytes(), pliStructBytes; got != want {
+		t.Errorf("FromAllRows(1).ApproxBytes() = %d, want %d", got, want)
 	}
-	// Two clusters of 3: 96 + 4*(6 rows + 3 offsets).
+	// Two clusters of 3: struct + 4*(6 rows + 3 offsets).
 	p := FromColumn([]int32{0, 1, 0, 1, 0, 1}, 2)
-	if got := p.ApproxBytes(); got != 132 {
-		t.Errorf("two-cluster ApproxBytes() = %d, want 132", got)
+	if got, want := p.ApproxBytes(), pliStructBytes+36; got != want {
+		t.Errorf("two-cluster ApproxBytes() = %d, want %d", got, want)
 	}
 }

@@ -32,6 +32,8 @@
 // per-call maps: the steady-state fold performs zero map allocations.
 package pli
 
+import "unsafe"
+
 // PLI is a stripped partition of a relation's rows. The zero value is not
 // useful; construct PLIs with FromColumn, FromAllRows or IntersectColumn, or
 // through a Provider. A PLI is immutable once built, so its methods are safe
@@ -267,13 +269,16 @@ func (p *PLI) Refines(col []int32) bool {
 	return true
 }
 
+// pliStructBytes is the size of the PLI struct itself (two slice headers and
+// the row count), derived from the type so it follows every field change.
+const pliStructBytes = int64(unsafe.Sizeof(PLI{}))
+
 // ApproxBytes is the single byte-accounting method of a PLI, used by both
 // the cache stats surface and the memory governor: the struct itself plus
 // four bytes per stored row id and offset. For the flat layout this is exact
-// up to the fixed struct overhead. A PLI is immutable, so the value a cache
-// adds at put is the value it subtracts at eviction.
+// up to the allocator's size-class rounding of the struct. A PLI is
+// immutable, so the value a cache adds at put is the value it subtracts at
+// eviction.
 func (p *PLI) ApproxBytes() int64 {
-	// PLI struct: three slice/pointer words of headers plus scalars, rounded.
-	const pliStructBytes = 96
 	return pliStructBytes + 4*int64(len(p.rows)+len(p.offsets))
 }

@@ -13,7 +13,10 @@ import (
 // Provider computes and caches PLIs for arbitrary column combinations of one
 // relation. It is the "shared data structure" of the holistic algorithms
 // (paper Sec. 3): a single Provider is handed from the UCC phase to the FD
-// phases so that intersections computed once are reused.
+// phases so that intersections computed once are reused. A Provider
+// describes its relation's rows as they were when it was built; nothing
+// patches it after a relation.Append, so an incremental session builds a
+// fresh one for each appended batch and drops it when the batch is done.
 //
 // The lattice walks — DUCC, MUDS' per-RHS FD walks and their incremental
 // repairs — check sets through a Walk (walk.go). Most of their checks probe
@@ -57,9 +60,8 @@ import (
 // goroutines. After construction it is immutable except for the atomic
 // counters, the doorkeeper and the concurrency-safe Cache, so Get, IsUnique,
 // CheckFD, CheckFDs, ForEachCluster, Extend and ErrorSumWith may be called
-// from any number of goroutines (Refresh is the one exclusive operation;
-// Extend and ErrorSumWith need one Scratch per goroutine, and a Walk
-// serves one goroutine). Concurrent Gets of the same uncached combination
+// from any number of goroutines (Extend and ErrorSumWith need one Scratch
+// per goroutine, and a Walk serves one goroutine). Concurrent Gets of the same uncached combination
 // may duplicate an intersection — both goroutines compute and store the
 // same PLI — which wastes a little work but never produces a wrong result,
 // because PLIs are immutable once built. The fast paths borrow pooled

@@ -31,12 +31,10 @@ import "holistic/internal/bitset"
 //
 // Ownership contract: a Walk serves one walk at a time and is not safe for
 // concurrent use; it owns its Scratch and its two PLIs. Any number of Walks
-// may share one Provider. A Walk must not outlive a Refresh of its
-// Provider: the PLIs it holds describe the rows before the append. The
-// verdicts are exact, so a walk visits the same nodes whichever path
-// answers its checks; only cache probes, promotions, admissions and
-// intersections differ. The armed faults.PLIIntersect point fires on every
-// fold and Extend of the held path, as on the planner's.
+// may share one Provider. The verdicts are exact, so a walk visits the same
+// nodes whichever path answers its checks; only cache probes, promotions,
+// admissions and intersections differ. The armed faults.PLIIntersect point
+// fires on every fold and Extend of the held path, as on the planner's.
 type Walk struct {
 	p   *Provider
 	sc  *Scratch

@@ -76,6 +76,7 @@ func TestAppendEquivalence(t *testing.T) {
 					rows := randomRows(rng, 5+batch*3, len(names), 0.15)
 					// Force some exact duplicates of existing rows.
 					rows = append(rows, all[rng.Intn(len(all))], rows[0])
+					oldRows := inc.NumRows()
 					delta, err := inc.Append(rows)
 					if err != nil {
 						t.Fatal(err)
@@ -86,8 +87,8 @@ func TestAppendEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					equalRelations(t, inc, scratch)
-					if delta.OldRows+delta.Appended != inc.NumRows() {
-						t.Fatalf("delta rows: old %d + appended %d != %d", delta.OldRows, delta.Appended, inc.NumRows())
+					if oldRows+delta.Appended != inc.NumRows() {
+						t.Fatalf("delta rows: old %d + appended %d != %d", oldRows, delta.Appended, inc.NumRows())
 					}
 					for c := range names {
 						if delta.OldCard[c] > inc.Cardinality(c) {

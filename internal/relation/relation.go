@@ -53,13 +53,12 @@ type Relation struct {
 	rowSet map[string]struct{}
 }
 
-// AppendDelta describes the effect of one Append call: the row count before
-// the append, the number of non-duplicate rows actually added, and the
-// per-column dictionary sizes before the append. A column c grew new distinct
-// values iff Cardinality(c) > OldCard[c]; its new codes are exactly
+// AppendDelta describes the effect of one Append call: the number of
+// non-duplicate rows actually added, and the per-column dictionary sizes
+// before the append. A column c grew new distinct values iff
+// Cardinality(c) > OldCard[c]; its new codes are exactly
 // [OldCard[c], Cardinality(c)).
 type AppendDelta struct {
-	OldRows  int
 	Appended int
 	OldCard  []int
 }
@@ -448,7 +447,7 @@ func (r *Relation) Append(rows [][]string) (AppendDelta, error) {
 		}
 	}
 	r.ensureAppendState()
-	delta := AppendDelta{OldRows: r.NumRows(), OldCard: make([]int, n)}
+	delta := AppendDelta{OldCard: make([]int, n)}
 	for c := 0; c < n; c++ {
 		delta.OldCard[c] = len(r.dicts[c])
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -210,10 +209,4 @@ func (s bytesSource) Name() string { return s.name }
 
 func (s bytesSource) Load() (*relation.Relation, error) {
 	return relation.ReadCSV(s.name, bytes.NewReader(s.data), s.opts)
-}
-
-// errIsRequest reports whether err is a client-side validation failure.
-func errIsRequest(err error) bool {
-	var re requestError
-	return errors.As(err, &re)
 }

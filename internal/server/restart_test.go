@@ -46,6 +46,19 @@ func crash(t *testing.T, s *Server, ts *httptest.Server) {
 	_ = s.Shutdown(ctx)
 }
 
+// crashForTest simulates a kill -9 at this instant: the WAL is closed, so
+// terminal records of still-running jobs never land, and the drain-time
+// finalization (final checkpoints, shutdown marker) is suppressed. The
+// caller still runs Shutdown to unwind goroutines; the state directory is
+// left exactly as a dead process would leave it.
+func (s *Server) crashForTest() {
+	if s.store == nil {
+		return
+	}
+	s.crashed.Store(true)
+	_ = s.store.close()
+}
+
 // stopCleanly drains the server (final checkpoints, shutdown marker).
 func stopCleanly(t *testing.T, s *Server, ts *httptest.Server) {
 	t.Helper()

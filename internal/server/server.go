@@ -600,16 +600,9 @@ func (s *Server) cancelIfQueued(j *job, reason string) bool {
 	return true
 }
 
-// register adds j to the job table, evicting the oldest terminal records
-// beyond the retention bound.
-func (s *Server) register(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.registerLocked(j)
-}
-
-// registerLocked is register with s.mu already held. It also maintains the
-// idempotency-key table: the key maps onto the job for exactly the job's
+// registerLocked adds j to the job table, evicting the oldest terminal
+// records beyond the retention bound; s.mu must be held. It also maintains
+// the idempotency-key table: the key maps onto the job for exactly the job's
 // retained lifetime, so dedup and retention expire together (a replayed key
 // whose job was evicted is simply a fresh submission again).
 func (s *Server) registerLocked(j *job) {

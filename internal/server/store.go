@@ -560,19 +560,6 @@ func (s *Server) finalizeStore() {
 	}
 }
 
-// crashForTest (restart tests only) simulates a kill -9 at this instant:
-// the WAL is closed, so terminal records of still-running jobs never land,
-// and the drain-time finalization (final checkpoints, shutdown marker) is
-// suppressed. The caller still runs Shutdown to unwind goroutines; the state
-// directory is left exactly as a dead process would leave it.
-func (s *Server) crashForTest() {
-	if s.store == nil {
-		return
-	}
-	s.crashed.Store(true)
-	_ = s.store.close()
-}
-
 // numericSuffix parses ids like "j-17" → 17.
 func numericSuffix(id, prefix string) (int64, bool) {
 	if !strings.HasPrefix(id, prefix) {

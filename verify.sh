@@ -1,6 +1,8 @@
 #!/bin/sh
-# verify.sh — the full local verification gate: formatting, vet, build, and
-# the complete test suite under the race detector. Run from the repo root.
+# verify.sh — the full verification gate, locally and in CI: formatting,
+# vet, staticcheck, build, the complete test suite under the race detector,
+# and the targeted suites, fuzz smokes and service scripts below. Run from
+# the repo root.
 set -eu
 
 cd "$(dirname "$0")"
@@ -19,6 +21,9 @@ go vet ./...
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
 	staticcheck ./...
+elif [ -n "${CI:-}" ]; then
+	echo "staticcheck not installed; CI must run it" >&2
+	exit 1
 else
 	echo "staticcheck not installed; skipping (CI runs it)"
 fi

@@ -169,16 +169,6 @@ func (s Set) IsSupersetOf(t Set) bool {
 	return t.IsSubsetOf(s)
 }
 
-// Intersects reports whether s ∩ t ≠ ∅.
-func (s Set) Intersects(t Set) bool {
-	for i := range s.w {
-		if s.w[i]&t.w[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // First returns the smallest column in s, or -1 if s is empty.
 func (s Set) First() int {
 	for i, w := range s.w {
@@ -240,23 +230,6 @@ func (s Set) DirectSubsets() []Set {
 		subs = append(subs, s.Without(c))
 	})
 	return subs
-}
-
-// DirectSupersets returns all sets s ∪ {c} for columns c < n with c ∉ s,
-// i.e. the direct (one-larger) supersets in the lattice over n columns.
-func (s Set) DirectSupersets(n int) []Set {
-	sups := make([]Set, 0, n-s.Len())
-	for c := 0; c < n; c++ {
-		if !s.Has(c) {
-			sups = append(sups, s.With(c))
-		}
-	}
-	return sups
-}
-
-// Complement returns {0..n-1} \ s.
-func (s Set) Complement(n int) Set {
-	return Full(n).Diff(s)
 }
 
 // SubsetsOfSize enumerates all subsets of s with exactly k columns.

@@ -7,6 +7,33 @@ import (
 	"testing/quick"
 )
 
+// Intersects reports whether s ∩ t ≠ ∅.
+func (s Set) Intersects(t Set) bool {
+	for i := range s.w {
+		if s.w[i]&t.w[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// DirectSupersets returns all sets s ∪ {c} for columns c < n with c ∉ s,
+// i.e. the direct (one-larger) supersets in the lattice over n columns.
+func (s Set) DirectSupersets(n int) []Set {
+	sups := make([]Set, 0, n-s.Len())
+	for c := 0; c < n; c++ {
+		if !s.Has(c) {
+			sups = append(sups, s.With(c))
+		}
+	}
+	return sups
+}
+
+// Complement returns {0..n-1} \ s.
+func (s Set) Complement(n int) Set {
+	return Full(n).Diff(s)
+}
+
 func TestNewAndHas(t *testing.T) {
 	s := New(0, 3, 77, 200)
 	for _, c := range []int{0, 3, 77, 200} {

@@ -5,6 +5,82 @@ import (
 	"testing"
 )
 
+// Level enumerates all subsets of base with exactly k columns. It corresponds
+// to one level of the Hasse diagram in Fig. 1 of the paper restricted to the
+// columns of base.
+func Level(base Set, k int) []Set {
+	var out []Set
+	base.SubsetsOfSize(k, func(sub Set) bool {
+		out = append(out, sub)
+		return true
+	})
+	return out
+}
+
+// LatticeSize returns the number of non-empty nodes of the lattice over n
+// attributes: 2^n - 1. It panics for n > 62 (the count no longer fits an
+// int64; no caller materialises lattices anywhere near that size).
+func LatticeSize(n int) int64 {
+	if n < 0 || n > 62 {
+		panic("bitset: lattice size out of int64 range")
+	}
+	return (int64(1) << n) - 1
+}
+
+// FDCandidateCount returns the number of FD candidates over n attributes,
+// sum_{k=1..n} C(n,k)*(n-k), the edge count of the lattice (paper Sec. 2.3).
+func FDCandidateCount(n int) int64 {
+	if n < 0 || n > 57 {
+		panic("bitset: FD candidate count out of int64 range")
+	}
+	var total int64
+	for k := 1; k <= n; k++ {
+		total += binomial(n, k) * int64(n-k)
+	}
+	return total
+}
+
+// INDCandidateCount returns the number of unary IND candidates over n
+// attributes: n*(n-1) (paper Sec. 2.1).
+func INDCandidateCount(n int) int64 {
+	return int64(n) * int64(n-1)
+}
+
+func binomial(n, k int) int64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	if k > n-k {
+		k = n - k
+	}
+	res := int64(1)
+	for i := 1; i <= k; i++ {
+		res = res * int64(n-k+i) / int64(i)
+	}
+	return res
+}
+
+// SubLattice describes the lattice of left-hand-side candidates for one fixed
+// right-hand-side column (paper Sec. 4.2, Fig. 3): all subsets of Base, where
+// Base excludes the right-hand side.
+type SubLattice struct {
+	// RHS is the fixed right-hand-side column the sub-lattice belongs to.
+	RHS int
+	// Base is the set of columns available as left-hand-side attributes.
+	Base Set
+}
+
+// SubLattices constructs one sub-lattice per column of rhsCols over the
+// relation columns all (paper Fig. 3 uses rhsCols = all; MUDS restricts
+// rhsCols to R\Z).
+func SubLattices(all Set, rhsCols Set) []SubLattice {
+	var out []SubLattice
+	rhsCols.ForEach(func(c int) {
+		out = append(out, SubLattice{RHS: c, Base: all.Without(c)})
+	})
+	return out
+}
+
 // TestLatticeFigure1 reproduces Figure 1 of the paper: the attribute lattice
 // for five columns A..E has levels of sizes 5, 10, 10, 5, 1.
 func TestLatticeFigure1(t *testing.T) {

@@ -79,7 +79,7 @@ func TestWorkerPanicCrossesPoolBoundary(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
 	}
-	if !faults.IsInjected(err) {
+	if !errors.As(err, new(*faults.Error)) {
 		t.Fatalf("injected fault not classifiable through the panic chain: %v", err)
 	}
 	if !strings.Contains(pe.Stack, "holistic/internal/pli") {
@@ -102,7 +102,7 @@ func TestWorkerPanicInLevelWiseStrategies(t *testing.T) {
 		faults.Enable(faults.PLIIntersect, faults.ModePanic, 1)
 		_, err := RunContext(context.Background(), strategy, RelationSource{Rel: rel}, Options{Workers: 4}, nil)
 		var pe *PanicError
-		if !errors.As(err, &pe) || !faults.IsInjected(err) {
+		if !errors.As(err, &pe) || !errors.As(err, new(*faults.Error)) {
 			t.Fatalf("%s: err = %v (%T), want an injected *PanicError", strategy, err, err)
 		}
 		if !strings.Contains(pe.Stack, "holistic/internal/fd.levelErrorSums") {

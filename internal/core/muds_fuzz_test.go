@@ -5,10 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"holistic/internal/fd"
-	"holistic/internal/pli"
+	"holistic/internal/oracle"
 	"holistic/internal/relation"
-	"holistic/internal/ucc"
 )
 
 // FuzzMudsMatchesOracles drives MUDS with fuzzer-chosen relation contents
@@ -23,11 +21,10 @@ func FuzzMudsMatchesOracles(f *testing.F) {
 			return
 		}
 		res := Muds(rel, Options{Seed: seed})
-		p := pli.NewProvider(rel, nil)
-		if want := fd.BruteForce(p); !reflect.DeepEqual(res.FDs, want) {
+		if want := oracleFDs(rel); !reflect.DeepEqual(res.FDs, want) {
 			t.Fatalf("FDs mismatch:\n got %v\nwant %v\ndata %v", res.FDs, want, data)
 		}
-		if want := ucc.BruteForce(p); !reflect.DeepEqual(res.UCCs, want) {
+		if want := oracle.UCCs(rel); !reflect.DeepEqual(res.UCCs, want) {
 			t.Fatalf("UCCs mismatch:\n got %v\nwant %v\ndata %v", res.UCCs, want, data)
 		}
 	})

@@ -75,18 +75,6 @@ func (r *Result) Total() time.Duration {
 	return t
 }
 
-// PhaseDuration returns the duration of the named phase (0 if absent).
-// Repeated phases (the baseline's input passes) are summed.
-func (r *Result) PhaseDuration(name string) time.Duration {
-	var t time.Duration
-	for _, p := range r.Phases {
-		if p.Name == name {
-			t += p.Duration
-		}
-	}
-	return t
-}
-
 // Canonical MUDS phase names (Figure 8 of the paper). MUDS no longer emits
 // PhaseMinimizeFDs, PhaseGenerateShadowed or PhaseMinimizeShadowed: the
 // completion sweep replaced those phases. The names stay for readers of

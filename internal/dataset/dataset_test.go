@@ -1,13 +1,26 @@
 package dataset
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"holistic/internal/bitset"
 	"holistic/internal/fd"
+	"holistic/internal/oracle"
 	"holistic/internal/pli"
+	"holistic/internal/relation"
 )
+
+// tane runs TANE on rel without a deadline at one worker.
+func tane(t *testing.T, rel *relation.Relation) fd.Result {
+	t.Helper()
+	res, err := fd.TaneContext(context.Background(), pli.NewProvider(rel, nil), false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	spec := Spec{Name: "d", Rows: 100, Seed: 5, Columns: []ColumnSpec{
@@ -43,8 +56,7 @@ func TestColumnKinds(t *testing.T) {
 		t.Errorf("MixedRadix cardinality = %d, want 3", rel.Cardinality(3))
 	}
 	// Derived column: rnd → drv must hold.
-	p := pli.NewProvider(rel, nil)
-	if !p.CheckFD(bitset.New(1), 4) {
+	if !oracle.Holds(rel, bitset.New(1), 4) {
 		t.Error("planted FD rnd → drv does not hold")
 	}
 }
@@ -82,11 +94,10 @@ func TestUniprotShape(t *testing.T) {
 		t.Errorf("rows = %d, want ≈2000", rel.NumRows())
 	}
 	// Planted FDs hold: organism → tax_id, {tax_id, evidence} → reviewed.
-	p := pli.NewProvider(rel, nil)
-	if !p.CheckFD(bitset.New(1), 2) {
+	if !oracle.Holds(rel, bitset.New(1), 2) {
 		t.Error("organism → tax_id missing")
 	}
-	if !p.CheckFD(bitset.New(2, 8), 9) {
+	if !oracle.Holds(rel, bitset.New(2, 8), 9) {
 		t.Error("tax_id,evidence → reviewed missing")
 	}
 }
@@ -111,14 +122,19 @@ func TestNCVoterShape(t *testing.T) {
 	if rel.NumColumns() != 20 {
 		t.Fatalf("columns = %d, want 20", rel.NumColumns())
 	}
-	p := pli.NewProvider(rel, nil)
 	// Planted pairs: county_id → county_desc, status_cd → status_desc.
-	ci, cd := rel.ColumnIndex("county_id"), rel.ColumnIndex("county_desc")
-	if ci < 0 || cd < 0 || !p.CheckFD(bitset.New(ci), cd) {
+	col := map[string]int{}
+	for i, name := range rel.ColumnNames() {
+		col[name] = i
+	}
+	ci, okI := col["county_id"]
+	cd, okD := col["county_desc"]
+	if !okI || !okD || !oracle.Holds(rel, bitset.New(ci), cd) {
 		t.Error("county_id → county_desc missing")
 	}
-	zc, rc := rel.ColumnIndex("zip_code"), rel.ColumnIndex("res_city")
-	if zc < 0 || rc < 0 || !p.CheckFD(bitset.New(zc), rc) {
+	zc, okZ := col["zip_code"]
+	rc, okR := col["res_city"]
+	if !okZ || !okR || !oracle.Holds(rel, bitset.New(zc), rc) {
 		t.Error("zip_code → res_city missing")
 	}
 	// A narrower slice still works and keeps valid parents.
@@ -136,8 +152,7 @@ func TestBalanceExactlyOneFD(t *testing.T) {
 	if rel.NumRows() != 625 {
 		t.Fatalf("rows = %d, want 625 (full crossing)", rel.NumRows())
 	}
-	p := pli.NewProvider(rel, nil)
-	fds := fd.Tane(p, false).FDs
+	fds := tane(t, rel).FDs
 	if len(fds) != 1 {
 		t.Fatalf("balance FDs = %v, want exactly 1", fds)
 	}
@@ -151,8 +166,7 @@ func TestIrisFewFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pli.NewProvider(rel, nil)
-	n := len(fd.Tane(p, false).FDs)
+	n := len(tane(t, rel).FDs)
 	if n == 0 || n > 40 {
 		t.Errorf("iris FD count = %d, want a small positive number", n)
 	}

@@ -80,7 +80,7 @@ func TestCheckpointRenameFault(t *testing.T) {
 	}
 	faults.Enable(faults.CheckpointRename, faults.ModeError, 1)
 	err := WriteCheckpoint(path, []byte("new"))
-	if err == nil || !faults.IsInjected(err) {
+	if err == nil || !errors.As(err, new(*faults.Error)) {
 		t.Fatalf("WriteCheckpoint under rename fault: err = %v, want injected", err)
 	}
 	got, err := ReadCheckpoint(path)

@@ -61,11 +61,10 @@ func (r *Replay) Truncated() bool { return r.TruncatedBytes > 0 }
 // WAL is an append-only write-ahead log. Append is safe for concurrent use;
 // a WAL assumes it is the only writer of its file.
 type WAL struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	closed  bool
-	records int64
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	closed bool
 }
 
 // OpenWAL opens (creating if necessary) the log at path, replays its
@@ -111,7 +110,7 @@ func OpenWAL(path string) (*WAL, *Replay, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &WAL{f: f, path: path, records: int64(len(replay.Records))}
+	w := &WAL{f: f, path: path}
 	return w, replay, nil
 }
 
@@ -181,15 +180,7 @@ func (w *WAL) Append(payload []byte) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("wal fsync: %w", err)
 	}
-	w.records++
 	return nil
-}
-
-// Records returns how many records the log holds (replayed plus appended).
-func (w *WAL) Records() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
 }
 
 // Close closes the log file. Appends after Close fail; Close is idempotent.

@@ -39,9 +39,6 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("fresh log replayed %d records, truncated=%v", len(replay.Records), replay.Truncated())
 	}
 	appendAll(t, w, "alpha", "beta", `{"type":"end","job":"j-1"}`)
-	if got := w.Records(); got != 3 {
-		t.Fatalf("Records() = %d, want 3", got)
-	}
 	w.Close()
 
 	// Reopen: all records replay in order, and appending continues.
@@ -168,7 +165,7 @@ func TestWALAppendFaultLeavesNoPartialFrame(t *testing.T) {
 	w, _ := openForTest(t, path)
 	appendAll(t, w, "before")
 	faults.Enable(faults.WALAppend, faults.ModeError, 1)
-	if err := w.Append([]byte("dropped")); err == nil || !faults.IsInjected(err) {
+	if err := w.Append([]byte("dropped")); err == nil || !errors.As(err, new(*faults.Error)) {
 		t.Fatalf("Append under wal.append fault: err = %v, want injected", err)
 	}
 	appendAll(t, w, "after")

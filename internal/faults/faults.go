@@ -109,7 +109,7 @@ const (
 
 // Error is the failure injected at an armed point. It unwraps cleanly through
 // fmt.Errorf("...: %w", err) chains and through the engine's PanicError, so
-// callers anywhere up the stack can classify it (IsInjected, IsTransient).
+// callers anywhere up the stack can classify it (errors.As, IsTransient).
 type Error struct {
 	Point Point
 	Mode  Mode
@@ -305,12 +305,6 @@ func Fired(point Point) int64 {
 		return 0
 	}
 	return p.fired.Load()
-}
-
-// IsInjected reports whether err (or anything it wraps) is an injected fault.
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
 }
 
 // IsTransient reports whether err (or anything it wraps) models a retryable

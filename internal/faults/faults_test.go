@@ -23,7 +23,7 @@ func TestInjectModes(t *testing.T) {
 
 	Enable(ReaderIO, ModeError, 0)
 	err := Inject(ReaderIO)
-	if err == nil || !IsInjected(err) {
+	if err == nil || !errors.As(err, new(*Error)) {
 		t.Fatalf("Inject = %v, want injected error", err)
 	}
 	if IsTransient(err) {
@@ -95,7 +95,7 @@ func TestIsTransientUnwraps(t *testing.T) {
 	t.Cleanup(Reset)
 	Enable(ReaderIO, ModeTransient, 0)
 	err := fmt.Errorf("outer: %w", Inject(ReaderIO))
-	if !IsTransient(err) || !IsInjected(err) {
+	if !IsTransient(err) || !errors.As(err, new(*Error)) {
 		t.Fatalf("wrapped injected transient not classified: %v", err)
 	}
 	if IsTransient(errors.New("plain")) {

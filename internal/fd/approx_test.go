@@ -54,7 +54,7 @@ func TestApproximateEpsZeroMatchesExact(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	for i := 0; i < 30; i++ {
 		p := randomProvider(rnd, 5, 25, 3)
-		exact := BruteForce(p)
+		exact := bruteFDs(p)
 		approx := ApproximateFDs(p, 0, 0)
 		var got []FD
 		for _, f := range approx {

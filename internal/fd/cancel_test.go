@@ -46,14 +46,18 @@ func TestFunContextDeadline(t *testing.T) {
 	}
 }
 
+// TestTaneContextBackgroundMatchesPlain requires a live context that never
+// fires to leave TANE's result as it is without one.
 func TestTaneContextBackgroundMatchesPlain(t *testing.T) {
 	rel := dataset.NCVoter(200, 8)
-	plain := Tane(pli.NewProvider(rel, nil), true)
-	ctxed, err := TaneContext(context.Background(), pli.NewProvider(rel, nil), true, 1)
+	plain := tane(pli.NewProvider(rel, nil), true)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := TaneContext(ctx, pli.NewProvider(rel, nil), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.FDs) != len(ctxed.FDs) || len(plain.MinimalUCCs) != len(ctxed.MinimalUCCs) {
-		t.Fatal("background-context TANE differs from plain TANE")
+		t.Fatal("TANE under a live context differs from TANE without one")
 	}
 }

@@ -1,5 +1,6 @@
 // Package fd implements functional dependency discovery: the TANE and FUN
-// baselines (paper Secs. 2.3 and 3.2) and a brute-force oracle for tests.
+// baselines (paper Secs. 2.3 and 3.2). The brute-force reference its tests
+// compare against lives in internal/oracle.
 // FUN doubles as the FD part of Holistic FUN: it returns the minimal UCCs
 // (its keys) alongside the minimal FDs, which by Lemma 3 of the paper it
 // must traverse anyway.

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,10 +9,31 @@ import (
 	"testing/quick"
 
 	"holistic/internal/bitset"
+	"holistic/internal/oracle"
 	"holistic/internal/pli"
 	"holistic/internal/relation"
-	"holistic/internal/ucc"
 )
+
+// fun runs FUN without a deadline at one worker.
+func fun(p *pli.Provider) Result {
+	res, _ := FunContext(context.Background(), p, 1)
+	return res
+}
+
+// tane runs TANE without a deadline at one worker.
+func tane(p *pli.Provider, collectUCCs bool) Result {
+	res, _ := TaneContext(context.Background(), p, collectUCCs, 1)
+	return res
+}
+
+// bruteFDs returns the brute-force oracle's minimal FDs of p's relation.
+func bruteFDs(p *pli.Provider) []FD {
+	var out []FD
+	for _, f := range oracle.FDs(p.Relation()) {
+		out = append(out, FD(f))
+	}
+	return out
+}
 
 func provider(t *testing.T, names []string, rows [][]string) *pli.Provider {
 	t.Helper()
@@ -80,7 +102,7 @@ func TestKnownFDs(t *testing.T) {
 			{"10117", "Berlin", "B"},
 			{"10117", "Berlin", "C"},
 		})
-	want := BruteForce(p)
+	want := bruteFDs(p)
 	// zip → city must be among the minimal FDs (A → B in letters).
 	foundZipCity := false
 	for _, f := range want {
@@ -91,10 +113,10 @@ func TestKnownFDs(t *testing.T) {
 	if !foundZipCity {
 		t.Fatalf("oracle missing zip → city: %v", letters(want))
 	}
-	if got := Tane(p, false).FDs; !reflect.DeepEqual(got, want) {
+	if got := tane(p, false).FDs; !reflect.DeepEqual(got, want) {
 		t.Errorf("tane = %v, want %v", letters(got), letters(want))
 	}
-	if got := Fun(p).FDs; !reflect.DeepEqual(got, want) {
+	if got := fun(p).FDs; !reflect.DeepEqual(got, want) {
 		t.Errorf("fun = %v, want %v", letters(got), letters(want))
 	}
 }
@@ -109,9 +131,9 @@ func TestConstantColumns(t *testing.T) {
 	}
 	want := []FD{{LHS: bitset.Set{}, RHS: 0}}
 	for name, got := range map[string][]FD{
-		"oracle": BruteForce(p),
-		"tane":   Tane(p, false).FDs,
-		"fun":    Fun(p).FDs,
+		"oracle": bruteFDs(p),
+		"tane":   tane(p, false).FDs,
+		"fun":    fun(p).FDs,
 	} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s = %v, want %v", name, letters(got), letters(want))
@@ -123,9 +145,9 @@ func TestAllConstantRelation(t *testing.T) {
 	p := provider(t, []string{"A", "B"}, [][]string{{"k", "x"}})
 	want := []FD{{LHS: bitset.Set{}, RHS: 0}, {LHS: bitset.Set{}, RHS: 1}}
 	for name, got := range map[string][]FD{
-		"oracle": BruteForce(p),
-		"tane":   Tane(p, false).FDs,
-		"fun":    Fun(p).FDs,
+		"oracle": bruteFDs(p),
+		"tane":   tane(p, false).FDs,
+		"fun":    fun(p).FDs,
 	} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s = %v, want %v", name, letters(got), letters(want))
@@ -144,9 +166,9 @@ func TestNoFDs(t *testing.T) {
 		{"3", "x"},
 	})
 	for name, got := range map[string][]FD{
-		"oracle": BruteForce(p),
-		"tane":   Tane(p, false).FDs,
-		"fun":    Fun(p).FDs,
+		"oracle": bruteFDs(p),
+		"tane":   tane(p, false).FDs,
+		"fun":    fun(p).FDs,
 	} {
 		if len(got) != 0 {
 			t.Errorf("%s = %v, want none", name, letters(got))
@@ -163,16 +185,16 @@ func TestKeyFDs(t *testing.T) {
 		{"4", "y", "q"},
 		{"5", "x", "p"},
 	})
-	want := BruteForce(p)
-	if got := Tane(p, false).FDs; !reflect.DeepEqual(got, want) {
+	want := bruteFDs(p)
+	if got := tane(p, false).FDs; !reflect.DeepEqual(got, want) {
 		t.Errorf("tane = %v, want %v", letters(got), letters(want))
 	}
-	fun := Fun(p)
-	if !reflect.DeepEqual(fun.FDs, want) {
-		t.Errorf("fun = %v, want %v", letters(fun.FDs), letters(want))
+	fr := fun(p)
+	if !reflect.DeepEqual(fr.FDs, want) {
+		t.Errorf("fun = %v, want %v", letters(fr.FDs), letters(want))
 	}
-	if !reflect.DeepEqual(fun.MinimalUCCs, []bitset.Set{bitset.New(0)}) {
-		t.Errorf("fun UCCs = %v", fun.MinimalUCCs)
+	if !reflect.DeepEqual(fr.MinimalUCCs, []bitset.Set{bitset.New(0)}) {
+		t.Errorf("fun UCCs = %v", fr.MinimalUCCs)
 	}
 }
 
@@ -182,11 +204,11 @@ func TestChecksCounted(t *testing.T) {
 		{"2", "x", "q"},
 		{"3", "y", "p"},
 	})
-	if Tane(p, false).Checks == 0 {
+	if tane(p, false).Checks == 0 {
 		t.Error("tane should count validity checks")
 	}
 	// FUN counts PLI cardinality computations for generated candidates.
-	if Fun(p).Checks == 0 {
+	if fun(p).Checks == 0 {
 		t.Error("fun should count cardinality computations")
 	}
 }
@@ -206,7 +228,7 @@ func randomProvider(rnd *rand.Rand, maxCols, maxRows, maxCard int) *pli.Provider
 		}
 		data[i] = row
 	}
-	return pli.NewProvider(relation.MustNew("rand", names, data), nil)
+	return pli.NewProvider(oracle.MustRelation("rand", names, data), nil)
 }
 
 // Property: TANE and FUN agree with the brute-force oracle.
@@ -218,11 +240,11 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
-		want := BruteForce(p)
-		if !reflect.DeepEqual(Tane(p, false).FDs, want) {
+		want := bruteFDs(p)
+		if !reflect.DeepEqual(tane(p, false).FDs, want) {
 			return false
 		}
-		return reflect.DeepEqual(Fun(p).FDs, want)
+		return reflect.DeepEqual(fun(p).FDs, want)
 	}, cfg); err != nil {
 		t.Error(err)
 	}
@@ -238,7 +260,7 @@ func TestQuickFunUCCsComplete(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
-		return reflect.DeepEqual(Fun(p).MinimalUCCs, ucc.BruteForce(p))
+		return reflect.DeepEqual(fun(p).MinimalUCCs, oracle.UCCs(p.Relation()))
 	}, cfg); err != nil {
 		t.Error(err)
 	}
@@ -256,7 +278,7 @@ func TestQuickLemma2(t *testing.T) {
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
 		n := p.Relation().NumColumns()
-		for _, u := range ucc.BruteForce(p) {
+		for _, u := range oracle.UCCs(p.Relation()) {
 			// U determines every other attribute.
 			rest := bitset.Full(n).Diff(u)
 			if got := p.CheckFDs(u, rest); got != rest {
@@ -278,12 +300,12 @@ func TestQuickMinimalityAndValidity(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
-		for _, f := range Tane(p, false).FDs {
-			if !bruteHolds(p, f.LHS, f.RHS) {
+		for _, f := range tane(p, false).FDs {
+			if !oracle.Holds(p.Relation(), f.LHS, f.RHS) {
 				return false
 			}
 			for _, sub := range f.LHS.DirectSubsets() {
-				if bruteHolds(p, sub, f.RHS) {
+				if oracle.Holds(p.Relation(), sub, f.RHS) {
 					return false
 				}
 			}

@@ -8,29 +8,24 @@ import (
 	"holistic/internal/settrie"
 )
 
-// Fun discovers all minimal FDs with the FUN strategy (Novelli/Cicchetti,
-// paper Sec. 2.3): a level-wise traversal restricted to free sets, with
-// cardinality counts for validity checks, FUN's recursive cardinality
-// inference for non-free sets (the "fast counting inference" that lets FUN
-// skip PLI work TANE would perform), and key pruning. Each candidate's count
-// is one single-column fold over its parent's PLI, and the parent PLIs are
-// built along a prefix path, never stored across levels (see
-// levelErrorSums). A valid FD's minimality is one subset query on the
-// family of left-hand sides already emitted for its right-hand side (see
-// emitFDs).
+// FunContext discovers all minimal FDs with the FUN strategy
+// (Novelli/Cicchetti, paper Sec. 2.3): a level-wise traversal restricted to
+// free sets, with cardinality counts for validity checks, FUN's recursive
+// cardinality inference for non-free sets (the "fast counting inference" that
+// lets FUN skip PLI work TANE would perform), and key pruning. Each
+// candidate's count is one single-column fold over its parent's PLI, and the
+// parent PLIs are built along a prefix path, never stored across levels (see
+// levelErrorSums). A valid FD's minimality is one subset query on the family
+// of left-hand sides already emitted for its right-hand side (see emitFDs).
 //
-// Fun always returns the minimal UCCs it traverses: by Lemma 3 of the paper
+// It always returns the minimal UCCs it traverses: by Lemma 3 of the paper
 // every minimal UCC is a free set, so collecting keys costs nothing extra.
 // This is exactly the Holistic FUN extension of paper Sec. 3.2.
-func Fun(p *pli.Provider) Result {
-	res, _ := FunContext(context.Background(), p, 1)
-	return res
-}
-
-// FunContext runs FUN under a context: the level-wise loop polls ctx per
-// level and per counted candidate and stops promptly when ctx is cancelled
-// or its deadline passes, returning the partial result together with
-// ctx.Err(). On a non-nil error the FD and UCC lists are incomplete.
+//
+// The level-wise loop polls ctx per level and per counted candidate and stops
+// promptly when ctx is cancelled or its deadline passes, returning the
+// partial result together with ctx.Err(). On a non-nil error the FD and UCC
+// lists are incomplete.
 //
 // workers bounds the goroutines counting candidate cardinalities within one
 // level (<= 0 selects GOMAXPROCS). Each candidate writes its count into its

@@ -33,29 +33,16 @@ func (s *Store) Closure(x bitset.Set) bitset.Set {
 	}
 }
 
-// Implies reports whether lhs → rhs follows from the stored FDs.
-func (s *Store) Implies(lhs bitset.Set, rhs int) bool {
-	if lhs.Has(rhs) {
-		return true
-	}
-	return s.Closure(lhs).Has(rhs)
-}
-
-// DeriveUCCs computes all minimal UCCs of a duplicate-free relation over
-// the columns `all` from its complete set of minimal FDs (Lemma 2):
-// U is a key iff closure(U) = R. "closure(U) = R" is a monotone lattice
-// predicate, so the shared walker enumerates exactly the minimal keys —
-// with no data access at all. This realises the "FDs first" approach of
-// paper Sec. 3.1 (which the paper rejects for its extra inference cost;
-// the cost is measurable with this implementation).
-func (s *Store) DeriveUCCs(all bitset.Set, seed int64) []bitset.Set {
-	uccs, _ := s.DeriveUCCsContext(context.Background(), all, seed)
-	return uccs
-}
-
-// DeriveUCCsContext derives the minimal UCCs under a context: the key walk
-// polls ctx between closure evaluations and stops promptly on cancellation,
-// returning the partial key list together with ctx.Err().
+// DeriveUCCsContext computes all minimal UCCs of a duplicate-free relation
+// over the columns `all` from its complete set of minimal FDs (Lemma 2): U is
+// a key iff closure(U) = R. "closure(U) = R" is a monotone lattice predicate,
+// so the shared walker enumerates exactly the minimal keys — with no data
+// access at all. This realises the "FDs first" approach of paper Sec. 3.1
+// (which the paper rejects for its extra inference cost; the cost is
+// measurable with this implementation).
+//
+// The key walk polls ctx between closure evaluations and stops promptly on
+// cancellation, returning the partial key list together with ctx.Err().
 func (s *Store) DeriveUCCsContext(ctx context.Context, all bitset.Set, seed int64) ([]bitset.Set, error) {
 	full := all
 	pred := func(u bitset.Set) bool {

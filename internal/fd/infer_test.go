@@ -1,14 +1,15 @@
 package fd
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"holistic/internal/bitset"
+	"holistic/internal/oracle"
 	"holistic/internal/pli"
-	"holistic/internal/ucc"
 )
 
 func TestClosure(t *testing.T) {
@@ -28,17 +29,28 @@ func TestClosure(t *testing.T) {
 	}
 }
 
+// implies reports whether lhs → rhs follows from the stored FDs.
+func (s *Store) implies(lhs bitset.Set, rhs int) bool {
+	return lhs.Has(rhs) || s.Closure(lhs).Has(rhs)
+}
+
+// deriveUCCs runs DeriveUCCsContext without a deadline.
+func (s *Store) deriveUCCs(all bitset.Set, seed int64) []bitset.Set {
+	uccs, _ := s.DeriveUCCsContext(context.Background(), all, seed)
+	return uccs
+}
+
 func TestImplies(t *testing.T) {
 	s := NewStore()
 	s.Add(bitset.FromLetters("A"), 1)
 	s.Add(bitset.FromLetters("B"), 2)
-	if !s.Implies(bitset.FromLetters("A"), 2) {
+	if !s.implies(bitset.FromLetters("A"), 2) {
 		t.Error("A → C should follow transitively")
 	}
-	if s.Implies(bitset.FromLetters("C"), 0) {
+	if s.implies(bitset.FromLetters("C"), 0) {
 		t.Error("C → A does not follow")
 	}
-	if !s.Implies(bitset.FromLetters("AC"), 2) {
+	if !s.implies(bitset.FromLetters("AC"), 2) {
 		t.Error("trivial implication must hold")
 	}
 }
@@ -49,7 +61,7 @@ func TestDeriveUCCsTextbook(t *testing.T) {
 	s := NewStore()
 	s.Add(bitset.FromLetters("A"), 1)
 	s.Add(bitset.FromLetters("B"), 2)
-	got := s.DeriveUCCs(bitset.Full(4), 1)
+	got := s.deriveUCCs(bitset.Full(4), 1)
 	want := []bitset.Set{bitset.FromLetters("AD")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("DeriveUCCs = %v, want %v", got, want)
@@ -59,7 +71,7 @@ func TestDeriveUCCsTextbook(t *testing.T) {
 func TestDeriveUCCsNoFDs(t *testing.T) {
 	// Without any FD the only key is the full attribute set.
 	s := NewStore()
-	got := s.DeriveUCCs(bitset.Full(3), 1)
+	got := s.deriveUCCs(bitset.Full(3), 1)
 	want := []bitset.Set{bitset.Full(3)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("DeriveUCCs = %v, want %v", got, want)
@@ -79,11 +91,11 @@ func TestQuickDeriveUCCsMatchesData(t *testing.T) {
 	}
 	if err := quick.Check(func(p *pli.Provider, seed int64) bool {
 		store := NewStore()
-		for _, f := range BruteForce(p) {
+		for _, f := range bruteFDs(p) {
 			store.Add(f.LHS, f.RHS)
 		}
-		derived := store.DeriveUCCs(p.Relation().AllColumns(), seed)
-		return reflect.DeepEqual(derived, ucc.BruteForce(p))
+		derived := store.deriveUCCs(p.Relation().AllColumns(), seed)
+		return reflect.DeepEqual(derived, oracle.UCCs(p.Relation()))
 	}, cfg); err != nil {
 		t.Error(err)
 	}

@@ -11,9 +11,8 @@ import (
 
 	"holistic/internal/bitset"
 	"holistic/internal/dataset"
+	"holistic/internal/oracle"
 	"holistic/internal/pli"
-	"holistic/internal/relation"
-	"holistic/internal/ucc"
 )
 
 // Property: the parallel level-wise counting is exact. FUN and TANE at 1 and
@@ -28,7 +27,7 @@ func TestQuickLevelWiseWorkersAgree(t *testing.T) {
 		for p.Relation().NumColumns() < 8 {
 			p = randomProvider(rnd, 11, 40, 4)
 		}
-		wantFDs, wantUCCs := BruteForce(p), ucc.BruteForce(p)
+		wantFDs, wantUCCs := bruteFDs(p), oracle.UCCs(p.Relation())
 		var funChecks, taneChecks []int
 		for _, workers := range []int{1, 4} {
 			fun, err := FunContext(ctx, p, workers)
@@ -150,7 +149,9 @@ func TestLevelErrorSumsAllocsFlat(t *testing.T) {
 // snapshotClusters copies every cluster of q in stored order.
 func snapshotClusters(q *pli.PLI) [][]int32 {
 	var out [][]int32
-	q.ForEachCluster(func(c []int32) { out = append(out, append([]int32(nil), c...)) })
+	for i := 0; i < q.NumClusters(); i++ {
+		out = append(out, append([]int32(nil), q.Cluster(i)...))
+	}
 	return out
 }
 
@@ -227,8 +228,8 @@ func TestQuickFunMinimalityShapes(t *testing.T) {
 		for c := range names {
 			names[c] = "c" + strconv.Itoa(c)
 		}
-		p := pli.NewProvider(relation.MustNew("shape", names, rows), nil)
-		wantFDs, wantUCCs := BruteForce(p), ucc.BruteForce(p)
+		p := pli.NewProvider(oracle.MustRelation("shape", names, rows), nil)
+		wantFDs, wantUCCs := bruteFDs(p), oracle.UCCs(p.Relation())
 		for _, workers := range []int{1, 4} {
 			got, err := FunContext(ctx, p, workers)
 			if err != nil || !reflect.DeepEqual(got.FDs, wantFDs) || !reflect.DeepEqual(got.MinimalUCCs, wantUCCs) {
@@ -253,7 +254,7 @@ func BenchmarkFun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchResult = Fun(p)
+		benchResult = fun(p)
 	}
 }
 
@@ -263,6 +264,6 @@ func BenchmarkTane(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchResult = Tane(p, false)
+		benchResult = tane(p, false)
 	}
 }

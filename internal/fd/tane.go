@@ -7,30 +7,25 @@ import (
 	"holistic/internal/pli"
 )
 
-// Tane discovers all minimal FDs with the TANE algorithm (Huhtala et al.,
-// referenced as the most popular FD algorithm in paper Sec. 2.3/6.3): a
+// TaneContext discovers all minimal FDs with the TANE algorithm (Huhtala et
+// al., referenced as the most popular FD algorithm in paper Sec. 2.3/6.3): a
 // level-wise bottom-up traversal of the attribute lattice with rhs-candidate
 // sets C+ for minimality pruning, partition refinement for validity checks,
 // and key pruning. Validity is the error-sum form of Lemma 1: x \ {a} → a
 // holds iff e(x \ {a}) = e(x), where e is the error sum of the stripped
-// partition. Each node's e(x) is one single-column fold over its parent's
-// PLI (TANE's partition product), the parent PLIs are built along a prefix
-// path (see levelErrorSums), and only the previous level's error sums are
-// kept, as ints.
+// partition. Each node's e(x) is one single-column fold over its parent's PLI
+// (TANE's partition product), the parent PLIs are built along a prefix path
+// (see levelErrorSums), and only the previous level's error sums are kept, as
+// ints.
 //
 // When collectUCCs is set, the keys encountered during pruning are returned
 // as minimal UCCs. Note that TANE's C+ pruning may cut lattice regions that
 // contain further minimal UCCs, so this collection is diagnostic only; the
 // holistic algorithms use DUCC or FUN for complete UCC results.
-func Tane(p *pli.Provider, collectUCCs bool) Result {
-	res, _ := TaneContext(context.Background(), p, collectUCCs, 1)
-	return res
-}
-
-// TaneContext runs TANE under a context: the level-wise loop polls ctx per
-// lattice node and stops promptly when ctx is cancelled or its deadline
-// passes, returning the partial result together with ctx.Err(). On a non-nil
-// error the FD list is incomplete.
+//
+// The level-wise loop polls ctx per lattice node and stops promptly when ctx
+// is cancelled or its deadline passes, returning the partial result together
+// with ctx.Err(). On a non-nil error the FD list is incomplete.
 //
 // workers bounds the goroutines computing the error sums of one level (<= 0
 // selects GOMAXPROCS). Every node writes its error sum into an indexed slot

@@ -123,9 +123,6 @@ func (p *Profiler) Version() int { return p.version }
 // Relation returns the profiled relation (base plus all applied batches).
 func (p *Profiler) Relation() *relation.Relation { return p.rel }
 
-// Algorithm returns the registry name of the maintained strategy.
-func (p *Profiler) Algorithm() string { return p.algorithm }
-
 // Result returns the current metadata as an engine result (no phase timings —
 // those belong to the individual AppendBatch calls).
 func (p *Profiler) Result() *core.Result {

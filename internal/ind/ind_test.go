@@ -7,11 +7,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"holistic/internal/oracle"
 	"holistic/internal/relation"
 )
 
-// oracle computes unary INDs by explicit value-set containment.
-func oracle(rel *relation.Relation, opts Options) []IND {
+// bruteINDs computes unary INDs by explicit value-set containment.
+func bruteINDs(rel *relation.Relation, opts Options) []IND {
 	n := rel.NumColumns()
 	valueSets := make([]map[string]bool, n)
 	for c := 0; c < n; c++ {
@@ -49,7 +50,7 @@ func oracle(rel *relation.Relation, opts Options) []IND {
 // A = (w,w,x,y), B = (z,x,z,z), C = (x,x,w,z). SPIDER's merge over the sorted
 // duplicate-free lists leaves exactly B ⊆ C.
 func TestSpiderPaperExample(t *testing.T) {
-	rel := relation.MustNew("t1", []string{"A", "B", "C"}, [][]string{
+	rel := oracle.MustRelation("t1", []string{"A", "B", "C"}, [][]string{
 		{"w", "z", "x"},
 		{"w", "x", "x"},
 		{"x", "z", "w"},
@@ -69,13 +70,13 @@ func TestSpiderPaperExample(t *testing.T) {
 	if got := Spider(rel, Options{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("Spider = %v, want %v", got, want)
 	}
-	if got := InvertedIndex(rel, Options{}); !reflect.DeepEqual(got, want) {
+	if got := invertedIndex(rel, Options{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("InvertedIndex = %v, want %v", got, want)
 	}
 }
 
 func TestNoINDs(t *testing.T) {
-	rel := relation.MustNew("t", []string{"A", "B"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B"}, [][]string{
 		{"1", "x"},
 		{"2", "y"},
 	})
@@ -85,7 +86,7 @@ func TestNoINDs(t *testing.T) {
 }
 
 func TestMutualInclusion(t *testing.T) {
-	rel := relation.MustNew("t", []string{"A", "B"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B"}, [][]string{
 		{"1", "2"},
 		{"2", "1"},
 	})
@@ -96,14 +97,14 @@ func TestMutualInclusion(t *testing.T) {
 }
 
 func TestSingleColumn(t *testing.T) {
-	rel := relation.MustNew("t", []string{"A"}, [][]string{{"1"}, {"2"}})
+	rel := oracle.MustRelation("t", []string{"A"}, [][]string{{"1"}, {"2"}})
 	if got := Spider(rel, Options{}); len(got) != 0 {
 		t.Errorf("Spider = %v, want none", got)
 	}
 }
 
 func TestIgnoreNulls(t *testing.T) {
-	rel := relation.MustNew("t", []string{"A", "B"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B"}, [][]string{
 		{"", "1"},
 		{"1", "2"},
 		{"2", "3"},
@@ -117,13 +118,13 @@ func TestIgnoreNulls(t *testing.T) {
 	if got := Spider(rel, Options{IgnoreNulls: true}); !reflect.DeepEqual(got, want) {
 		t.Errorf("Spider ignore-nulls = %v, want %v", got, want)
 	}
-	if got := InvertedIndex(rel, Options{IgnoreNulls: true}); !reflect.DeepEqual(got, want) {
+	if got := invertedIndex(rel, Options{IgnoreNulls: true}); !reflect.DeepEqual(got, want) {
 		t.Errorf("InvertedIndex ignore-nulls = %v, want %v", got, want)
 	}
 }
 
 func TestAllNullColumnIgnoreNulls(t *testing.T) {
-	rel := relation.MustNew("t", []string{"A", "B"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B"}, [][]string{
 		{"", "1"},
 		{"", "2"},
 	})
@@ -164,7 +165,7 @@ func randomRelation(rnd *rand.Rand) *relation.Relation {
 		}
 		data[i] = row
 	}
-	return relation.MustNew("rand", names, data)
+	return oracle.MustRelation("rand", names, data)
 }
 
 // Property: SPIDER, the inverted index and the brute-force oracle agree,
@@ -179,10 +180,35 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 	}
 	if err := quick.Check(func(rel *relation.Relation, ignoreNulls bool) bool {
 		opts := Options{IgnoreNulls: ignoreNulls}
-		want := oracle(rel, opts)
+		want := bruteINDs(rel, opts)
 		return reflect.DeepEqual(Spider(rel, opts), want) &&
-			reflect.DeepEqual(InvertedIndex(rel, opts), want)
+			reflect.DeepEqual(invertedIndex(rel, opts), want)
 	}, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// invertedIndex discovers all unary INDs with the De Marchi et al. approach
+// (paper Sec. 7), SPIDER's differential reference: an inverted index from
+// each value to the set of columns containing it; the candidate set of every
+// column is intersected with the column group of each of its values.
+func invertedIndex(rel *relation.Relation, opts Options) []IND {
+	n := rel.NumColumns()
+	index := make(map[string][]int)
+	for c := 0; c < n; c++ {
+		for _, v := range rel.DistinctValues(c) {
+			if opts.IgnoreNulls && v == relation.NullValue {
+				continue
+			}
+			index[v] = append(index[v], c)
+		}
+	}
+	cs := newCandidateSets(n)
+	for _, group := range index {
+		if cs.pending == 0 {
+			break
+		}
+		cs.restrict(group)
+	}
+	return cs.results()
 }

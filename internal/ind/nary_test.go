@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"holistic/internal/oracle"
 	"holistic/internal/relation"
 )
 
@@ -85,7 +86,7 @@ func naryOracle(rel *relation.Relation, opts Options, maxArity int) []NaryIND {
 
 func TestNaryKnownExample(t *testing.T) {
 	// Columns: A ⊆ C and B ⊆ D positionally, and the pairs (A,B) ⊆ (C,D).
-	rel := relation.MustNew("t", []string{"A", "B", "C", "D"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B", "C", "D"}, [][]string{
 		{"1", "x", "1", "x"},
 		{"2", "y", "2", "y"},
 		{"", "", "3", "z"},
@@ -110,7 +111,7 @@ func TestNaryKnownExample(t *testing.T) {
 func TestNaryBinaryInvalidWhenPairsMisalign(t *testing.T) {
 	// A ⊆ C and B ⊆ D hold value-wise, but the pair combination does not:
 	// (1,x) never appears as a (C,D) tuple.
-	rel := relation.MustNew("t", []string{"A", "B", "C", "D"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B", "C", "D"}, [][]string{
 		{"1", "x", "1", "y"},
 		{"2", "y", "2", "x"},
 	})
@@ -124,7 +125,7 @@ func TestNaryBinaryInvalidWhenPairsMisalign(t *testing.T) {
 }
 
 func TestNaryArityLimit(t *testing.T) {
-	rel := relation.MustNew("t", []string{"A", "B"}, [][]string{
+	rel := oracle.MustRelation("t", []string{"A", "B"}, [][]string{
 		{"1", "1"},
 		{"2", "2"},
 	})
@@ -163,7 +164,7 @@ func TestQuickNaryMatchesOracle(t *testing.T) {
 				}
 				data[i] = row
 			}
-			vals[0] = reflect.ValueOf(relation.MustNew("rand", names, data))
+			vals[0] = reflect.ValueOf(oracle.MustRelation("rand", names, data))
 		},
 	}
 	if err := quick.Check(func(rel *relation.Relation) bool {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"holistic/internal/bitset"
+	"holistic/internal/oracle"
 	"holistic/internal/relation"
 )
 
@@ -23,7 +24,7 @@ func benchRelation(rows, cols, card int) *relation.Relation {
 		}
 		data[i] = row
 	}
-	return relation.MustNew("bench", names, data)
+	return oracle.MustRelation("bench", names, data)
 }
 
 // benchSizes are the row counts of the fold micro-benchmarks.

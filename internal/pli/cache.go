@@ -35,7 +35,7 @@ type CacheStats struct {
 	// Intersections counts the column intersections the Provider performed —
 	// the work the cache exists to avoid.
 	Intersections int64 `json:"intersections"`
-	// FastChecks counts validation questions (IsUnique, CheckFD, CheckFDs
+	// FastChecks counts validation questions (IsUnique, CheckFDs
 	// per candidate, ForEachCluster, and ErrorSumWith, the level-wise
 	// count of FUN and TANE) answered by the non-materializing check
 	// kernels — no intersection PLI was built or cached for them.

@@ -23,8 +23,9 @@ package pli
 // materializing intersection.
 //
 // Group enumeration order is identical to the cluster order of the PLI that
-// chained IntersectColumn calls would materialise: both orders are the
-// lexicographic nesting (base cluster, first-occurrence at each fold step).
+// chained single-column folds (intersectKeyed) would materialise: both
+// orders are the lexicographic nesting (base cluster, first-occurrence at
+// each fold step).
 // The differential fuzz suite (FuzzCheckEquivalence) pins this down.
 
 // checkRefines1 is the single-fold-column fast case of CheckRefines: the FD
@@ -346,7 +347,7 @@ func (p *PLI) CheckRefinesMany(rhs [][]int32, keys [][]int32, cards []int, ok []
 
 // foldPLI materialises the intersection p ∩ keys[0] ∩ … as a PLI in ONE
 // combined cluster-at-a-time pass — no intermediate PLIs, one output
-// allocation — instead of the len(keys) chained IntersectColumn calls the
+// allocation — instead of the len(keys) chained single-column folds the
 // materializing path would make. Group order matches the chained
 // materialisation exactly (see the fold contract), so the result is
 // indistinguishable from Get's. It backs the provider's adaptive admission:

@@ -10,6 +10,7 @@ import (
 
 	"holistic/internal/bitset"
 	"holistic/internal/dataset"
+	"holistic/internal/oracle"
 	"holistic/internal/relation"
 )
 
@@ -41,7 +42,7 @@ func checkRelation(t testing.TB, rows, nCols, card int, seed int64) *relation.Re
 		}
 		data[r] = row
 	}
-	return relation.MustNew("check", names, data)
+	return oracle.MustRelation("check", names, data)
 }
 
 // refCheckFDs is the materializing reference for Provider.CheckFDs: RHS
@@ -425,5 +426,5 @@ func fuzzToRelation(t *testing.T, cols [][]int32, card int) *relation.Relation {
 		}
 		rows[r] = row
 	}
-	return relation.MustNew("fuzz", names, rows)
+	return oracle.MustRelation("fuzz", names, rows)
 }

@@ -11,12 +11,11 @@
 // # Construction
 //
 // A single-column PLI is a counting sort of one dictionary-encoded column
-// (FromColumn). Every multi-column PLI is built by folding one more
+// (FromColumnScratch). Every multi-column PLI is built by folding one more
 // dictionary column over the clusters of a parent PLI: X ∪ {A} groups each
-// cluster of X by A's codes (IntersectColumn, Provider.Extend, and the
-// materialising check folds of check.go). There is no PLI × PLI product: a
-// fold reads the column's code vector directly, so no PLI needs a
-// row-to-cluster index.
+// cluster of X by A's codes (Provider.Extend and the materialising check
+// folds of check.go). There is no PLI × PLI product: a fold reads the
+// column's code vector directly, so no PLI needs a row-to-cluster index.
 //
 // # Memory layout
 //
@@ -25,8 +24,7 @@
 // spans rows[offsets[i]:offsets[i+1]]. Building a PLI therefore costs two
 // allocations regardless of cluster count, and iterating clusters walks one
 // contiguous array instead of chasing a pointer per cluster. Access goes
-// through Cluster and ForEachCluster; the backing arrays are never handed
-// out mutably.
+// through Cluster; the backing arrays are never handed out mutably.
 //
 // Folds group rows with reusable Scratch arenas (see scratch.go) instead of
 // per-call maps: the steady-state fold performs zero map allocations.
@@ -35,28 +33,21 @@ package pli
 import "unsafe"
 
 // PLI is a stripped partition of a relation's rows. The zero value is not
-// useful; construct PLIs with FromColumn, FromAllRows or IntersectColumn, or
-// through a Provider. A PLI is immutable once built, so its methods are safe
-// for concurrent use and its size (ApproxBytes) never changes. The one
-// exception is a destination PLI that its owner overwrites with
-// Provider.Extend; such a PLI is never shared or cached.
+// useful; construct PLIs through a Provider. A PLI is immutable once built,
+// so its methods are safe for concurrent use and its size (ApproxBytes)
+// never changes. The one exception is a destination PLI that its owner
+// overwrites with Provider.Extend; such a PLI is never shared or cached.
 type PLI struct {
 	rows    []int32 // cluster members, cluster by cluster (one allocation)
 	offsets []int32 // cluster i = rows[offsets[i]:offsets[i+1]]; nil if no clusters
 	nRows   int
 }
 
-// FromColumn builds the PLI of a single dictionary-encoded column.
-// cardinality is the number of distinct codes (the dictionary size).
-func FromColumn(col []int32, cardinality int) *PLI {
-	s := getScratch()
-	defer putScratch(s)
-	return FromColumnScratch(col, cardinality, s)
-}
-
-// FromColumnScratch is FromColumn with a caller-owned Scratch arena (see the
-// ownership contract in scratch.go). Clusters are emitted in ascending code
-// order, rows within a cluster in row order.
+// FromColumnScratch builds the PLI of a single dictionary-encoded column
+// with a caller-owned Scratch arena (see the ownership contract in
+// scratch.go). cardinality is the number of distinct codes (the dictionary
+// size). Clusters are emitted in ascending code order, rows within a cluster
+// in row order.
 func FromColumnScratch(col []int32, cardinality int, s *Scratch) *PLI {
 	s.ensure(cardinality)
 	counts := s.counts[:cardinality]
@@ -112,9 +103,6 @@ func FromAllRows(nRows int) *PLI {
 	return p
 }
 
-// NumRows returns the row count of the relation the PLI belongs to.
-func (p *PLI) NumRows() int { return p.nRows }
-
 // NumClusters returns the number of (stripped) clusters.
 func (p *PLI) NumClusters() int {
 	if len(p.offsets) == 0 {
@@ -129,14 +117,6 @@ func (p *PLI) Cluster(i int) []int32 {
 	return p.rows[p.offsets[i]:p.offsets[i+1]:p.offsets[i+1]]
 }
 
-// ForEachCluster calls fn once per cluster, in cluster order. The slice is a
-// view into the backing row array and must not be modified or retained.
-func (p *PLI) ForEachCluster(fn func(cluster []int32)) {
-	for i, n := 0, p.NumClusters(); i < n; i++ {
-		fn(p.Cluster(i))
-	}
-}
-
 // IsUnique reports whether the underlying column combination is a UCC:
 // a stripped partition with no clusters has only unique values.
 func (p *PLI) IsUnique() bool { return len(p.offsets) == 0 }
@@ -146,26 +126,6 @@ func (p *PLI) IsUnique() bool { return len(p.offsets) == 0 }
 // equal, which is how partition refinement (Lemma 1) is tested cheaply. With
 // the flat layout this is O(1): stored rows minus cluster count.
 func (p *PLI) ErrorSum() int { return len(p.rows) - p.NumClusters() }
-
-// DistinctCount returns the number of distinct value combinations, i.e. the
-// cardinality |X|_r used by FUN's free-set classification.
-func (p *PLI) DistinctCount() int { return p.nRows - p.ErrorSum() }
-
-// IntersectColumn returns the PLI of X ∪ {A} given the PLI of X and the
-// dictionary-encoded column A with the given dictionary size, as one fold
-// of A's codes over p's clusters; A's PLI is never needed. A cluster-free
-// (unique) receiver short-circuits to the empty PLI.
-func (p *PLI) IntersectColumn(col []int32, cardinality int) *PLI {
-	s := getScratch()
-	defer putScratch(s)
-	return p.IntersectColumnScratch(col, cardinality, s)
-}
-
-// IntersectColumnScratch is IntersectColumn with a caller-owned Scratch arena
-// (see the ownership contract in scratch.go).
-func (p *PLI) IntersectColumnScratch(col []int32, cardinality int, s *Scratch) *PLI {
-	return p.intersectKeyed(nil, col, cardinality, s)
-}
 
 // intersectKeyed groups the rows of p's clusters by keys[row], a column's
 // dictionary codes, dropping groups of size one, and emits the surviving

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"holistic/internal/bitset"
+	"holistic/internal/oracle"
 	"holistic/internal/relation"
 )
 
@@ -64,7 +65,7 @@ func randomRelation(rnd *rand.Rand, maxCols, maxRows, maxCard int) *relation.Rel
 		}
 		data[i] = row
 	}
-	return relation.MustNew("rand", names, data)
+	return oracle.MustRelation("rand", names, data)
 }
 
 func TestFromColumn(t *testing.T) {
@@ -279,7 +280,7 @@ func TestQuickLemma1(t *testing.T) {
 }
 
 func TestProviderBasics(t *testing.T) {
-	r := relation.MustNew("t", []string{"A", "B", "C"}, [][]string{
+	r := oracle.MustRelation("t", []string{"A", "B", "C"}, [][]string{
 		{"x", "1", "p"},
 		{"x", "1", "q"},
 		{"y", "2", "p"},
@@ -317,7 +318,7 @@ func TestProviderBasics(t *testing.T) {
 }
 
 func TestProviderEmptySetDistinctCount(t *testing.T) {
-	r := relation.MustNew("t", []string{"A"}, [][]string{{"x"}, {"y"}})
+	r := oracle.MustRelation("t", []string{"A"}, [][]string{{"x"}, {"y"}})
 	p := NewProvider(r, nil)
 	empty := p.Get(bitset.New())
 	if empty.DistinctCount() != 1 {
@@ -353,4 +354,52 @@ func TestProviderCacheEviction(t *testing.T) {
 			t.Errorf("post-eviction PLI wrong for %v", s)
 		}
 	}
+}
+
+// FromColumn builds the PLI of a single dictionary-encoded column with a
+// pooled Scratch. cardinality is the number of distinct codes.
+func FromColumn(col []int32, cardinality int) *PLI {
+	s := getScratch()
+	defer putScratch(s)
+	return FromColumnScratch(col, cardinality, s)
+}
+
+// IntersectColumn returns the PLI of X ∪ {A} given the PLI of X and the
+// dictionary-encoded column A, as one fold with a pooled Scratch.
+func (p *PLI) IntersectColumn(col []int32, cardinality int) *PLI {
+	s := getScratch()
+	defer putScratch(s)
+	return p.IntersectColumnScratch(col, cardinality, s)
+}
+
+// IntersectColumnScratch is IntersectColumn with a caller-owned Scratch.
+func (p *PLI) IntersectColumnScratch(col []int32, cardinality int, s *Scratch) *PLI {
+	return p.intersectKeyed(nil, col, cardinality, s)
+}
+
+// ForEachCluster calls fn once per cluster, in cluster order. The slice is a
+// view into the backing row array and must not be modified or retained.
+func (p *PLI) ForEachCluster(fn func(cluster []int32)) {
+	for i, n := 0, p.NumClusters(); i < n; i++ {
+		fn(p.Cluster(i))
+	}
+}
+
+// NumRows returns the row count of the relation the PLI belongs to.
+func (p *PLI) NumRows() int { return p.nRows }
+
+// DistinctCount returns the number of distinct value combinations.
+func (p *PLI) DistinctCount() int { return p.nRows - p.ErrorSum() }
+
+// CheckFD reports whether the FD lhs → rhs holds, on the planner's fast
+// path, counting one fast check like CheckFDs does per right-hand side.
+func (p *Provider) CheckFD(lhs bitset.Set, rhs int) bool {
+	if lhs.Has(rhs) {
+		return true // trivial FD
+	}
+	p.fastChecks.Add(1)
+	sc := getScratch()
+	defer putScratch(sc)
+	base, fold := p.plan(lhs, sc)
+	return p.refinesFrom(base, fold, rhs, sc)
 }

@@ -24,7 +24,7 @@ import (
 // node's PLI outside the cache and answers each such check with one fold
 // over it, probing no cache. Their other checks — the downward steps, the
 // hole-filling jumps, the first check of every upward walk — go through the
-// planner below, like IsUnique and CheckFD. The level-wise FD algorithms
+// planner below, like IsUnique and CheckFDs. The level-wise FD algorithms
 // (FUN, TANE) build their PLIs with the uncached Extend step and never probe
 // or fill the cache.
 //
@@ -37,7 +37,7 @@ import (
 //
 // # Validation fast path
 //
-// The boolean questions — IsUnique, CheckFD, CheckFDs, ForEachCluster —
+// The boolean questions — IsUnique, CheckFDs, ForEachCluster —
 // go through the non-materializing check kernels of check.go: plan picks
 // the cheapest cached ancestor of the probed set (fewest stored rows wins —
 // direct subsets, distance-2 subsets, ascending prefixes and singles are
@@ -59,7 +59,7 @@ import (
 // Concurrency contract: a Provider is always safe to share across
 // goroutines. After construction it is immutable except for the atomic
 // counters, the doorkeeper and the concurrency-safe Cache, so Get, IsUnique,
-// CheckFD, CheckFDs, ForEachCluster, Extend and ErrorSumWith may be called
+// CheckFDs, ForEachCluster, Extend and ErrorSumWith may be called
 // from any number of goroutines (Extend and ErrorSumWith need one Scratch
 // per goroutine, and a Walk serves one goroutine). Concurrent Gets of the same uncached combination
 // may duplicate an intersection — both goroutines compute and store the
@@ -412,22 +412,8 @@ func (p *Provider) uniqueFrom(s bitset.Set, base *PLI, fold []int, sc *Scratch) 
 	return false, out
 }
 
-// CheckFD reports whether the FD lhs → rhs holds on the relation, on the
-// validation fast path (an early-exit CheckRefines fold; lhs's PLI is never
-// materialised).
-func (p *Provider) CheckFD(lhs bitset.Set, rhs int) bool {
-	if lhs.Has(rhs) {
-		return true // trivial FD
-	}
-	p.fastChecks.Add(1)
-	sc := getScratch()
-	defer putScratch(sc)
-	base, fold := p.plan(lhs, sc)
-	return p.refinesFrom(base, fold, rhs, sc)
-}
-
-// refinesFrom answers CheckFD for the set of base's columns plus fold by
-// folding the columns fold over base.
+// refinesFrom reports whether the FD (base's columns plus fold) → rhs holds,
+// by folding the columns fold over base.
 func (p *Provider) refinesFrom(base *PLI, fold []int, rhs int, sc *Scratch) bool {
 	col := p.rel.Column(rhs)
 	if len(fold) == 0 {

@@ -13,15 +13,16 @@ import "sync"
 // Ownership contract: a Scratch is NOT safe for concurrent use. There are
 // two sanctioned ways to hold one:
 //
-//   - Worker-slot ownership: code fanning intersections out across
-//     internal/parallel owns one Scratch per worker slot and passes it to the
-//     *Scratch method flavours (FromColumnScratch, IntersectColumnScratch).
+//   - Worker-slot ownership: code fanning folds out across
+//     internal/parallel owns one Scratch per worker slot and passes it in
+//     (FromColumnScratch, Provider.Extend, Provider.ErrorSumWith).
 //     parallel.ForWorker guarantees a slot is never run by two goroutines at
-//     once, so slot-indexed scratches need no locks.
-//     The Provider's single-column build uses this path.
-//   - Pool fallback: the plain FromColumn/IntersectColumn methods borrow a
-//     Scratch from a package-level sync.Pool for the duration of the call. This is the path for sequential callers and for code that reaches
-//     intersections through Provider.Get from arbitrary goroutines.
+//     once, so slot-indexed scratches need no locks. The Provider's
+//     single-column build and the level-wise FD algorithms use this path.
+//   - Pool fallback: the Provider's checks and Get borrow a Scratch from a
+//     package-level sync.Pool for the duration of the call. This is the
+//     path for code that reaches folds through a shared Provider from
+//     arbitrary goroutines.
 //
 // Invariant between calls: counts is all-zero (each call resets exactly the
 // entries it dirtied), so a pooled Scratch never leaks state across users.

@@ -4,8 +4,9 @@ import "holistic/internal/bitset"
 
 // Walk answers the predicate checks of one lattice walk — "is X unique?"
 // for DUCC, "does X → rhs hold?" for the per-RHS FD walks — with the same
-// verdicts and fast-check counts as Provider.IsUnique and Provider.CheckFD,
-// but without asking the cache planner for the sets a walk checks most.
+// verdicts and fast-check counts as the planner's checks (Provider.IsUnique,
+// and Provider.CheckFDs per right-hand side), but without asking the cache
+// planner for the sets a walk checks most.
 //
 // Most checks of a walk come from its upward step: standing on a refuted
 // node s, it probes the direct supersets s ∪ {c} until one is refuted too,
@@ -19,7 +20,7 @@ import "holistic/internal/bitset"
 // probe two columns above the held node — what the walk asks when its
 // stores decided a step without a check — is one two-column fold. Every
 // other check (the downward step, the hole-filling jumps, the first check
-// of each upward walk) goes through the planner, as Provider.CheckFD and
+// of each upward walk) goes through the planner, as Provider.CheckFDs and
 // Provider.IsUnique do.
 //
 // A refuted uniqueness fold has built the PLI of the probed set anyway: it
@@ -63,8 +64,8 @@ func (p *Provider) UniqueWalk() *Walk { return &Walk{p: p, sc: NewScratch(), rhs
 func (p *Provider) FDWalk(rhs int) *Walk { return &Walk{p: p, sc: NewScratch(), rhs: rhs} }
 
 // Check reports the walk's predicate for s: whether s is unique, or whether
-// s → rhs holds. It counts one fast check wherever IsUnique or CheckFD
-// would.
+// s → rhs holds. It counts one fast check wherever IsUnique, or CheckFDs
+// for the one right-hand side, would.
 func (w *Walk) Check(s bitset.Set) bool {
 	if w.rhs < 0 && s.IsEmpty() {
 		return w.p.rel.NumRows() <= 1

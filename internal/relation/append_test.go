@@ -102,7 +102,7 @@ func TestAppendEquivalence(t *testing.T) {
 }
 
 func TestAppendRejectsRaggedRows(t *testing.T) {
-	r := MustNew("t", []string{"a", "b"}, [][]string{{"1", "2"}})
+	r := mustNew("t", []string{"a", "b"}, [][]string{{"1", "2"}})
 	if _, err := r.Append([][]string{{"1", "2", "3"}}); err == nil {
 		t.Fatal("want error for ragged appended row")
 	}
@@ -112,7 +112,7 @@ func TestAppendRejectsRaggedRows(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	r := MustNew("t", []string{"a"}, [][]string{{"x"}, {"y"}})
+	r := mustNew("t", []string{"a"}, [][]string{{"x"}, {"y"}})
 	if code, ok := r.Lookup(0, "y"); !ok || r.DistinctValues(0)[code] != "y" {
 		t.Fatalf("Lookup(y) = %d, %v", code, ok)
 	}
@@ -130,7 +130,7 @@ func TestLookup(t *testing.T) {
 // TestHeadClampsNonPositive is the regression test for the Head panic on
 // rows <= 0: both must clamp to an empty relation with the schema intact.
 func TestHeadClampsNonPositive(t *testing.T) {
-	r := MustNew("t", []string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
+	r := mustNew("t", []string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
 	for _, rows := range []int{0, -1, -100} {
 		h := r.Head(rows)
 		if h.NumRows() != 0 {

@@ -37,7 +37,7 @@ func TestDistinctNullsAffectDuplicateRemoval(t *testing.T) {
 		{"", "x"},
 		{"", "x"},
 	}
-	equalNulls := MustNew("t", []string{"A", "B"}, rows)
+	equalNulls := mustNew("t", []string{"A", "B"}, rows)
 	if equalNulls.NumRows() != 1 {
 		t.Errorf("NULL = NULL: rows = %d, want 1 (duplicate removed)", equalNulls.NumRows())
 	}

@@ -191,15 +191,6 @@ func NewWithOptions(name string, columnNames []string, rows [][]string, opts Opt
 	return r, nil
 }
 
-// MustNew is New for statically known-good inputs (tests and examples).
-func MustNew(name string, columnNames []string, rows [][]string) *Relation {
-	r, err := New(name, columnNames, rows)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // DistinctNulls reports whether the relation was built with SQL-style
 // NULL ≠ NULL semantics (Options.DistinctNulls). Incremental consumers need
 // it to pick NULL-compatible maintenance paths.
@@ -238,16 +229,6 @@ func (r *Relation) ColumnNames() []string { return r.colName }
 // ColumnName returns the name of column c.
 func (r *Relation) ColumnName(c int) string { return r.colName[c] }
 
-// ColumnIndex returns the index of the named column, or -1.
-func (r *Relation) ColumnIndex(name string) int {
-	for i, n := range r.colName {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // AllColumns returns the set {0..NumColumns-1}.
 func (r *Relation) AllColumns() bitset.Set { return bitset.Full(r.NumColumns()) }
 
@@ -271,10 +252,6 @@ func (r *Relation) MaxCardinality() int {
 	}
 	return max
 }
-
-// NullCode returns the dictionary code of NULL in column c, or -1 if the
-// column has no NULLs.
-func (r *Relation) NullCode(c int) int32 { return r.nullID[c] }
 
 // Value returns the original string value at (row, col).
 func (r *Relation) Value(row, col int) string {
@@ -318,60 +295,6 @@ func (r *Relation) Row(i int) []string {
 		row[c] = r.dicts[c][r.cols[c][i]]
 	}
 	return row
-}
-
-// Project returns a new relation containing only the given columns, in the
-// given order. Duplicate rows arising from the projection are removed, which
-// mirrors how the paper slices datasets for the scalability experiments.
-func (r *Relation) Project(cols []int) (*Relation, error) {
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		if c < 0 || c >= r.NumColumns() {
-			return nil, fmt.Errorf("relation %q: project column %d out of range", r.name, c)
-		}
-		names[i] = r.colName[c]
-	}
-	rows := make([][]string, r.NumRows())
-	for i := range rows {
-		row := make([]string, len(cols))
-		for j, c := range cols {
-			row[j] = r.dicts[c][r.cols[c][i]]
-		}
-		rows[i] = row
-	}
-	return NewWithOptions(r.name, names, rows, r.opts)
-}
-
-// Prefix returns the relation restricted to its first cols columns (after
-// duplicate removal), as used by the column-scalability experiment.
-func (r *Relation) Prefix(cols int) (*Relation, error) {
-	idx := make([]int, cols)
-	for i := range idx {
-		idx[i] = i
-	}
-	return r.Project(idx)
-}
-
-// Head returns the relation restricted to its first rows rows, re-encoded so
-// that dictionaries and cardinalities reflect only the retained rows.
-// Non-positive row counts clamp to an empty relation.
-func (r *Relation) Head(rows int) *Relation {
-	if rows >= r.NumRows() {
-		return r
-	}
-	if rows < 0 {
-		rows = 0
-	}
-	data := make([][]string, rows)
-	for i := range data {
-		data[i] = r.Row(i)
-	}
-	out, err := NewWithOptions(r.name, r.colName, data, r.opts)
-	if err != nil {
-		// Unreachable: the source relation already validated the schema.
-		panic(err)
-	}
-	return out
 }
 
 // Rows materialises the whole relation row-major (for writers and tests).
@@ -418,7 +341,8 @@ func (r *Relation) ensureAppendState() {
 }
 
 // Lookup returns the dictionary code of value v in column c, if present.
-// Under DistinctNulls the NULL value is never found here; use NullCode.
+// Under DistinctNulls the NULL value is never found here: every NULL field
+// has a code of its own.
 // Lookup shares the Append exclusivity contract: it must not race with
 // Append (it may lazily build the append state).
 func (r *Relation) Lookup(c int, v string) (int32, bool) {

@@ -202,17 +202,6 @@ type Server struct {
 	finalizeOnce sync.Once
 }
 
-// New builds a Server with cfg and starts its worker pool. With
-// Config.StateDir set, use Open instead: New panics on a recovery error
-// (only reachable with a state directory) and discards the recovery stats.
-func New(cfg Config) *Server {
-	s, _, err := Open(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("server.New: %v", err))
-	}
-	return s
-}
-
 // Open builds a Server with cfg, replays Config.StateDir (when set) to
 // restore dataset sessions and journaled jobs from before the last stop, and
 // starts the worker pool. Jobs that were queued or running at the crash are
@@ -433,7 +422,7 @@ func (s *Server) runJob(j *job) {
 		} else {
 			res, err = core.RunContext(ctx, j.req.Algorithm, j.src, opts, obs)
 		}
-		if err == nil || j.noRetry || attempt >= s.cfg.RetryAttempts || !isTransient(err) || ctx.Err() != nil {
+		if err == nil || j.noRetry || attempt >= s.cfg.RetryAttempts || !faults.IsTransient(err) || ctx.Err() != nil {
 			break
 		}
 		s.metrics.jobRetries.Add(1)
@@ -490,14 +479,6 @@ func partialReport(j *job, res *core.Result) (*core.Report, bool) {
 		return nil, false
 	}
 	return core.NewReport(j.src.Relation(), res, j.req.WithStats), true
-}
-
-// isTransient reports whether err is marked retryable anywhere in its chain
-// (e.g. an injected transient fault, or an I/O layer flagging a temporary
-// condition).
-func isTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }
 
 // finish moves j (owned by the calling worker, state running) to a terminal

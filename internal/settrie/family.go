@@ -53,9 +53,6 @@ func (f *MaximalFamily) Add(s bitset.Set) bool {
 	return true
 }
 
-// Len returns the number of maximal sets stored.
-func (f *MaximalFamily) Len() int { return f.ix.n }
-
 // CoversSupersetOf reports whether a stored set contains x. For a maximal
 // non-UCC family this asks "is x (a subset of) a known non-UCC?".
 func (f *MaximalFamily) CoversSupersetOf(x bitset.Set) bool {

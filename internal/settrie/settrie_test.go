@@ -9,6 +9,9 @@ import (
 	"holistic/internal/bitset"
 )
 
+// Len returns the number of maximal sets stored.
+func (f *MaximalFamily) Len() int { return f.ix.n }
+
 func sets(letters ...string) []bitset.Set {
 	out := make([]bitset.Set, len(letters))
 	for i, l := range letters {

@@ -7,53 +7,50 @@ import (
 	"testing/quick"
 
 	"holistic/internal/bitset"
+	"holistic/internal/oracle"
 	"holistic/internal/pli"
 )
 
 func TestAgreeSetSimple(t *testing.T) {
-	p := provider(t, []string{"A", "B"}, [][]string{
+	rel := provider(t, []string{"A", "B"}, [][]string{
 		{"1", "x"},
 		{"2", "x"},
 		{"3", "y"},
-	})
-	res := AgreeSet(p)
+	}).Relation()
 	want := []bitset.Set{bitset.New(0)}
-	if !reflect.DeepEqual(res.Minimal, want) {
-		t.Errorf("Minimal = %v, want %v", res.Minimal, want)
+	if got := oracle.AgreeSetUCCs(rel); !reflect.DeepEqual(got, want) {
+		t.Errorf("AgreeSetUCCs = %v, want %v", got, want)
 	}
 	// Rows 1 and 2 agree exactly on B: the only maximal non-unique set.
-	if !reflect.DeepEqual(res.MaximalNonUnique, []bitset.Set{bitset.New(1)}) {
-		t.Errorf("MaximalNonUnique = %v", res.MaximalNonUnique)
+	if got := oracle.AgreeSets(rel); !reflect.DeepEqual(got, []bitset.Set{bitset.New(1)}) {
+		t.Errorf("AgreeSets = %v", got)
 	}
 }
 
 func TestAgreeSetAllUniqueColumns(t *testing.T) {
-	p := provider(t, []string{"A", "B"}, [][]string{
+	rel := provider(t, []string{"A", "B"}, [][]string{
 		{"1", "x"},
 		{"2", "y"},
-	})
-	res := AgreeSet(p)
+	}).Relation()
 	want := []bitset.Set{bitset.New(0), bitset.New(1)}
-	if !reflect.DeepEqual(res.Minimal, want) {
-		t.Errorf("Minimal = %v, want %v", res.Minimal, want)
+	if got := oracle.AgreeSetUCCs(rel); !reflect.DeepEqual(got, want) {
+		t.Errorf("AgreeSetUCCs = %v, want %v", got, want)
 	}
-	if res.Checks != 0 {
-		t.Errorf("Checks = %d, want 0 (no agreeing pairs)", res.Checks)
+	if got := oracle.AgreeSets(rel); len(got) != 0 {
+		t.Errorf("AgreeSets = %v, want none (no agreeing pairs)", got)
 	}
 }
 
 func TestAgreeSetSingleRow(t *testing.T) {
-	p := provider(t, []string{"A", "B"}, [][]string{{"1", "x"}})
-	res := AgreeSet(p)
+	rel := provider(t, []string{"A", "B"}, [][]string{{"1", "x"}}).Relation()
 	want := []bitset.Set{bitset.New(0), bitset.New(1)}
-	if !reflect.DeepEqual(res.Minimal, want) {
-		t.Errorf("Minimal = %v, want %v", res.Minimal, want)
+	if got := oracle.AgreeSetUCCs(rel); !reflect.DeepEqual(got, want) {
+		t.Errorf("AgreeSetUCCs = %v, want %v", got, want)
 	}
 }
 
-// Property: the row-based algorithm agrees with the column-based oracle and
-// with DUCC, and its maximal non-unique certificates are genuine and
-// maximal.
+// Property: the row-based oracle agrees with the brute-force oracle and with
+// DUCC, and its maximal agree sets are genuine and maximal non-uniques.
 func TestQuickAgreeSetMatchesOracle(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 120,
@@ -62,16 +59,17 @@ func TestQuickAgreeSetMatchesOracle(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
-		res := AgreeSet(p)
-		if !reflect.DeepEqual(res.Minimal, BruteForce(p)) {
+		rel := p.Relation()
+		got := oracle.AgreeSetUCCs(rel)
+		if !reflect.DeepEqual(got, oracle.UCCs(rel)) || !reflect.DeepEqual(got, ducc(p, 1).Minimal) {
 			return false
 		}
-		for _, m := range res.MaximalNonUnique {
-			if bruteUnique(p, m) {
+		for _, m := range oracle.AgreeSets(rel) {
+			if oracle.Unique(rel, m) {
 				return false
 			}
-			for _, sup := range m.DirectSupersets(p.Relation().NumColumns()) {
-				if !bruteUnique(p, sup) {
+			for c := 0; c < rel.NumColumns(); c++ {
+				if sup := m.With(c); sup != m && !oracle.Unique(rel, sup) {
 					return false
 				}
 			}

@@ -30,14 +30,18 @@ func TestDuccContextDeadline(t *testing.T) {
 	}
 }
 
+// TestDuccContextBackgroundMatchesPlain requires a live context that never
+// fires to leave DUCC's result and checks as they are without one.
 func TestDuccContextBackgroundMatchesPlain(t *testing.T) {
 	rel := dataset.NCVoter(200, 8)
-	plain := Ducc(pli.NewProvider(rel, nil), 4)
-	ctxed, err := DuccContext(context.Background(), pli.NewProvider(rel, nil), 4)
+	plain := ducc(pli.NewProvider(rel, nil), 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := DuccContext(ctx, pli.NewProvider(rel, nil), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Minimal) != len(ctxed.Minimal) || plain.Checks != ctxed.Checks {
-		t.Fatal("background-context DUCC differs from plain DUCC")
+		t.Fatal("DUCC under a live context differs from DUCC without one")
 	}
 }

@@ -31,7 +31,7 @@ func TestDuccChecksPinned(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2} {
 			p := pli.NewProvider(tc.rel, pli.NewCache(workers, 0, pli.DefaultCacheBytes))
-			res := Ducc(p, 1)
+			res := ducc(p, 1)
 			digest := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(res.Minimal, res.MaximalNonUnique))))[:16]
 			if res.Checks != tc.checks || digest != tc.digest {
 				t.Errorf("%s workers %d: %d checks, digest %s; want %d, %s",

@@ -1,101 +1,21 @@
-// Package ucc implements unique column combination discovery: the DUCC
-// random-walk algorithm (paper Sec. 2.2), an apriori level-wise baseline in
-// the spirit of Giannella/Wyss and HCA, and a brute-force oracle for tests.
+// Package ucc implements unique column combination discovery with the DUCC
+// random-walk algorithm (paper Sec. 2.2). The brute-force and agree-set
+// references its tests compare against live in internal/oracle.
 //
 // All discovery runs on a shared pli.Provider, so PLIs computed during UCC
 // discovery remain available to the FD phases of the holistic algorithms.
 package ucc
 
-import (
-	"fmt"
-
-	"holistic/internal/bitset"
-	"holistic/internal/pli"
-	"holistic/internal/settrie"
-)
+import "holistic/internal/bitset"
 
 // Result holds the outcome of a UCC discovery run.
 type Result struct {
 	// Minimal contains the minimal unique column combinations, sorted.
 	Minimal []bitset.Set
 	// MaximalNonUnique contains the maximal non-unique column combinations
-	// certified during discovery (DUCC only; empty for the baselines).
+	// certified during discovery.
 	MaximalNonUnique []bitset.Set
 	// Checks counts the uniqueness validations performed on actual PLIs,
 	// i.e. the work not saved by pruning.
 	Checks int
-}
-
-// BruteForce enumerates the lattice level-wise and checks every candidate
-// that is not a superset of a found UCC by grouping rows on their value
-// tuples. It is the test oracle: independent of the PLI machinery.
-func BruteForce(p *pli.Provider) []bitset.Set {
-	rel := p.Relation()
-	n := rel.NumColumns()
-	var minimal settrie.MinimalFamily
-	base := bitset.Full(n)
-	for k := 1; k <= n; k++ {
-		base.SubsetsOfSize(k, func(s bitset.Set) bool {
-			if minimal.CoversSubsetOf(s) {
-				return true // superset of a UCC cannot be minimal
-			}
-			if bruteUnique(p, s) {
-				minimal.Add(s)
-			}
-			return true
-		})
-	}
-	out := minimal.All()
-	bitset.Sort(out)
-	return out
-}
-
-func bruteUnique(p *pli.Provider, s bitset.Set) bool {
-	rel := p.Relation()
-	cols := s.Columns()
-	seen := make(map[string]bool, rel.NumRows())
-	for row := 0; row < rel.NumRows(); row++ {
-		key := ""
-		for _, c := range cols {
-			key += fmt.Sprintf("%d|", rel.Column(c)[row])
-		}
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
-	}
-	return true
-}
-
-// Apriori discovers minimal UCCs level-wise: level-k candidates are generated
-// from the non-unique sets of level k-1 (so every direct subset of a unique
-// candidate is non-unique, making it minimal by construction).
-func Apriori(p *pli.Provider) Result {
-	rel := p.Relation()
-	n := rel.NumColumns()
-	var res Result
-	var level []bitset.Set // non-unique sets of the current level
-	for c := 0; c < n; c++ {
-		s := bitset.Single(c)
-		res.Checks++
-		if p.IsUnique(s) {
-			res.Minimal = append(res.Minimal, s)
-		} else {
-			level = append(level, s)
-		}
-	}
-	for len(level) > 0 {
-		var next []bitset.Set
-		for _, cand := range bitset.AprioriGen(level) {
-			res.Checks++
-			if p.IsUnique(cand) {
-				res.Minimal = append(res.Minimal, cand)
-			} else {
-				next = append(next, cand)
-			}
-		}
-		level = next
-	}
-	bitset.Sort(res.Minimal)
-	return res
 }

@@ -38,7 +38,7 @@ func BenchmarkWalk(b *testing.B) {
 	base := bitset.Full(14)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Run(base, pred, Options{Seed: int64(i)})
+		res := run(base, pred, Options{Seed: int64(i)})
 		if len(res.MinimalTrue) == 0 {
 			b.Fatal("no minimal true sets")
 		}

@@ -17,7 +17,7 @@ import (
 func bruteHittingSets(edges []bitset.Set, base bitset.Set) []bitset.Set {
 	hits := func(x bitset.Set) bool {
 		for _, e := range edges {
-			if !e.Intersects(x) {
+			if e.Intersect(x).IsEmpty() {
 				return false
 			}
 		}

@@ -54,13 +54,6 @@ type Options struct {
 	KnownFalse []bitset.Set
 }
 
-// Run learns the monotone predicate over the subsets of base. It cannot be
-// cancelled; long traversals should use RunContext.
-func Run(base bitset.Set, pred Predicate, opts Options) Result {
-	res, _ := RunContext(context.Background(), base, pred, opts)
-	return res
-}
-
 // RunContext learns the monotone predicate over the subsets of base,
 // checking ctx between predicate evaluations. When ctx is cancelled or its
 // deadline passes, the walk stops promptly and returns the partial Result

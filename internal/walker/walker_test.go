@@ -10,6 +10,12 @@ import (
 	"holistic/internal/bitset"
 )
 
+// run learns pred over the subsets of base without a deadline.
+func run(base bitset.Set, pred Predicate, opts Options) Result {
+	res, _ := RunContext(context.Background(), base, pred, opts)
+	return res
+}
+
 // naive computes the minimal true and maximal false sets of a monotone
 // predicate by full enumeration.
 func naive(base bitset.Set, pred Predicate) ([]bitset.Set, []bitset.Set) {
@@ -37,12 +43,11 @@ func naive(base bitset.Set, pred Predicate) ([]bitset.Set, []bitset.Set) {
 			}
 		} else {
 			maximal := true
-			for _, sup := range s.DirectSupersets(bitset.MaxColumns) {
-				if sup.IsSubsetOf(base) && !pred(sup) {
+			base.Diff(s).ForEach(func(c int) {
+				if !pred(s.With(c)) {
 					maximal = false
-					break
 				}
-			}
+			})
 			if maximal {
 				maxFalse = append(maxFalse, s)
 			}
@@ -69,7 +74,7 @@ func monotonePred(gens []bitset.Set) Predicate {
 func TestSimplePredicate(t *testing.T) {
 	base := bitset.FromLetters("ABCD")
 	gens := []bitset.Set{bitset.FromLetters("AB"), bitset.FromLetters("C")}
-	res := Run(base, monotonePred(gens), Options{Seed: 1})
+	res := run(base, monotonePred(gens), Options{Seed: 1})
 	wantTrue := []bitset.Set{bitset.FromLetters("C"), bitset.FromLetters("AB")}
 	if !reflect.DeepEqual(res.MinimalTrue, wantTrue) {
 		t.Errorf("MinimalTrue = %v, want %v", res.MinimalTrue, wantTrue)
@@ -84,7 +89,7 @@ func TestSimplePredicate(t *testing.T) {
 
 func TestAllTrue(t *testing.T) {
 	base := bitset.FromLetters("ABC")
-	res := Run(base, func(bitset.Set) bool { return true }, Options{Seed: 0})
+	res := run(base, func(bitset.Set) bool { return true }, Options{Seed: 0})
 	want := []bitset.Set{bitset.FromLetters("A"), bitset.FromLetters("B"), bitset.FromLetters("C")}
 	if !reflect.DeepEqual(res.MinimalTrue, want) {
 		t.Errorf("MinimalTrue = %v, want %v", res.MinimalTrue, want)
@@ -96,7 +101,7 @@ func TestAllTrue(t *testing.T) {
 
 func TestAllFalse(t *testing.T) {
 	base := bitset.FromLetters("ABC")
-	res := Run(base, func(bitset.Set) bool { return false }, Options{Seed: 0})
+	res := run(base, func(bitset.Set) bool { return false }, Options{Seed: 0})
 	if len(res.MinimalTrue) != 0 {
 		t.Errorf("MinimalTrue = %v, want none", res.MinimalTrue)
 	}
@@ -106,7 +111,7 @@ func TestAllFalse(t *testing.T) {
 }
 
 func TestEmptyBase(t *testing.T) {
-	res := Run(bitset.Set{}, func(bitset.Set) bool { return true }, Options{})
+	res := run(bitset.Set{}, func(bitset.Set) bool { return true }, Options{})
 	if len(res.MinimalTrue) != 0 || len(res.MaximalFalse) != 0 || res.Checks != 0 {
 		t.Errorf("empty base should produce empty result, got %+v", res)
 	}
@@ -117,8 +122,8 @@ func TestKnownCertificatesReduceChecks(t *testing.T) {
 	gens := []bitset.Set{bitset.FromLetters("AB"), bitset.FromLetters("CD")}
 	pred := monotonePred(gens)
 
-	plain := Run(base, pred, Options{Seed: 7})
-	seeded := Run(base, pred, Options{
+	plain := run(base, pred, Options{Seed: 7})
+	seeded := run(base, pred, Options{
 		Seed:      7,
 		KnownTrue: []bitset.Set{bitset.FromLetters("ABE")},
 		// DE is genuinely false (contains neither AB nor CD).
@@ -137,7 +142,7 @@ func TestNonFullBase(t *testing.T) {
 	// inside the base.
 	base := bitset.FromLetters("BCD")
 	gens := []bitset.Set{bitset.FromLetters("BD")}
-	res := Run(base, monotonePred(gens), Options{Seed: 3})
+	res := run(base, monotonePred(gens), Options{Seed: 3})
 	if !reflect.DeepEqual(res.MinimalTrue, gens) {
 		t.Errorf("MinimalTrue = %v, want %v", res.MinimalTrue, gens)
 	}
@@ -197,7 +202,7 @@ func TestQuickWalkerMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(func(base bitset.Set, gens []bitset.Set, seed int64) bool {
 		pred := monotonePred(gens)
-		res := Run(base, pred, Options{Seed: seed})
+		res := run(base, pred, Options{Seed: seed})
 		wantTrue, wantFalse := naive(base, pred)
 		return reflect.DeepEqual(res.MinimalTrue, wantTrue) &&
 			reflect.DeepEqual(res.MaximalFalse, wantFalse)
@@ -230,9 +235,9 @@ func TestQuickSeedingPreservesResult(t *testing.T) {
 	if err := quick.Check(func(gens []bitset.Set, seed int64) bool {
 		base := bitset.Full(5)
 		pred := monotonePred(gens)
-		plain := Run(base, pred, Options{Seed: seed})
+		plain := run(base, pred, Options{Seed: seed})
 		// Seed with every true generator and every maximal false set.
-		seeded := Run(base, pred, Options{
+		seeded := run(base, pred, Options{
 			Seed:       seed,
 			KnownTrue:  gens,
 			KnownFalse: plain.MaximalFalse,

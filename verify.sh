@@ -31,6 +31,12 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== test-only oracle package stays out of every binary =="
+if go list -deps . ./cmd/... ./examples/... | grep -qx 'holistic/internal/oracle'; then
+	echo "a non-test package imports holistic/internal/oracle" >&2
+	exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -63,6 +69,9 @@ go test -run='^$' -fuzz='^FuzzMinimalHittingSets$' -fuzztime=10s ./internal/walk
 
 echo "== set-family differential fuzz smoke (column-bitmap families vs linear scan) =="
 go test -run='^$' -fuzz='^FuzzSetFamilyMatchesLinearScan$' -fuzztime=10s ./internal/settrie/
+
+echo "== every strategy's UCCs vs the agree-set oracle on hepatitis (no race: ~30 s under -race) =="
+go test -count=1 -run 'TestStrategiesMatchAgreeSetOracle' ./internal/core/
 
 echo "== MUDS differential fuzz smoke (MUDS vs brute-force oracles) =="
 go test -run='^$' -fuzz='^FuzzMudsMatchesOracles$' -fuzztime=10s ./internal/core/

@@ -103,7 +103,7 @@ func BenchmarkFigure8Phases(b *testing.B) {
 	totals := map[string]float64{}
 	var order []string
 	for i := 0; i < b.N; i++ {
-		res := core.Muds(rel, core.Options{Seed: int64(i)})
+		res := ProfileRelation(rel, core.Options{Seed: int64(i)})
 		if len(res.FDs) == 0 {
 			b.Fatal("no FDs found")
 		}

@@ -137,7 +137,8 @@ func ProfileContext(ctx context.Context, src Source, opts Options, obs Observer)
 
 // ProfileRelation runs MUDS on an already-loaded relation.
 func ProfileRelation(rel *Relation, opts Options) *Result {
-	return core.Muds(rel, opts)
+	res, _ := core.RunRelationContext(context.Background(), core.StrategyMuds, rel, opts, nil)
+	return res
 }
 
 // ProfileWith runs the named strategy (see Strategies for the choices).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,12 @@ import (
 	"holistic/internal/oracle"
 	"holistic/internal/relation"
 )
+
+// muds runs MUDS on rel through the engine without a deadline.
+func muds(rel *relation.Relation, opts Options) *Result {
+	res, _ := RunRelationContext(context.Background(), StrategyMuds, rel, opts, nil)
+	return res
+}
 
 func mustRel(t *testing.T, names []string, rows [][]string) *relation.Relation {
 	t.Helper()
@@ -92,7 +99,7 @@ func TestShadowedPaperExample(t *testing.T) {
 
 func verifyMudsMatchesOracles(t *testing.T, rel *relation.Relation, seed int64) {
 	t.Helper()
-	res := Muds(rel, Options{Seed: seed})
+	res := muds(rel, Options{Seed: seed})
 	wantFDs := oracleFDs(rel)
 	wantUCCs := oracle.UCCs(rel)
 	if !reflect.DeepEqual(res.FDs, wantFDs) {
@@ -125,7 +132,7 @@ func TestMudsChecksPinned(t *testing.T) {
 		{hepatitis, 84404, "97d3bbedad95b512"},
 	} {
 		for _, workers := range []int{1, 2} {
-			res := Muds(tc.rel, Options{Seed: 1, Workers: workers})
+			res := muds(tc.rel, Options{Seed: 1, Workers: workers})
 			digest := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(res.FDs))))[:16]
 			if res.Checks != tc.checks || digest != tc.digest {
 				t.Errorf("%s workers %d: %d checks, FD digest %s; want %d, %s",
@@ -147,7 +154,7 @@ func TestMudsSmoke(t *testing.T) {
 			{"4", "10117", "Berlin", "y"},
 			{"5", "10117", "Berlin", "x"},
 		})
-	res := Muds(rel, Options{Seed: 1})
+	res := muds(rel, Options{Seed: 1})
 	// id is the only minimal UCC... id and nothing else? zip+tag: (14482,x),
 	// (14482,y),(10115,x),(10117,y),(10117,x) — unique! So UCCs: {id}, {zip,tag}.
 	wantUCCs := []bitset.Set{bitset.New(0), bitset.New(1, 3)}
@@ -174,7 +181,7 @@ func TestMudsSmoke(t *testing.T) {
 func TestMudsDegenerate(t *testing.T) {
 	// Single-row relation: all columns constant; every column a minimal UCC.
 	rel := mustRel(t, []string{"A", "B"}, [][]string{{"x", "y"}})
-	res := Muds(rel, Options{})
+	res := muds(rel, Options{})
 	wantFDs := []fd.FD{{LHS: bitset.Set{}, RHS: 0}, {LHS: bitset.Set{}, RHS: 1}}
 	if !reflect.DeepEqual(res.FDs, wantFDs) {
 		t.Errorf("FDs = %v, want %v", res.FDs, wantFDs)
@@ -205,7 +212,7 @@ func TestQuickMudsMatchesOracles(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(rel *relation.Relation, seed int64) bool {
-		res := Muds(rel, Options{Seed: seed})
+		res := muds(rel, Options{Seed: seed})
 		return reflect.DeepEqual(res.FDs, oracleFDs(rel)) &&
 			reflect.DeepEqual(res.UCCs, oracle.UCCs(rel))
 	}, cfg); err != nil {
@@ -231,8 +238,9 @@ func TestCrossCheckSeedSweep(t *testing.T) {
 // minimal UCCs against the row-based agree-set oracle on relations too wide
 // for the brute-force one: a 16-column ncvoter slice and hepatitis (20
 // columns). TANE reports no UCCs and is skipped. Under the race detector
-// the strategies take about 30 s on hepatitis, so a -race run checks the
-// ncvoter slice only; verify.sh also runs this test without -race.
+// the strategies take about 23 s on hepatitis (fdfirst about 10 s of it),
+// so a -race run checks the ncvoter slice only; verify.sh also runs this
+// test without -race.
 func TestStrategiesMatchAgreeSetOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide-relation oracle check skipped in -short mode")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -159,10 +158,10 @@ func (r *recorder) completeness() *Completeness {
 	return c
 }
 
-// timePhase runs fn as the named phase, reporting its boundaries and wall
+// TimePhase runs fn as the named phase, reporting its boundaries and wall
 // time to obs. It refuses to start a phase on a dead context, so a cancelled
 // run stops at the next phase boundary even if fn never polls ctx.
-func timePhase(ctx context.Context, obs Observer, name string, fn func() error) error {
+func TimePhase(ctx context.Context, obs Observer, name string, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -179,42 +178,31 @@ func Run(strategy string, src Source, opts Options) (*Result, error) {
 }
 
 // RunContext is the engine's entry point: it resolves the strategy in the
-// registry (failing fast, before any input is read), loads the input once as
-// the timed "load" phase, and runs the strategy with a recorder that
-// assembles Result.Phases and Result.Checks from the observer events.
+// registry (failing fast, before any input is read), then, under Track,
+// loads the input once as the timed "load" phase and runs the strategy.
 //
 // obs may be nil. When ctx is cancelled or its deadline passes, the run
 // stops promptly and returns the partial result — dependency lists found so
-// far plus the phase timings — together with ctx.Err(). The returned
-// Result's Partial flag and Completeness record how far the run got.
-//
-// Panics anywhere inside the run (the loader, the strategy, a parallel
-// worker task) are recovered and converted into a *PanicError with the
-// captured stack; the engine never lets a profiling panic escape to the
-// caller's goroutine.
+// far plus the phase timings — together with ctx.Err(); a run cancelled
+// before its input was loaded returns no result. Panics anywhere inside the
+// run (the loader, the strategy, a parallel worker task) come back as a
+// *PanicError, as Track describes.
 func RunContext(ctx context.Context, strategy string, src Source, opts Options, obs Observer) (*Result, error) {
 	s, ok := Lookup(strategy)
 	if !ok {
 		return nil, unknownStrategyError(strategy)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rec := newRecorder(ctx, obs)
-	var rel *relation.Relation
-	err := timePhase(ctx, rec, PhaseLoad, func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = recoveredError(s.Name(), r)
-			}
-		}()
-		rel, err = src.Load()
-		return err
+	return Track(ctx, strategy, obs, func(ctx context.Context, obs Observer) (*Result, error) {
+		var rel *relation.Relation
+		err := TimePhase(ctx, obs, PhaseLoad, func() (err error) {
+			rel, err = src.Load()
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return s.Profile(ctx, rel, opts, obs)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return profileWith(ctx, s, rel, opts, rec)
 }
 
 // RunRelationContext runs the named strategy on an already-loaded relation
@@ -225,49 +213,44 @@ func RunRelationContext(ctx context.Context, strategy string, rel *relation.Rela
 	if !ok {
 		return nil, unknownStrategyError(strategy)
 	}
+	return Track(ctx, strategy, obs, func(ctx context.Context, obs Observer) (*Result, error) {
+		return s.Profile(ctx, rel, opts, obs)
+	})
+}
+
+// Track is the run harness: every profiling run, a full strategy run or an
+// incremental batch, goes through it. It hands run an Observer that records
+// the phases, check counts and cache snapshots while forwarding every event
+// to obs (which may be nil), and finalises the result: Algorithm, Phases,
+// Checks and Cache always, Partial and Completeness when run returned an
+// error. A nil ctx means context.Background().
+//
+// A panic anywhere below run (its body, a parallel worker task re-raised as
+// *parallel.TaskPanic, an injected fault) is recovered into a *PanicError
+// and returned beside an empty partial result, so callers can still read the
+// phases recorded before it. Otherwise a run that returns no result gets
+// none back: plain errors, and runs cancelled before they produced one, keep
+// the nil-result contract.
+func Track(ctx context.Context, algorithm string, obs Observer, run func(context.Context, Observer) (*Result, error)) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return profileWith(ctx, s, rel, opts, newRecorder(ctx, obs))
-}
-
-// profileWith runs s under the recorder (with panic isolation) and finalises
-// the result, marking it partial when the run did not complete cleanly.
-func profileWith(ctx context.Context, s Strategy, rel *relation.Relation, opts Options, rec *recorder) (*Result, error) {
-	res, err := safeProfile(ctx, s, rel, opts, rec)
-	if res == nil {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				// Plain strategy errors without a result keep the historical
-				// nil-result contract; cancellation and panics return an
-				// (empty) anytime result so callers can still read the phase
-				// timings accumulated before the stop.
-				return nil, err
-			}
-		}
-		res = &Result{}
-	}
-	res.Algorithm = s.Name()
-	rec.finish(res)
-	if err != nil {
-		res.Partial = true
-		res.Completeness = rec.completeness()
-	}
-	return res, err
-}
-
-// safeProfile runs the strategy with panic isolation: a panic anywhere below
-// (the strategy body, a parallel worker task re-raised as *parallel.TaskPanic,
-// an injected fault) is recovered into a *PanicError instead of unwinding
-// into the engine's caller.
-func safeProfile(ctx context.Context, s Strategy, rel *relation.Relation, opts Options, rec *recorder) (res *Result, err error) {
+	rec := newRecorder(ctx, obs)
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, recoveredError(s.Name(), r)
+			res, err = &Result{}, recoveredError(algorithm, r)
+		}
+		if res == nil {
+			return
+		}
+		res.Algorithm = algorithm
+		rec.finish(res)
+		if err != nil {
+			res.Partial = true
+			res.Completeness = rec.completeness()
 		}
 	}()
-	return s.Profile(ctx, rel, opts, rec)
+	return run(ctx, rec)
 }
 
 // recoveredError converts a recovered panic value into a *PanicError,

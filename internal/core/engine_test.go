@@ -150,13 +150,16 @@ func TestBackgroundContextMatchesPlainRun(t *testing.T) {
 			t.Errorf("%s: background-context run differs from plain run", strategy)
 		}
 	}
-	plain := Muds(rel, Options{Seed: 3})
-	ctxed, err := MudsContext(context.Background(), rel, Options{Seed: 3}, nil)
+	loaded, err := RunContext(context.Background(), StrategyMuds, src, Options{Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.FDs, ctxed.FDs) || !reflect.DeepEqual(plain.UCCs, ctxed.UCCs) {
-		t.Error("MudsContext(background) differs from Muds")
+	onRelation, err := RunRelationContext(context.Background(), StrategyMuds, rel, Options{Seed: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.FDs, onRelation.FDs) || !reflect.DeepEqual(loaded.UCCs, onRelation.UCCs) {
+		t.Error("RunRelationContext differs from RunContext on the same relation")
 	}
 }
 
@@ -239,7 +242,7 @@ func (d *phaseDeadline) PhaseStart(name string) {
 func TestMudsContextDeadlineInFDPhases(t *testing.T) {
 	rel := dataset.Ionosphere(23, 351)
 	ctx := newPhaseDeadline(PhaseCompletionSweep, 100*time.Millisecond)
-	res, err := MudsContext(ctx, rel, Options{Seed: 1}, ctx)
+	res, err := RunRelationContext(ctx, StrategyMuds, rel, Options{Seed: 1}, ctx)
 	returned := time.Now()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

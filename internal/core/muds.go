@@ -65,39 +65,18 @@ func (o Options) NewProvider(rel *relation.Relation) *pli.Provider {
 	return pli.NewProvider(rel, pli.NewCache(o.workerCount(), o.CacheEntries, o.cacheBudget()))
 }
 
-// Muds runs the full holistic MUDS algorithm (paper Sec. 5) on a loaded
-// relation: SPIDER while reading (shared I/O), DUCC on the shared PLIs, and
-// UCC-first FD discovery: one lattice walk per right-hand side, first over
-// the columns in no minimal UCC, then over the rest, seeded with the
-// certificates the minimal UCCs imply.
-func Muds(rel *relation.Relation, opts Options) *Result {
-	res, _ := MudsContext(context.Background(), rel, opts, nil)
-	return res
-}
-
-// MudsContext runs MUDS under a context with an optional observer (nil for
-// none). The lattice traversals poll ctx and stop promptly when it is
-// cancelled or its deadline passes, returning the partial result — the
-// dependencies and phase timings accumulated so far — together with
-// ctx.Err(). It runs through the engine's protected path, so panics are
-// isolated exactly as in RunContext.
-func MudsContext(ctx context.Context, rel *relation.Relation, opts Options, obs Observer) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s, _ := Lookup(StrategyMuds)
-	return profileWith(ctx, s, rel, opts, newRecorder(ctx, obs))
-}
-
-// mudsProfile is the registered MUDS strategy implementation. Phase timings
-// and check totals flow through the observer (the engine's recorder
-// assembles them into the Result).
+// mudsProfile is the registered MUDS strategy (paper Sec. 5): SPIDER while
+// reading (shared I/O), DUCC on the shared PLIs, and UCC-first FD discovery:
+// one lattice walk per right-hand side, first over the columns in no minimal
+// UCC, then over the rest, seeded with the certificates the minimal UCCs
+// imply. Phase timings and check totals flow through the observer (the
+// engine's recorder assembles them into the Result).
 func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs Observer) (*Result, error) {
 	res := &Result{}
 	workers := opts.workerCount()
 
 	var p *pli.Provider
-	err := timePhase(ctx, obs, PhaseSpider, func() error {
+	err := TimePhase(ctx, obs, PhaseSpider, func() error {
 		// SPIDER consumes the sorted duplicate-free value lists; the PLIs
 		// are built in the same pass over the input (paper Sec. 5: "Since
 		// this algorithm already requires to read and sort all records,
@@ -119,7 +98,7 @@ func mudsProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 	defer func() { obs.CacheStats(p.CacheStats()) }()
 
 	var uccRes ucc.Result
-	err = timePhase(ctx, obs, PhaseDucc, func() error {
+	err = TimePhase(ctx, obs, PhaseDucc, func() error {
 		// The DUCC random walk is sequential by construction: every step
 		// extends the certificate families the next step prunes with.
 		obs.Parallelism(PhaseDucc, 1)
@@ -163,7 +142,7 @@ func mudsFDPhases(ctx context.Context, m *mudsFD, obs Observer) error {
 		{PhaseCalculateRZ, m.calculateRZ},
 		{PhaseCompletionSweep, m.completionSweep},
 	} {
-		err := timePhase(ctx, obs, phase.name, m.run(func() {
+		err := TimePhase(ctx, obs, phase.name, m.run(func() {
 			obs.Parallelism(phase.name, m.workerCount())
 			phase.run()
 		}))

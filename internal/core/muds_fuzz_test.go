@@ -20,7 +20,7 @@ func FuzzMudsMatchesOracles(f *testing.F) {
 		if rel == nil {
 			return
 		}
-		res := Muds(rel, Options{Seed: seed})
+		res := muds(rel, Options{Seed: seed})
 		if want := oracleFDs(rel); !reflect.DeepEqual(res.FDs, want) {
 			t.Fatalf("FDs mismatch:\n got %v\nwant %v\ndata %v", res.FDs, want, data)
 		}

@@ -11,8 +11,8 @@ import (
 // captured stack rides along so the failure is diagnosable from a job's
 // event log without a core dump.
 type PanicError struct {
-	// Strategy is the registry name of the run that panicked ("" when the
-	// panic hit before strategy resolution, e.g. in the load phase).
+	// Strategy is the registry name of the run that panicked; for an
+	// incremental batch, the strategy of its session.
 	Strategy string
 	// Value is the recovered panic value.
 	Value any

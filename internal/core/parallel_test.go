@@ -105,7 +105,7 @@ func TestParallelMudsCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := MudsContext(ctx, rel, Options{Seed: 1, Workers: 8}, nil)
+	res, err := RunRelationContext(ctx, StrategyMuds, rel, Options{Seed: 1, Workers: 8}, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

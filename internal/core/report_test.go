@@ -12,7 +12,7 @@ func TestReportRoundTrip(t *testing.T) {
 		{"2", "a", "alpha"},
 		{"3", "b", "beta"},
 	})
-	res := Muds(rel, Options{Seed: 1})
+	res := muds(rel, Options{Seed: 1})
 	rep := NewReport(rel, res, true)
 
 	if rep.Rows != 3 || len(rep.Columns) != 3 {
@@ -56,7 +56,7 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestReportWithoutStats(t *testing.T) {
 	rel := mustRel(t, []string{"a"}, [][]string{{"1"}, {"2"}})
-	rep := NewReport(rel, Muds(rel, Options{}), false)
+	rep := NewReport(rel, muds(rel, Options{}), false)
 	if rep.Stats != nil {
 		t.Error("stats should be omitted")
 	}

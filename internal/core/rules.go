@@ -49,7 +49,7 @@ func newMudsFD(p *pli.Provider, working bitset.Set, minimalUCCs []bitset.Set, st
 // workerCount resolves the effective pool width for the walk phases.
 func (m *mudsFD) workerCount() int { return parallel.Workers(m.workers) }
 
-// run adapts a phase method to timePhase's signature: the phase runs to its
+// run adapts a phase method to TimePhase's signature: the phase runs to its
 // internal cancellation checks, and the context error (if any) is what the
 // engine reports.
 func (m *mudsFD) run(phase func()) func() error {

@@ -35,7 +35,7 @@ func hfunProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 	res := &Result{}
 	workers := opts.workerCount()
 	var p *pli.Provider
-	err := timePhase(ctx, obs, PhaseSpider, func() error {
+	err := TimePhase(ctx, obs, PhaseSpider, func() error {
 		obs.Parallelism(PhaseSpider, workers)
 		inds, err := ind.SpiderContext(ctx, rel, opts.IND)
 		if err != nil {
@@ -48,7 +48,7 @@ func hfunProfile(ctx context.Context, rel *relation.Relation, opts Options, obs 
 	if err != nil {
 		return res, err
 	}
-	err = timePhase(ctx, obs, PhaseFDDiscovery, func() error {
+	err = TimePhase(ctx, obs, PhaseFDDiscovery, func() error {
 		obs.Parallelism(PhaseFDDiscovery, workers)
 		r, err := fd.FunContext(ctx, p, workers)
 		res.FDs = r.FDs
@@ -73,7 +73,7 @@ func baselineProfile(ctx context.Context, rel *relation.Relation, opts Options, 
 
 	reload := func() (*relation.Relation, error) {
 		var fresh *relation.Relation
-		err := timePhase(ctx, obs, PhaseLoad, func() error {
+		err := TimePhase(ctx, obs, PhaseLoad, func() error {
 			var err error
 			fresh, err = RelationSource{Rel: rel}.Load()
 			return err
@@ -82,7 +82,7 @@ func baselineProfile(ctx context.Context, rel *relation.Relation, opts Options, 
 	}
 
 	// SPIDER on the harness-loaded relation.
-	err := timePhase(ctx, obs, PhaseSpider, func() error {
+	err := TimePhase(ctx, obs, PhaseSpider, func() error {
 		obs.Parallelism(PhaseSpider, workers)
 		inds, err := ind.SpiderContext(ctx, rel, opts.IND)
 		res.INDs = inds
@@ -97,7 +97,7 @@ func baselineProfile(ctx context.Context, rel *relation.Relation, opts Options, 
 	if err != nil {
 		return res, err
 	}
-	err = timePhase(ctx, obs, PhaseUCCDiscovery, func() error {
+	err = TimePhase(ctx, obs, PhaseUCCDiscovery, func() error {
 		obs.Parallelism(PhaseUCCDiscovery, 1)
 		p := pli.NewProvider(duccRel, pli.NewCache(1, opts.CacheEntries, opts.cacheBudget()))
 		defer func() { obs.CacheStats(p.CacheStats()) }()
@@ -116,7 +116,7 @@ func baselineProfile(ctx context.Context, rel *relation.Relation, opts Options, 
 	if err != nil {
 		return res, err
 	}
-	err = timePhase(ctx, obs, PhaseFDDiscovery, func() error {
+	err = TimePhase(ctx, obs, PhaseFDDiscovery, func() error {
 		obs.Parallelism(PhaseFDDiscovery, workers)
 		p := opts.NewProvider(funRel)
 		defer func() { obs.CacheStats(p.CacheStats()) }()
@@ -137,7 +137,7 @@ func baselineProfile(ctx context.Context, rel *relation.Relation, opts Options, 
 func fdFirstProfile(ctx context.Context, rel *relation.Relation, opts Options, obs Observer) (*Result, error) {
 	res := &Result{}
 	workers := opts.workerCount()
-	err := timePhase(ctx, obs, PhaseSpider, func() error {
+	err := TimePhase(ctx, obs, PhaseSpider, func() error {
 		obs.Parallelism(PhaseSpider, workers)
 		inds, err := ind.SpiderContext(ctx, rel, opts.IND)
 		res.INDs = inds
@@ -147,7 +147,7 @@ func fdFirstProfile(ctx context.Context, rel *relation.Relation, opts Options, o
 		return res, err
 	}
 	var store *fd.Store
-	err = timePhase(ctx, obs, PhaseFDDiscovery, func() error {
+	err = TimePhase(ctx, obs, PhaseFDDiscovery, func() error {
 		obs.Parallelism(PhaseFDDiscovery, workers)
 		p := opts.NewProvider(rel)
 		defer func() { obs.CacheStats(p.CacheStats()) }()
@@ -166,7 +166,7 @@ func fdFirstProfile(ctx context.Context, rel *relation.Relation, opts Options, o
 	if err != nil {
 		return res, err
 	}
-	err = timePhase(ctx, obs, PhaseUCCInference, func() error {
+	err = TimePhase(ctx, obs, PhaseUCCInference, func() error {
 		obs.Parallelism(PhaseUCCInference, 1)
 		uccs, err := store.DeriveUCCsContext(ctx, rel.AllColumns(), opts.Seed)
 		res.UCCs = uccs
@@ -180,11 +180,11 @@ func fdFirstProfile(ctx context.Context, rel *relation.Relation, opts Options, o
 func taneProfile(ctx context.Context, rel *relation.Relation, opts Options, obs Observer) (*Result, error) {
 	res := &Result{}
 	workers := opts.workerCount()
-	err := timePhase(ctx, obs, PhaseFDDiscovery, func() error {
+	err := TimePhase(ctx, obs, PhaseFDDiscovery, func() error {
 		obs.Parallelism(PhaseFDDiscovery, workers)
 		p := opts.NewProvider(rel)
 		defer func() { obs.CacheStats(p.CacheStats()) }()
-		r, err := fd.TaneContext(ctx, p, false, workers)
+		r, err := fd.TaneContext(ctx, p, workers)
 		res.FDs = r.FDs
 		obs.Checks(r.Checks)
 		return err

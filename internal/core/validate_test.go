@@ -66,7 +66,7 @@ func TestFastPathConfigEquivalence(t *testing.T) {
 // old materialize-every-check policy would have admitted.
 func TestFastPathCountersSurface(t *testing.T) {
 	rel := dataset.NCVoter(800, 12)
-	res, err := MudsContext(context.Background(), rel, Options{Seed: 3}, nil)
+	res, err := RunRelationContext(context.Background(), StrategyMuds, rel, Options{Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

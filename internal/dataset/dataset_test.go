@@ -15,7 +15,7 @@ import (
 // tane runs TANE on rel without a deadline at one worker.
 func tane(t *testing.T, rel *relation.Relation) fd.Result {
 	t.Helper()
-	res, err := fd.TaneContext(context.Background(), pli.NewProvider(rel, nil), false, 1)
+	res, err := fd.TaneContext(context.Background(), pli.NewProvider(rel, nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

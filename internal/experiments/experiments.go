@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -138,7 +139,10 @@ func Table3(w io.Writer, names []string, seed int64) ([]Measurement, error) {
 // ncvoter-like dataset (paper: 10,000 rows × 20 columns).
 func Fig8(w io.Writer, rows, cols int, seed int64) (*core.Result, error) {
 	rel := dataset.NCVoter(rows, cols)
-	res := core.Muds(rel, core.Options{Seed: seed})
+	res, err := core.RunRelationContext(context.Background(), core.StrategyMuds, rel, core.Options{Seed: seed}, nil)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(w, "Figure 8 — runtime of MUDS' phases (ncvoter, %d rows × %d columns)\n", rel.NumRows(), rel.NumColumns())
 	for _, p := range res.Phases {
 		fmt.Fprintf(w, "  %-26s %10.3fs\n", p.Name, p.Duration.Seconds())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"holistic/internal/core"
@@ -13,9 +14,19 @@ import (
 // silent regressions: a change to either shows up as a count drift here
 // before it distorts EXPERIMENTS.md.
 
+// muds profiles rel with MUDS at seed 1.
+func muds(t *testing.T, rel *relation.Relation) *core.Result {
+	t.Helper()
+	res, err := core.RunRelationContext(context.Background(), core.StrategyMuds, rel, core.Options{Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func counts(t *testing.T, rel *relation.Relation) (inds, uccs, fds int) {
 	t.Helper()
-	res := core.Muds(rel, core.Options{Seed: 1})
+	res := muds(t, rel)
 	return len(res.INDs), len(res.UCCs), len(res.FDs)
 }
 
@@ -72,7 +83,7 @@ func TestGoldenLetter(t *testing.T) {
 	if uccs < 1 || uccs > 30 {
 		t.Errorf("letter UCCs = %d, want very few deep keys", uccs)
 	}
-	res := core.Muds(rel, core.Options{Seed: 1})
+	res := muds(t, rel)
 	maxLHS := 0
 	for _, f := range res.FDs {
 		if f.LHS.Len() > maxLHS {

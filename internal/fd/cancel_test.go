@@ -3,6 +3,7 @@ package fd
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func TestTaneContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := TaneContext(ctx, p, false, 1)
+	_, err := TaneContext(ctx, p, 1)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -50,14 +51,14 @@ func TestFunContextDeadline(t *testing.T) {
 // fires to leave TANE's result as it is without one.
 func TestTaneContextBackgroundMatchesPlain(t *testing.T) {
 	rel := dataset.NCVoter(200, 8)
-	plain := tane(pli.NewProvider(rel, nil), true)
+	plain := tane(pli.NewProvider(rel, nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctxed, err := TaneContext(ctx, pli.NewProvider(rel, nil), true, 1)
+	ctxed, err := TaneContext(ctx, pli.NewProvider(rel, nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.FDs) != len(ctxed.FDs) || len(plain.MinimalUCCs) != len(ctxed.MinimalUCCs) {
+	if !reflect.DeepEqual(plain.FDs, ctxed.FDs) {
 		t.Fatal("TANE under a live context differs from TANE without one")
 	}
 }

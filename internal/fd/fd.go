@@ -106,7 +106,8 @@ type Result struct {
 	FDs []FD
 	// MinimalUCCs are the minimal unique column combinations encountered as
 	// keys during discovery. FUN fills this (Holistic FUN, paper Sec. 3.2);
-	// TANE leaves it empty unless collection is requested.
+	// TANE leaves it empty: its C+ pruning may cut lattice regions that
+	// hold further minimal UCCs.
 	MinimalUCCs []bitset.Set
 	// Checks counts FD validity checks (partition refinements or cardinality
 	// comparisons) that required actual PLI work.

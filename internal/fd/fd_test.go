@@ -21,8 +21,8 @@ func fun(p *pli.Provider) Result {
 }
 
 // tane runs TANE without a deadline at one worker.
-func tane(p *pli.Provider, collectUCCs bool) Result {
-	res, _ := TaneContext(context.Background(), p, collectUCCs, 1)
+func tane(p *pli.Provider) Result {
+	res, _ := TaneContext(context.Background(), p, 1)
 	return res
 }
 
@@ -113,7 +113,7 @@ func TestKnownFDs(t *testing.T) {
 	if !foundZipCity {
 		t.Fatalf("oracle missing zip → city: %v", letters(want))
 	}
-	if got := tane(p, false).FDs; !reflect.DeepEqual(got, want) {
+	if got := tane(p).FDs; !reflect.DeepEqual(got, want) {
 		t.Errorf("tane = %v, want %v", letters(got), letters(want))
 	}
 	if got := fun(p).FDs; !reflect.DeepEqual(got, want) {
@@ -132,7 +132,7 @@ func TestConstantColumns(t *testing.T) {
 	want := []FD{{LHS: bitset.Set{}, RHS: 0}}
 	for name, got := range map[string][]FD{
 		"oracle": bruteFDs(p),
-		"tane":   tane(p, false).FDs,
+		"tane":   tane(p).FDs,
 		"fun":    fun(p).FDs,
 	} {
 		if !reflect.DeepEqual(got, want) {
@@ -146,7 +146,7 @@ func TestAllConstantRelation(t *testing.T) {
 	want := []FD{{LHS: bitset.Set{}, RHS: 0}, {LHS: bitset.Set{}, RHS: 1}}
 	for name, got := range map[string][]FD{
 		"oracle": bruteFDs(p),
-		"tane":   tane(p, false).FDs,
+		"tane":   tane(p).FDs,
 		"fun":    fun(p).FDs,
 	} {
 		if !reflect.DeepEqual(got, want) {
@@ -167,7 +167,7 @@ func TestNoFDs(t *testing.T) {
 	})
 	for name, got := range map[string][]FD{
 		"oracle": bruteFDs(p),
-		"tane":   tane(p, false).FDs,
+		"tane":   tane(p).FDs,
 		"fun":    fun(p).FDs,
 	} {
 		if len(got) != 0 {
@@ -186,7 +186,7 @@ func TestKeyFDs(t *testing.T) {
 		{"5", "x", "p"},
 	})
 	want := bruteFDs(p)
-	if got := tane(p, false).FDs; !reflect.DeepEqual(got, want) {
+	if got := tane(p).FDs; !reflect.DeepEqual(got, want) {
 		t.Errorf("tane = %v, want %v", letters(got), letters(want))
 	}
 	fr := fun(p)
@@ -204,7 +204,7 @@ func TestChecksCounted(t *testing.T) {
 		{"2", "x", "q"},
 		{"3", "y", "p"},
 	})
-	if tane(p, false).Checks == 0 {
+	if tane(p).Checks == 0 {
 		t.Error("tane should count validity checks")
 	}
 	// FUN counts PLI cardinality computations for generated candidates.
@@ -241,7 +241,7 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
 		want := bruteFDs(p)
-		if !reflect.DeepEqual(tane(p, false).FDs, want) {
+		if !reflect.DeepEqual(tane(p).FDs, want) {
 			return false
 		}
 		return reflect.DeepEqual(fun(p).FDs, want)
@@ -300,7 +300,7 @@ func TestQuickMinimalityAndValidity(t *testing.T) {
 		},
 	}
 	if err := quick.Check(func(p *pli.Provider) bool {
-		for _, f := range tane(p, false).FDs {
+		for _, f := range tane(p).FDs {
 			if !oracle.Holds(p.Relation(), f.LHS, f.RHS) {
 				return false
 			}

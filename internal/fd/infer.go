@@ -14,23 +14,33 @@ import (
 // strategy the paper discusses in Sec. 3.1 — discover FDs once, then infer
 // the minimal UCCs without touching the data again.
 
-// Closure computes the attribute closure of x under the stored FDs: the
-// largest set Y ⊇ x with x → Y. Standard fixpoint iteration; the Store's
-// lhs → rhs-set representation makes each round a subset scan.
-func (s *Store) Closure(x bitset.Set) bitset.Set {
-	closure := x
-	for {
-		grew := false
-		for lhs, rhs := range s.byLHS {
-			if !rhs.IsSubsetOf(closure) && lhs.IsSubsetOf(closure) {
-				closure = closure.Union(rhs)
-				grew = true
+// fdPair is one stored entry of a Store: lhs → every column of rhs.
+type fdPair struct{ lhs, rhs bitset.Set }
+
+// closure computes the attribute closure of x under pairs — the largest set
+// Y ⊇ x with x → Y — by fixpoint iteration, and returns as soon as it covers
+// all. It works on work, a caller-owned buffer of len(pairs) that it
+// overwrites, and each round drops the pairs it applied and those that add
+// nothing, so later rounds rescan only pairs that may still fire.
+func closure(pairs, work []fdPair, x, all bitset.Set) bitset.Set {
+	work = work[:copy(work, pairs)]
+	for !x.IsSupersetOf(all) {
+		kept, grew := work[:0], false
+		for _, p := range work {
+			switch {
+			case p.rhs.IsSubsetOf(x): // adds nothing: drop
+			case p.lhs.IsSubsetOf(x): // applies: grow x, drop
+				x, grew = x.Union(p.rhs), true
+			default:
+				kept = append(kept, p)
 			}
 		}
 		if !grew {
-			return closure
+			break
 		}
+		work = kept
 	}
+	return x
 }
 
 // DeriveUCCsContext computes all minimal UCCs of a duplicate-free relation
@@ -39,15 +49,26 @@ func (s *Store) Closure(x bitset.Set) bitset.Set {
 // so the shared walker enumerates exactly the minimal keys — with no data
 // access at all. This realises the "FDs first" approach of paper Sec. 3.1
 // (which the paper rejects for its extra inference cost; the cost is
-// measurable with this implementation).
+// measurable with this implementation). The stored FDs are copied into one
+// slice up front, which every closure then scans.
 //
 // The key walk polls ctx between closure evaluations and stops promptly on
 // cancellation, returning the partial key list together with ctx.Err().
 func (s *Store) DeriveUCCsContext(ctx context.Context, all bitset.Set, seed int64) ([]bitset.Set, error) {
-	full := all
+	pairs := s.pairs()
+	work := make([]fdPair, len(pairs))
 	pred := func(u bitset.Set) bool {
-		return s.Closure(u).IsSupersetOf(full)
+		return closure(pairs, work, u, all).IsSupersetOf(all)
 	}
 	res, err := walker.RunContext(ctx, all, pred, walker.Options{Seed: seed})
 	return res.MinimalTrue, err
+}
+
+// pairs copies the stored entries into a slice.
+func (s *Store) pairs() []fdPair {
+	out := make([]fdPair, 0, len(s.byLHS))
+	for lhs, rhs := range s.byLHS {
+		out = append(out, fdPair{lhs, rhs})
+	}
+	return out
 }

@@ -35,7 +35,7 @@ func TestQuickLevelWiseWorkersAgree(t *testing.T) {
 				t.Logf("FUN at %d workers diverges from the oracles (err %v)", workers, err)
 				return false
 			}
-			tane, err := TaneContext(ctx, p, false, workers)
+			tane, err := TaneContext(ctx, p, workers)
 			if err != nil || !reflect.DeepEqual(tane.FDs, wantFDs) {
 				t.Logf("TANE at %d workers diverges from the oracle (err %v)", workers, err)
 				return false
@@ -94,7 +94,7 @@ func TestLevelWiseChecksPinned(t *testing.T) {
 			t.Errorf("workers %d: FUN checks = %d, want 44711", workers, fun.Checks)
 		}
 		pt := pli.NewProvider(rel, nil)
-		tane, err := TaneContext(context.Background(), pt, false, workers)
+		tane, err := TaneContext(context.Background(), pt, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestLevelWiseLeavesProviderPLIsIntact(t *testing.T) {
 		if _, err := FunContext(context.Background(), p, workers); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := TaneContext(context.Background(), p, true, workers); err != nil {
+		if _, err := TaneContext(context.Background(), p, workers); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,6 +264,6 @@ func BenchmarkTane(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchResult = tane(p, false)
+		benchResult = tane(p)
 	}
 }

@@ -18,11 +18,6 @@ import (
 // (see levelErrorSums), and only the previous level's error sums are kept, as
 // ints.
 //
-// When collectUCCs is set, the keys encountered during pruning are returned
-// as minimal UCCs. Note that TANE's C+ pruning may cut lattice regions that
-// contain further minimal UCCs, so this collection is diagnostic only; the
-// holistic algorithms use DUCC or FUN for complete UCC results.
-//
 // The level-wise loop polls ctx per lattice node and stops promptly when ctx
 // is cancelled or its deadline passes, returning the partial result together
 // with ctx.Err(). On a non-nil error the FD list is incomplete.
@@ -32,7 +27,7 @@ import (
 // and the verdicts are applied in node order, so the discovered FDs are
 // identical for every worker count. The run neither probes nor fills the
 // provider's PLI cache.
-func TaneContext(ctx context.Context, p *pli.Provider, collectUCCs bool, workers int) (Result, error) {
+func TaneContext(ctx context.Context, p *pli.Provider, workers int) (Result, error) {
 	var res Result
 	var err error
 	rel := p.Relation()
@@ -45,20 +40,18 @@ func TaneContext(ctx context.Context, p *pli.Provider, collectUCCs bool, workers
 
 	if !working.IsEmpty() {
 		t := &taneState{
-			ctx:         ctx,
-			p:           p,
-			working:     working,
-			workers:     workers,
-			cplus:       make(map[bitset.Set]bitset.Set),
-			store:       store,
-			res:         &res,
-			collectUCCs: collectUCCs,
+			ctx:     ctx,
+			p:       p,
+			working: working,
+			workers: workers,
+			cplus:   make(map[bitset.Set]bitset.Set),
+			store:   store,
+			res:     &res,
 		}
 		err = t.run()
 	}
 
 	res.FDs = store.All()
-	bitset.Sort(res.MinimalUCCs)
 	return res, err
 }
 
@@ -74,9 +67,8 @@ type taneState struct {
 	// paper's recomputation rule for pruned sets).
 	cplus map[bitset.Set]bitset.Set
 
-	store       *Store
-	res         *Result
-	collectUCCs bool
+	store *Store
+	res   *Result
 }
 
 func (t *taneState) run() error {
@@ -179,11 +171,6 @@ func (t *taneState) cplusOf(y bitset.Set) bitset.Set {
 // the level, and x → A is output for every A ∈ C+(x) \ x that is in the C+
 // of every other co-atom of x ∪ {A} (which certifies minimality).
 func (t *taneState) handleKey(x bitset.Set) {
-	if t.collectUCCs {
-		// A key that survived into the level has only non-key subsets,
-		// making it a minimal UCC (within the lattice region C+ kept).
-		t.res.MinimalUCCs = append(t.res.MinimalUCCs, x)
-	}
 	extra := t.cplus[x].Diff(x)
 	for a := extra.First(); a >= 0; a = extra.NextAfter(a) {
 		ok := true

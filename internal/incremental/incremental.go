@@ -3,8 +3,6 @@ package incremental
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"time"
 
 	"holistic/internal/bitset"
 	"holistic/internal/core"
@@ -13,7 +11,6 @@ import (
 	"holistic/internal/parallel"
 	"holistic/internal/pli"
 	"holistic/internal/relation"
-	"holistic/internal/ucc"
 	"holistic/internal/walker"
 )
 
@@ -154,34 +151,6 @@ func (p *Profiler) Snapshot() *Snapshot {
 	}
 }
 
-// batchRun accumulates one AppendBatch's phases and check counts, forwarding
-// the events to the caller's observer (mirroring the engine recorder).
-type batchRun struct {
-	obs    core.Observer
-	phases []core.Phase
-	checks int
-}
-
-func (b *batchRun) phase(ctx context.Context, name string, fn func() error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.obs.PhaseStart(name)
-	start := time.Now()
-	err := fn()
-	d := time.Since(start)
-	b.phases = append(b.phases, core.Phase{Name: name, Duration: d})
-	b.obs.PhaseEnd(name, d)
-	return err
-}
-
-func (b *batchRun) addChecks(n int) {
-	if n != 0 {
-		b.checks += n
-		b.obs.Checks(n)
-	}
-}
-
 // AppendBatch folds one batch of rows into the profiled relation and returns
 // the updated complete result — identical (up to order-independent content)
 // to a from-scratch run of the same strategy on the concatenated rows.
@@ -192,42 +161,27 @@ func (b *batchRun) addChecks(n int) {
 // re-checks every prior UCC and FD with the check kernels, and
 // "uccRepair"/"fdRepair" restart the lattice walks seeded with the
 // surviving certificates — only when the revalidation actually found
-// violations. The observer receives the batch provider's CacheStats at the
-// end; a batch whose rows all duplicate existing ones builds no provider
-// and reports none.
+// violations.
 //
-// obs may be nil. On cancellation the profiler state and the relation may be
-// mid-update; the session must be discarded (the returned error reports it).
-// Panics are isolated into a *core.PanicError like in the engine.
-func (p *Profiler) AppendBatch(ctx context.Context, rows [][]string, obs core.Observer) (res *core.Result, err error) {
-	if obs == nil {
-		obs = core.NopObserver{}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, toPanicError(p.algorithm, r)
-		}
-	}()
-	b := &batchRun{obs: obs}
-	res, err = p.appendBatch(ctx, rows, b)
-	if res != nil {
-		res.Phases = b.phases
-		res.Checks = b.checks
-		res.Algorithm = p.algorithm
-		if err != nil {
-			res.Partial = true
-		}
-	}
-	return res, err
+// The batch runs under the engine harness (core.Track), so its result
+// carries the bookkeeping of a full run: Phases, Checks, Algorithm, and in
+// Cache the batch provider's snapshot (none when every row duplicated an
+// existing one and no provider was built). obs may be nil. A cancelled
+// batch returns the partial result with its Completeness; the profiler state
+// and the relation may then be mid-update, so the session must be
+// discarded. A panic comes back as a *core.PanicError beside an empty
+// partial result. A batch the relation rejects (a ragged row) returns no
+// result.
+func (p *Profiler) AppendBatch(ctx context.Context, rows [][]string, obs core.Observer) (*core.Result, error) {
+	return core.Track(ctx, p.algorithm, obs, func(ctx context.Context, obs core.Observer) (*core.Result, error) {
+		return p.appendBatch(ctx, rows, obs)
+	})
 }
 
-func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun) (*core.Result, error) {
+func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, obs core.Observer) (*core.Result, error) {
 	var delta relation.AppendDelta
 	var prov *pli.Provider
-	err := b.phase(ctx, core.PhaseAppend, func() error {
+	err := core.TimePhase(ctx, obs, core.PhaseAppend, func() error {
 		var err error
 		delta, err = p.rel.Append(rows)
 		if err == nil && delta.Appended > 0 {
@@ -244,10 +198,10 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 		p.version++
 		return p.Result(), nil
 	}
-	defer func() { b.obs.CacheStats(prov.CacheStats()) }()
+	defer func() { obs.CacheStats(prov.CacheStats()) }()
 
 	if p.hasINDs {
-		err = b.phase(ctx, core.PhaseINDDelta, func() error {
+		err = core.TimePhase(ctx, obs, core.PhaseINDDelta, func() error {
 			return p.updateINDs(ctx, delta)
 		})
 		if err != nil {
@@ -261,7 +215,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 	// trusted negative certificates.
 	var uccValid, uccViolated []bitset.Set
 	var fdState *fdRevalidation
-	err = b.phase(ctx, core.PhaseRevalidate, func() error {
+	err = core.TimePhase(ctx, obs, core.PhaseRevalidate, func() error {
 		if p.hasUCCs {
 			// The prior UCCs are independent probes over the shared provider
 			// (safe: the engine provider uses a sharded cache), so they fan
@@ -273,7 +227,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 			}); err != nil {
 				return err
 			}
-			b.addChecks(len(p.uccs))
+			obs.Checks(len(p.uccs))
 			for i, u := range p.uccs {
 				if unique[i] {
 					uccValid = append(uccValid, u)
@@ -284,7 +238,7 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 		}
 		if p.hasFDs {
 			var err error
-			fdState, err = p.revalidateFDs(ctx, b, prov)
+			fdState, err = p.revalidateFDs(ctx, obs, prov)
 			return err
 		}
 		return nil
@@ -294,8 +248,8 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 	}
 
 	if p.hasUCCs && len(uccViolated) > 0 {
-		err = b.phase(ctx, core.PhaseUCCRepair, func() error {
-			return p.repairUCCs(ctx, b, prov, uccValid, uccViolated)
+		err = core.TimePhase(ctx, obs, core.PhaseUCCRepair, func() error {
+			return p.repairUCCs(ctx, obs, prov, uccValid, uccViolated)
 		})
 		if err != nil {
 			return p.Result(), err
@@ -303,8 +257,8 @@ func (p *Profiler) appendBatch(ctx context.Context, rows [][]string, b *batchRun
 	}
 
 	if p.hasFDs && fdState.needsRepair() {
-		err = b.phase(ctx, core.PhaseFDRepair, func() error {
-			return p.repairFDs(ctx, b, prov, fdState)
+		err = core.TimePhase(ctx, obs, core.PhaseFDRepair, func() error {
+			return p.repairFDs(ctx, obs, prov, fdState)
 		})
 		if err != nil {
 			return p.Result(), err
@@ -337,27 +291,49 @@ func (p *Profiler) updateINDs(ctx context.Context, delta relation.AppendDelta) e
 	return nil
 }
 
-// repairUCCs restarts DUCC over the invalidated lattice region: the
-// revalidated prior UCCs enter as trusted positives, the violated ones and
-// the prior maximal non-uniques (reconstructed from the prior minimal family
-// by hitting-set duality, still non-unique by monotonicity) as trusted
-// negatives, so the walk only explores supersets of the violations.
-func (p *Profiler) repairUCCs(ctx context.Context, b *batchRun, prov *pli.Provider, valid, violated []bitset.Set) error {
-	base := p.rel.AllColumns()
+// repair re-discovers the minimal true sets of a monotone lattice predicate
+// over base after an appended batch invalidated some of them: the minimal
+// UCCs (check: uniqueness over all columns) or the minimal LHSs of one
+// right-hand side (check: X → rhs). prior is the complete minimal family
+// before the batch, valid and violated split it by revalidation on the
+// extended relation. The seeded walk trusts everything the prior family
+// still certifies:
+//
+//   - knownTrue: valid. Those sets are still minimal — their proper subsets
+//     were false before the batch, and appended rows never make a false set
+//     true again.
+//   - knownFalse: violated, plus the prior maximal false sets, rebuilt by
+//     hitting-set duality as base \ h for each minimal hitting set h of prior
+//     (arXiv 2103.13331). Both stay false by the same monotonicity.
+//
+// base may properly contain the prior walk's base: an FD repair's base grows
+// by the columns that were constant before the batch and are no longer, and
+// the duality certificates stay sound over it — while such a column A was
+// constant, X ∪ {A} → rhs held iff X → rhs, so any set whose restriction to
+// the old base missed every prior LHS was false before the batch and is
+// still false now. prior is {∅} for a right-hand side that was constant, and
+// empty when nothing held.
+func repair(ctx context.Context, base bitset.Set, check walker.Predicate, prior, valid, violated []bitset.Set, seed int64) (walker.Result, error) {
 	knownFalse := append([]bitset.Set(nil), violated...)
-	hits, err := walker.MinimalHittingSets(ctx, p.uccs, base)
+	hits, err := walker.MinimalHittingSets(ctx, prior, base)
 	if err != nil {
-		return err
+		return walker.Result{}, err
 	}
 	for _, h := range hits {
 		knownFalse = append(knownFalse, base.Diff(h))
 	}
-	res, err := ucc.DuccSeeded(ctx, prov, p.opts.Seed, valid, knownFalse)
-	b.addChecks(res.Checks)
+	return walker.RunContext(ctx, base, check, walker.Options{Seed: seed, KnownTrue: valid, KnownFalse: knownFalse})
+}
+
+// repairUCCs restarts DUCC's walk over the invalidated lattice region, so
+// the walk only explores supersets of the violations.
+func (p *Profiler) repairUCCs(ctx context.Context, obs core.Observer, prov *pli.Provider, valid, violated []bitset.Set) error {
+	res, err := repair(ctx, p.rel.AllColumns(), prov.UniqueWalk().Check, p.uccs, valid, violated, p.opts.Seed)
+	obs.Checks(res.Checks)
 	if err != nil {
 		return err
 	}
-	p.uccs = res.Minimal
+	p.uccs = res.MinimalTrue
 	bitset.Sort(p.uccs)
 	return nil
 }
@@ -404,7 +380,7 @@ func (f *fdRevalidation) unchangedFDs() []fd.FD {
 // kernel (one fold of the LHS partition answers all of them). Previously
 // constant columns that the batch released are violations of their ∅ → A
 // form by definition — no data check needed.
-func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun, prov *pli.Provider) (*fdRevalidation, error) {
+func (p *Profiler) revalidateFDs(ctx context.Context, obs core.Observer, prov *pli.Provider) (*fdRevalidation, error) {
 	n := p.rel.NumColumns()
 	st := &fdRevalidation{
 		constNew: fd.ConstantColumns(prov),
@@ -446,7 +422,7 @@ func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun, prov *pli.Pro
 	}
 	for i, lhs := range keys {
 		rhsSet := groups[lhs]
-		b.addChecks(rhsSet.Len())
+		obs.Checks(rhsSet.Len())
 		rhsSet.ForEach(func(rhs int) {
 			if oks[i].Has(rhs) {
 				st.valid[rhs] = append(st.valid[rhs], lhs)
@@ -460,10 +436,10 @@ func (p *Profiler) revalidateFDs(ctx context.Context, b *batchRun, prov *pli.Pro
 
 // repairFDs rebuilds the FD list after violations: right-hand sides whose
 // families survived intact are copied verbatim, the others re-enter the
-// lattice walk seeded with their surviving certificates (fd.RepairRHS). The
+// lattice walk seeded with their surviving certificates (repair). The
 // per-RHS repairs are independent and fan out across the worker pool, like
 // the calculateRZ phase of MUDS.
-func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, prov *pli.Provider, st *fdRevalidation) error {
+func (p *Profiler) repairFDs(ctx context.Context, obs core.Observer, prov *pli.Provider, st *fdRevalidation) error {
 	n := p.rel.NumColumns()
 	repaired := make([][]bitset.Set, n)
 	checks := make([]int, n)
@@ -477,9 +453,9 @@ func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, prov *pli.Provide
 	workers := parallel.Workers(p.opts.Workers)
 	if err := parallel.For(ctx, workers, len(targets), func(i int) {
 		rhs := targets[i]
-		base := st.working.Without(rhs)
-		repaired[rhs], checks[i], errs[i] = fd.RepairRHS(
-			ctx, prov, base, rhs, st.valid[rhs], st.violated[rhs], st.oldLHSs[rhs], p.opts.Seed)
+		res, err := repair(ctx, st.working.Without(rhs), prov.FDWalk(rhs).Check,
+			st.oldLHSs[rhs], st.valid[rhs], st.violated[rhs], p.opts.Seed)
+		repaired[rhs], checks[i], errs[i] = res.MinimalTrue, res.Checks, err
 	}); err != nil {
 		return err
 	}
@@ -487,7 +463,7 @@ func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, prov *pli.Provide
 	for _, c := range checks {
 		total += c
 	}
-	b.addChecks(total)
+	obs.Checks(total)
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -508,13 +484,4 @@ func (p *Profiler) repairFDs(ctx context.Context, b *batchRun, prov *pli.Provide
 	fd.Sort(out)
 	p.fds = out
 	return nil
-}
-
-// toPanicError mirrors the engine's panic isolation: a recovered panic value
-// becomes a *core.PanicError, preserving a parallel worker's original stack.
-func toPanicError(algorithm string, r any) error {
-	if tp, ok := r.(*parallel.TaskPanic); ok {
-		return &core.PanicError{Strategy: algorithm, Value: tp, Stack: string(tp.Stack)}
-	}
-	return &core.PanicError{Strategy: algorithm, Value: r, Stack: string(debug.Stack())}
 }

@@ -3,6 +3,7 @@ package incremental
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"holistic/internal/bitset"
 	"holistic/internal/core"
 	"holistic/internal/dataset"
+	"holistic/internal/faults"
 	"holistic/internal/fd"
 	"holistic/internal/ind"
 	"holistic/internal/pli"
@@ -443,5 +445,57 @@ func TestAppendBatchPhases(t *testing.T) {
 	}
 	if res.Algorithm != core.StrategyMuds {
 		t.Fatalf("algorithm %q", res.Algorithm)
+	}
+}
+
+// TestAppendBatchCacheSnapshot: a batch reports its provider's cache
+// snapshot in the result, like a full run reports its own.
+func TestAppendBatchCacheSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rel := mustRelation(t, randomRows(rng, 60, 4, 0, "v"), 4, relation.Options{})
+	p, _, err := NewProfiler(context.Background(), rel, core.StrategyMuds, core.Options{Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.AppendBatch(context.Background(), randomRows(rng, 10, 4, 0, "w"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cache) != 1 {
+		t.Fatalf("batch result holds %d cache snapshots, want 1", len(res.Cache))
+	}
+}
+
+// TestAppendBatchPanicIsolated arms a PLI fault after the initial profile:
+// the first fold of the revalidation panics, and the batch must come back as
+// a *core.PanicError beside a partial result that names the phase it broke.
+func TestAppendBatchPanicIsolated(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	rng := rand.New(rand.NewSource(7))
+	const cols = 10
+	rel := mustRelation(t, randomRows(rng, 400, cols, 0, "v"), cols, relation.Options{})
+	p, initial, err := NewProfiler(context.Background(), rel, core.StrategyMuds, core.Options{Seed: 1, Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(initial.UCCs, func(u bitset.Set) bool { return u.Len() > 1 }) {
+		t.Fatal("no multi-column UCC: the revalidation would fold nothing")
+	}
+	faults.Enable(faults.PLIIntersect, faults.ModePanic, 1)
+	res, err := p.AppendBatch(context.Background(), randomRows(rng, 40, cols, 0, "v"), nil)
+
+	var pe *core.PanicError
+	if !errors.As(err, &pe) || !errors.As(err, new(*faults.Error)) {
+		t.Fatalf("err = %v (%T), want an injected *core.PanicError", err, err)
+	}
+	if pe.Strategy != core.StrategyMuds {
+		t.Errorf("PanicError.Strategy = %q, want %q", pe.Strategy, core.StrategyMuds)
+	}
+	if res == nil || !res.Partial || res.Completeness == nil {
+		t.Fatalf("result %+v, want a partial result with its completeness", res)
+	}
+	c := res.Completeness
+	if !slices.Equal(c.CompletedPhases, []string{core.PhaseAppend, core.PhaseINDDelta}) || c.InterruptedPhase != core.PhaseRevalidate {
+		t.Errorf("completeness %+v, want append and indDelta completed, revalidate interrupted", c)
 	}
 }

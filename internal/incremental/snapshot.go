@@ -16,6 +16,13 @@
 //     previously invalid IND), so they are maintained exactly via a
 //     missing-value count matrix (see ind.MissingMatrix) whose per-batch
 //     update cost is proportional to the batch's novelty.
+//
+// A batch runs under the engine's harness (core.Track), which times its
+// phases, counts its checks, collects its cache snapshot and isolates its
+// panics exactly as for a full run. UCCs and FDs share one repair: the
+// seeded walk of repair, whose negative certificates are the violated prior
+// dependencies plus the complements of the minimal hitting sets of the
+// prior family.
 package incremental
 
 import (

@@ -27,6 +27,15 @@ import (
 	"holistic/internal/faults"
 )
 
+// maxRetainedJobs bounds the terminal job records kept for status queries;
+// the oldest finished jobs are dropped first. A retained record holds the
+// request's metadata, its report and its event log, never its input: the
+// CSV, the parsed relation and a batch's rows are dropped at the terminal
+// transition, so a full table costs about as much heap as the reports it
+// serves (perfbench service-mix on a 2-CPU container: peak live heap
+// 236 → 104 MB once records stopped holding their input).
+const maxRetainedJobs = 1024
+
 // Config tunes a Server. The zero value selects sensible defaults
 // everywhere: 2 workers, a queue of 16, a 5-minute job deadline, inline-only
 // submissions, 256 cached reports, 32 MiB request bodies.
@@ -51,15 +60,6 @@ type Config struct {
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies (<= 0 selects 32 MiB).
 	MaxBodyBytes int64
-	// MaxRetainedJobs bounds the terminal job records kept for status
-	// queries; the oldest finished jobs are dropped first (<= 0 selects
-	// 1024). A retained record holds the request's metadata, its report and
-	// its event log, never its input: the CSV, the parsed relation and a
-	// batch's rows are dropped at the terminal transition, so a full table
-	// costs about as much heap as the reports it serves (perfbench
-	// service-mix on a 2-CPU container: peak live heap 236 → 104 MB once
-	// records stopped holding their input).
-	MaxRetainedJobs int
 	// MaxCacheBytes is the default PLI-cache byte budget applied to jobs
 	// that do not set max_cache_bytes themselves (0 = engine default,
 	// < 0 = unbudgeted).
@@ -110,9 +110,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
-	}
-	if c.MaxRetainedJobs <= 0 {
-		c.MaxRetainedJobs = 1024
 	}
 	if c.RetryAttempts == 0 {
 		c.RetryAttempts = 2
@@ -592,7 +589,7 @@ func (s *Server) registerLocked(j *job) {
 		s.idem[j.idemKey] = j
 	}
 	s.order = append(s.order, j.id)
-	for len(s.order) > s.cfg.MaxRetainedJobs {
+	for len(s.order) > maxRetainedJobs {
 		evicted := false
 		for i, id := range s.order {
 			old := s.jobs[id]

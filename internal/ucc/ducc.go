@@ -3,7 +3,6 @@ package ucc
 import (
 	"context"
 
-	"holistic/internal/bitset"
 	"holistic/internal/pli"
 	"holistic/internal/walker"
 )
@@ -16,7 +15,9 @@ import (
 // found maximal non-UCCs.
 //
 // Uniqueness of a column combination is a monotone lattice predicate, so the
-// traversal is delegated to the generic walker shared with MUDS' R\Z phase.
+// traversal is delegated to the generic walker shared with MUDS' FD walks
+// and the incremental repair, which seeds the same walk with the
+// certificates a prior result still holds.
 // The seed fixes the randomized traversal order; results are independent of
 // it (verified by property tests), only the visit order varies.
 //
@@ -25,23 +26,7 @@ import (
 // with ctx.Err(). On a non-nil error the result is progress information, not
 // a complete (or even minimal) UCC cover.
 func DuccContext(ctx context.Context, p *pli.Provider, seed int64) (Result, error) {
-	return DuccSeeded(ctx, p, seed, nil, nil)
-}
-
-// DuccSeeded is DuccContext with pre-certified lattice knowledge: knownTrue
-// sets are trusted unique, knownFalse sets trusted non-unique, and neither is
-// re-evaluated. It is the repair entry point of incremental profiling — after
-// an appended batch, the still-valid prior UCCs enter as knownTrue and the
-// violated ones (plus the prior maximal non-uniques, still false by
-// monotonicity) as knownFalse, so the walk only explores the invalidated
-// lattice region above the violations.
-func DuccSeeded(ctx context.Context, p *pli.Provider, seed int64, knownTrue, knownFalse []bitset.Set) (Result, error) {
-	base := p.Relation().AllColumns()
-	res, err := walker.RunContext(ctx, base, p.UniqueWalk().Check, walker.Options{
-		Seed:       seed,
-		KnownTrue:  knownTrue,
-		KnownFalse: knownFalse,
-	})
+	res, err := walker.RunContext(ctx, p.Relation().AllColumns(), p.UniqueWalk().Check, walker.Options{Seed: seed})
 	return Result{
 		Minimal:          res.MinimalTrue,
 		MaximalNonUnique: res.MaximalFalse,

@@ -37,6 +37,9 @@ if go list -deps . ./cmd/... ./examples/... | grep -qx 'holistic/internal/oracle
 	exit 1
 fi
 
+echo "== every exported internal func has a production caller (go/types scan) =="
+go test -count=1 -run 'TestInternalExportsHaveCallers' .
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -70,7 +73,7 @@ go test -run='^$' -fuzz='^FuzzMinimalHittingSets$' -fuzztime=10s ./internal/walk
 echo "== set-family differential fuzz smoke (column-bitmap families vs linear scan) =="
 go test -run='^$' -fuzz='^FuzzSetFamilyMatchesLinearScan$' -fuzztime=10s ./internal/settrie/
 
-echo "== every strategy's UCCs vs the agree-set oracle on hepatitis (no race: ~30 s under -race) =="
+echo "== every strategy's UCCs vs the agree-set oracle on hepatitis (no race: ~23 s under -race) =="
 go test -count=1 -run 'TestStrategiesMatchAgreeSetOracle' ./internal/core/
 
 echo "== MUDS differential fuzz smoke (MUDS vs brute-force oracles) =="

@@ -8,9 +8,9 @@
 //	profiled [-addr host:port] [-workers N] [-queue N] [-job-timeout d]
 //	         [-max-job-timeout d] [-shutdown-timeout d] [-data dir]
 //	         [-state-dir dir] [-cache N] [-max-body bytes]
-//	         [-max-cache-bytes N] [-retries N] [-retry-backoff d]
-//	         [-breaker-threshold N] [-breaker-cooldown d] [-mem-soft bytes]
-//	         [-mem-hard bytes] [-http-read-timeout d] [-quiet]
+//	         [-max-cache-bytes N] [-breaker-threshold N]
+//	         [-breaker-cooldown d] [-mem-soft bytes] [-mem-hard bytes]
+//	         [-http-read-timeout d] [-quiet]
 //
 // API:
 //
@@ -76,8 +76,6 @@ func main() {
 		cacheEntries    = flag.Int("cache", 256, "content-addressed result cache size (reports)")
 		maxBody         = flag.Int64("max-body", 32<<20, "maximum request body size in bytes")
 		maxCacheBytes   = flag.Int64("max-cache-bytes", 0, "per-job PLI cache byte budget (0 = engine default, -1 = unbudgeted); over budget the cache sheds and recomputes")
-		retries         = flag.Int("retries", 2, "re-runs of a job failing on a transient error (0 = none)")
-		retryBackoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "sleep before the first retry, doubled per attempt")
 		breakerThresh   = flag.Int("breaker-threshold", 3, "consecutive failures of one (dataset, algorithm) pair before its circuit breaker opens")
 		breakerCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit breaker fast-fails (422) before a trial probe is allowed")
 		memSoft         = flag.Int64("mem-soft", 0, "soft heap watermark in bytes; above it new jobs run degraded (0 = off)")
@@ -100,10 +98,6 @@ func main() {
 	if *jobTimeout == 0 {
 		*jobTimeout = -1 // Config: negative disables the default deadline
 	}
-
-	if *retries <= 0 {
-		*retries = -1 // Config: negative disables retries
-	}
 	srv, recovery, err := server.Open(server.Config{
 		Workers:          *workers,
 		QueueDepth:       *queueDepth,
@@ -114,8 +108,6 @@ func main() {
 		CacheEntries:     *cacheEntries,
 		MaxBodyBytes:     *maxBody,
 		MaxCacheBytes:    *maxCacheBytes,
-		RetryAttempts:    *retries,
-		RetryBackoff:     *retryBackoff,
 		BreakerThreshold: *breakerThresh,
 		BreakerCooldown:  *breakerCooldown,
 		MemSoftBytes:     *memSoft,

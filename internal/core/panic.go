@@ -31,8 +31,8 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes the panic value when it is an error, so classification
-// (errors.Is/As, transient markers, injected faults) keeps working through
-// the recovery boundary.
+// (errors.Is/As, injected faults) keeps working through the recovery
+// boundary.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err

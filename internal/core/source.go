@@ -46,9 +46,8 @@ type MemoSource struct {
 func (m *MemoSource) Name() string { return m.Src.Name() }
 
 // Load implements Source, delegating once and replaying the outcome. Only a
-// successful load is memoised: a failed one (e.g. a transient I/O error) is
-// re-attempted on the next call, so retry loops above the engine get a fresh
-// chance instead of replaying the cached failure.
+// successful load is memoised: a failed one (an I/O or parse error) is not
+// kept, and the next call loads again.
 func (m *MemoSource) Load() (*relation.Relation, error) {
 	if m.rel != nil {
 		return m.rel, nil

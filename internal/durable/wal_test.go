@@ -187,10 +187,10 @@ func TestWALFsyncFaultReportsError(t *testing.T) {
 	defer faults.Reset()
 	path := filepath.Join(t.TempDir(), "fsync.wal")
 	w, _ := openForTest(t, path)
-	faults.Enable(faults.WALFsync, faults.ModeTransient, 1)
+	faults.Enable(faults.WALFsync, faults.ModeError, 1)
 	err := w.Append([]byte("unsynced"))
-	if err == nil || !faults.IsTransient(err) {
-		t.Fatalf("Append under wal.fsync fault: err = %v, want transient", err)
+	if err == nil || !errors.As(err, new(*faults.Error)) {
+		t.Fatalf("Append under wal.fsync fault: err = %v, want the injected error", err)
 	}
 	if !strings.Contains(err.Error(), "fsync") {
 		t.Fatalf("fsync fault error %q does not name fsync", err)

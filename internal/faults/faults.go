@@ -1,20 +1,22 @@
 // Package faults is the fault-injection substrate of the profiler: a set of
 // named injection points threaded through the hot paths (CSV reading, PLI
-// intersection, cache probes, worker-pool spawning, server admission) that
-// tests and operators can arm to prove the system degrades instead of dying.
+// intersection, cache probes, worker-pool spawning) and the durable state
+// layer (WAL appends and fsyncs, checkpoint renames) that tests and operators
+// can arm to prove the system degrades instead of dying. Every point sits on
+// a path a real failure also takes: arming one makes a real error or panic
+// happen earlier, it never opens a branch of its own.
 //
 // Injection points are disarmed by default and cost one atomic load on the
 // fast path, so production binaries pay nothing for carrying them. They are
 // armed programmatically (Enable, from tests) or via the HOLISTIC_FAULTS
-// environment variable (for chaos runs against a live daemon):
+// environment variable (for chaos runs against a live daemon or the CLI):
 //
 //	HOLISTIC_FAULTS="reader.io:error,pli.intersect:panic:1"
 //
-// Each comma-separated element is point:mode[:count]. Modes:
+// Each comma-separated element is point:mode[:count], where point is one of
+// the constants below. Modes:
 //
-//   - error: the point reports a permanent *Error
-//   - transient: the point reports a *Error that callers may retry
-//     (Transient() returns true; the server's bounded retry keys off it)
+//   - error: the point reports a *Error
 //   - panic: the point panics with a *Error; the engine's panic isolation
 //     converts it into a failed job with a captured stack
 //
@@ -31,9 +33,9 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,8 +43,7 @@ import (
 )
 
 // Point names one injection site. The constants below are the sites wired
-// into the codebase; Enable accepts arbitrary names so tests can add their
-// own.
+// into the codebase; Configure accepts only those, Enable accepts any name.
 type Point string
 
 // The named injection points.
@@ -54,18 +55,15 @@ const (
 	// non-materializing validation folds of the check kernels. The provider
 	// has no error channel there, so every mode surfaces as a panic.
 	PLIIntersect Point = "pli.intersect"
-	// CacheGet fires on multi-column PLI cache probes. error/transient modes
-	// degrade the probe to a miss (the PLI is recomputed); panic panics.
+	// CacheGet fires on multi-column PLI cache probes. error mode degrades
+	// the probe to a miss (the PLI is recomputed); panic panics.
 	CacheGet Point = "cache.get"
-	// CachePut fires on multi-column PLI cache stores. error/transient modes
-	// drop the store (later probes recompute); panic panics.
+	// CachePut fires on multi-column PLI cache stores. error mode drops the
+	// store (later probes recompute); panic panics.
 	CachePut Point = "cache.put"
-	// WorkerSpawn fires when parallel.For is about to fan out. error/transient
-	// modes degrade the pool to sequential in-line execution; panic panics.
+	// WorkerSpawn fires when parallel.For is about to fan out. error mode
+	// degrades the pool to sequential in-line execution; panic panics.
 	WorkerSpawn Point = "worker.spawn"
-	// ServerEnqueue fires in the profiling server's submit handler before a
-	// job is enqueued; the server maps it to a structured 503.
-	ServerEnqueue Point = "server.enqueue"
 	// WALAppend fires in durable.WAL.Append before the record frame is
 	// written, modeling a full disk or failed write. The record is not
 	// written at all (no partial frame), so replay sees a clean log.
@@ -79,37 +77,23 @@ const (
 	// temp file and the atomic rename: the previous checkpoint must survive
 	// untouched and the temp file must be cleaned up.
 	CheckpointRename Point = "checkpoint.rename"
-	// AdmissionEstimate fires in the server's deadline-aware admission
-	// estimator. Armed (error/transient), the estimator reports an unbounded
-	// predicted service time, so every deadline-carrying submission is
-	// rejected at admission with 429 — the deterministic way to drive the
-	// predicted-deadline rejection path in tests.
-	AdmissionEstimate Point = "admission.estimate"
-	// BreakerTrip fires when the server's per-(dataset, algorithm) circuit
-	// breaker records a failure. Armed (error/transient), the breaker opens on
-	// that first failure regardless of its configured threshold.
-	BreakerTrip Point = "breaker.trip"
-	// MemWatermark fires in the server's memory governor. Armed, it overrides
-	// the sampled heap level: transient mode simulates heap above the soft
-	// watermark (new jobs run degraded), error mode simulates heap above the
-	// hard watermark (large submissions are refused with 503). Panic mode is
-	// not meaningful here and is treated like error.
-	MemWatermark Point = "mem.watermark"
 )
+
+// points lists the named points, the only ones Configure arms.
+var points = []Point{ReaderIO, PLIIntersect, CacheGet, CachePut, WorkerSpawn, WALAppend, WALFsync, CheckpointRename}
 
 // Mode selects what an armed point does when it fires.
 type Mode string
 
 // The injection modes.
 const (
-	ModeError     Mode = "error"
-	ModeTransient Mode = "transient"
-	ModePanic     Mode = "panic"
+	ModeError Mode = "error"
+	ModePanic Mode = "panic"
 )
 
 // Error is the failure injected at an armed point. It unwraps cleanly through
 // fmt.Errorf("...: %w", err) chains and through the engine's PanicError, so
-// callers anywhere up the stack can classify it (errors.As, IsTransient).
+// callers anywhere up the stack can classify it with errors.As.
 type Error struct {
 	Point Point
 	Mode  Mode
@@ -119,9 +103,6 @@ type Error struct {
 func (e *Error) Error() string {
 	return fmt.Sprintf("injected fault at %s (%s)", e.Point, e.Mode)
 }
-
-// Transient reports whether the fault models a retryable condition.
-func (e *Error) Transient() bool { return e.Mode == ModeTransient }
 
 // plan is the armed state of one point.
 type plan struct {
@@ -179,7 +160,9 @@ func Reset() {
 }
 
 // Configure parses a spec of comma-separated point:mode[:count] elements and
-// arms the listed points. It validates the whole spec before arming anything.
+// arms the listed points. It validates the whole spec before arming anything:
+// a point that is not one of the named constants is an error, since nothing
+// would ever fire it.
 func Configure(spec string) error {
 	type entry struct {
 		point Point
@@ -196,9 +179,13 @@ func Configure(spec string) error {
 		if len(fields) < 2 || len(fields) > 3 {
 			return fmt.Errorf("bad fault %q (want point:mode[:count])", part)
 		}
+		point := Point(fields[0])
+		if !slices.Contains(points, point) {
+			return fmt.Errorf("unknown fault point %q in %q (known: %v)", fields[0], part, points)
+		}
 		mode := Mode(fields[1])
 		switch mode {
-		case ModeError, ModeTransient, ModePanic:
+		case ModeError, ModePanic:
 		default:
 			return fmt.Errorf("bad fault mode %q in %q", fields[1], part)
 		}
@@ -210,7 +197,7 @@ func Configure(spec string) error {
 			}
 			count = n
 		}
-		entries = append(entries, entry{point: Point(fields[0]), mode: mode, count: count})
+		entries = append(entries, entry{point: point, mode: mode, count: count})
 	}
 	for _, e := range entries {
 		Enable(e.point, e.mode, e.count)
@@ -247,8 +234,8 @@ func trigger(point Point) *Error {
 }
 
 // Inject fires point at an error-capable site: it returns nil when the point
-// is unarmed, the injected *Error in error/transient mode, and panics with
-// the *Error in panic mode.
+// is unarmed, the injected *Error in error mode, and panics with the *Error
+// in panic mode.
 func Inject(point Point) error {
 	e := trigger(point)
 	if e == nil {
@@ -269,22 +256,9 @@ func Check(point Point) {
 	}
 }
 
-// Sample fires point at a site that maps the injected mode onto its own
-// behavior ladder (the server's memory governor turns transient into "above
-// the soft watermark" and error into "above the hard one"): it consumes one
-// unit of budget and reports the armed mode without ever panicking. The
-// boolean is false when the point is unarmed or exhausted.
-func Sample(point Point) (Mode, bool) {
-	e := trigger(point)
-	if e == nil {
-		return "", false
-	}
-	return e.Mode, true
-}
-
 // Degraded fires point at a degradable site: it reports true (dependency
-// unavailable, caller should fall back) in error/transient mode, false when
-// unarmed, and panics in panic mode.
+// unavailable, caller should fall back) in error mode, false when unarmed,
+// and panics in panic mode.
 func Degraded(point Point) bool {
 	e := trigger(point)
 	if e == nil {
@@ -305,12 +279,4 @@ func Fired(point Point) int64 {
 		return 0
 	}
 	return p.fired.Load()
-}
-
-// IsTransient reports whether err (or anything it wraps) models a retryable
-// condition: either an injected transient fault or any error exposing
-// Transient() bool returning true.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -25,14 +26,6 @@ func TestInjectModes(t *testing.T) {
 	err := Inject(ReaderIO)
 	if err == nil || !errors.As(err, new(*Error)) {
 		t.Fatalf("Inject = %v, want injected error", err)
-	}
-	if IsTransient(err) {
-		t.Fatal("error mode must not be transient")
-	}
-
-	Enable(ReaderIO, ModeTransient, 0)
-	if err := Inject(ReaderIO); !IsTransient(err) {
-		t.Fatalf("Inject = %v, want transient", err)
 	}
 
 	Enable(ReaderIO, ModePanic, 0)
@@ -84,22 +77,44 @@ func TestConfigure(t *testing.T) {
 	}
 	Check(PLIIntersect) // budget of 3 exhausted: must not panic
 
-	for _, bad := range []string{"reader.io", "x:boom", "x:error:-1", "x:error:q", "a:b:c:d"} {
+	for _, bad := range []string{"reader.io", "reader.io:boom", "reader.io:error:-1", "reader.io:error:q", "reader.io:b:c:d"} {
 		if err := Configure(bad); err == nil {
 			t.Errorf("Configure(%q) accepted a malformed spec", bad)
 		}
 	}
 }
 
-func TestIsTransientUnwraps(t *testing.T) {
+func TestInjectedErrorUnwraps(t *testing.T) {
 	t.Cleanup(Reset)
-	Enable(ReaderIO, ModeTransient, 0)
+	Enable(ReaderIO, ModeError, 0)
 	err := fmt.Errorf("outer: %w", Inject(ReaderIO))
-	if !IsTransient(err) || !errors.As(err, new(*Error)) {
-		t.Fatalf("wrapped injected transient not classified: %v", err)
+	var e *Error
+	if !errors.As(err, &e) || e.Point != ReaderIO {
+		t.Fatalf("wrapped injected error not classified: %v", err)
 	}
-	if IsTransient(errors.New("plain")) {
-		t.Fatal("plain error classified transient")
+}
+
+// TestConfigureRejectsUnknown: a spec naming a point nothing fires, or a mode
+// the package does not have, is refused whole, so a stale HOLISTIC_FAULTS
+// spec fails loudly instead of arming nothing.
+func TestConfigureRejectsUnknown(t *testing.T) {
+	t.Cleanup(Reset)
+	err := Configure("mem.watermark:error")
+	if err == nil || !strings.Contains(err.Error(), string(WALFsync)) {
+		t.Errorf("Configure(unknown point) = %v, want an error naming the known points", err)
+	}
+	for _, bad := range []string{"reader.io:transient", "reader.io:error,server.enqueue:error"} {
+		if err := Configure(bad); err == nil {
+			t.Errorf("Configure(%q) = nil, want an error", bad)
+		}
+	}
+	if err := Inject(ReaderIO); err != nil {
+		t.Fatalf("a rejected spec armed reader.io: %v", err)
+	}
+	for _, p := range []Point{ReaderIO, "mem.watermark"} {
+		if got := Fired(p); got != 0 {
+			t.Fatalf("Fired(%s) = %d, want 0", p, got)
+		}
 	}
 }
 

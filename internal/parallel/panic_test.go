@@ -61,7 +61,7 @@ func TestForPanicStopsDispatch(t *testing.T) {
 
 // TestForPanicUnwrapsErrors checks error-valued panics stay classifiable
 // through the TaskPanic wrapper (the engine uses this to recognise injected
-// faults and transient markers across the pool boundary).
+// faults across the pool boundary).
 func TestForPanicUnwrapsErrors(t *testing.T) {
 	sentinel := errors.New("sentinel")
 	defer func() {

@@ -34,8 +34,8 @@ import (
 // TaskPanic wraps a panic captured inside a pool task, preserving the
 // panicking task's stack trace (re-panicking on the caller goroutine would
 // otherwise lose it). If the panic value is an error, Unwrap exposes it so
-// classification (errors.Is/As on injected faults, transient markers) works
-// through the wrapper.
+// classification (errors.Is/As on injected faults) works through the
+// wrapper.
 type TaskPanic struct {
 	// Task is the index of the panicking task.
 	Task int

@@ -5,8 +5,6 @@ import (
 	runtimemetrics "runtime/metrics"
 	"sync"
 	"time"
-
-	"holistic/internal/faults"
 )
 
 // This file is the server's overload-resilience brain: the adaptive
@@ -76,12 +74,8 @@ func (a *admission) observeService(alg string, d time.Duration) {
 // seconds. Per-algorithm history wins; with none, the overall average
 // stands in; with no history at all the estimate is unknown and admission
 // must not reject (the first job of a cold server is how the controller
-// learns). The admission.estimate fault point, armed, reports an unbounded
-// estimate so tests can drive the rejection path deterministically.
+// learns).
 func (a *admission) estimateService(alg string) (float64, bool) {
-	if err := faults.Inject(faults.AdmissionEstimate); err != nil {
-		return math.MaxFloat64 / 4, true
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if e, ok := a.perAlg[alg]; ok {
@@ -167,9 +161,7 @@ const memSampleEvery = 100 * time.Millisecond
 
 // memGovernor watches the Go heap against soft and hard watermarks and
 // tells admission how aggressively to degrade. With both watermarks unset
-// it reports healthy without ever sampling. The mem.watermark fault point
-// overrides the sampled level (transient = soft, error/panic = hard) so
-// chaos tests exercise the ladder without inflating a real heap.
+// it reports healthy without ever sampling.
 type memGovernor struct {
 	soft, hard int64
 
@@ -186,16 +178,6 @@ func newMemGovernor(soft, hard int64) *memGovernor {
 // state returns the current pressure level and the heap sample behind it,
 // refreshing the runtime/metrics sample at most every memSampleEvery.
 func (g *memGovernor) state() (int, int64) {
-	if mode, armed := faults.Sample(faults.MemWatermark); armed {
-		level := memHard
-		if mode == faults.ModeTransient {
-			level = memSoft
-		}
-		g.mu.Lock()
-		g.level = level
-		g.mu.Unlock()
-		return level, g.heapBytes()
-	}
 	if g.soft <= 0 && g.hard <= 0 {
 		return memHealthy, 0
 	}
@@ -216,18 +198,12 @@ func (g *memGovernor) state() (int, int64) {
 	return g.level, g.heap
 }
 
-// last reports the most recent sample without consuming fault budget or
-// re-reading runtime/metrics — the metrics endpoint renders from it.
+// last reports the most recent sample without re-reading runtime/metrics —
+// the metrics endpoint renders from it.
 func (g *memGovernor) last() (int, int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.level, g.heap
-}
-
-func (g *memGovernor) heapBytes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.heap
 }
 
 func readHeapBytes() int64 {

@@ -3,8 +3,6 @@ package server
 import (
 	"sync"
 	"time"
-
-	"holistic/internal/faults"
 )
 
 // Per-key circuit breakers: a single pathological dataset — one whose
@@ -110,8 +108,7 @@ func (b *breakerSet) recordSuccess(key breakerKey) {
 
 // recordFailure notes a failed run (failure, contained panic, or deadline
 // blowout) for key and reports whether this failure tripped the breaker
-// open. The breaker.trip fault point, armed, trips on the first failure
-// regardless of the threshold.
+// open.
 func (b *breakerSet) recordFailure(key breakerKey, errMsg string, now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -132,7 +129,7 @@ func (b *breakerSet) recordFailure(key breakerKey, errMsg string, now time.Time)
 		return true
 	}
 	e.failures++
-	if e.failures >= b.threshold || faults.Degraded(faults.BreakerTrip) {
+	if e.failures >= b.threshold {
 		e.state = breakerOpen
 		e.until = now.Add(b.cooldown)
 		b.trips++

@@ -132,7 +132,7 @@ func (d *dataset) abandon(prevState string) {
 
 // newDatasetJob builds a job that runs exec on the shared worker pool and
 // settles d when it terminates.
-func (s *Server) newDatasetJob(d *dataset, timeout time.Duration, noRetry bool,
+func (s *Server) newDatasetJob(d *dataset, timeout time.Duration,
 	exec func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error)) *job {
 	j := &job{
 		req:       d.req,
@@ -141,7 +141,6 @@ func (s *Server) newDatasetJob(d *dataset, timeout time.Duration, noRetry bool,
 		timeout:   timeout,
 		events:    newEventLog(),
 		exec:      exec,
-		noRetry:   noRetry,
 		done:      d.settle,
 		datasetID: d.id,
 	}
@@ -198,13 +197,12 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	s.nextDSID++
 	d.id = fmt.Sprintf("d-%d", s.nextDSID)
 	s.mu.Unlock()
-	j := s.newDatasetJob(d, timeout, false, func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
+	j := s.newDatasetJob(d, timeout, func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
 		return s.runInitialProfile(ctx, d, src, opts, obs)
 	})
-	// The initial profile reloads cleanly, so transient-error retries stay
-	// enabled; j.src additionally lets a deadline hit surface the anytime
-	// partial result on the job record (the dataset itself still fails — a
-	// partial profile is not a revalidation baseline).
+	// j.src lets a deadline hit surface the anytime partial result on the
+	// job record (the dataset itself still fails — a partial profile is not
+	// a revalidation baseline).
 	j.src = src
 
 	if s.store != nil {
@@ -359,9 +357,7 @@ func (s *Server) appendBatch(w http.ResponseWriter, d *dataset, rows [][]string,
 	d.state = DatasetAppending
 	d.mu.Unlock()
 
-	// Batch jobs never retry: a transient failure mid-append may already
-	// have mutated the relation, and re-running would fold rows in twice.
-	j := s.newDatasetJob(d, timeout, true, func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
+	j := s.newDatasetJob(d, timeout, func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error) {
 		res, err := prof.AppendBatch(ctx, rows, obs)
 		if err != nil {
 			return res, nil, err

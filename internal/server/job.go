@@ -47,16 +47,12 @@ type job struct {
 
 	// exec, when set, replaces the default strategy run: dataset jobs
 	// (initial profiles and batch appends) execute through it so they flow
-	// through the same queue, worker pool, retry loop, panic containment and
-	// event stream as plain jobs. It returns the engine result plus the
+	// through the same queue, worker pool, panic containment and event
+	// stream as plain jobs. It returns the engine result plus the
 	// report to attach; exec jobs never enter the content-addressed result
 	// cache (their output depends on accumulated dataset state, not only on
 	// the request bytes).
 	exec func(ctx context.Context, opts core.Options, obs core.Observer) (*core.Result, *core.Report, error)
-	// noRetry disables the transient-error retry loop. Batch appends set it:
-	// re-running a partially applied append would fold the same rows in
-	// twice.
-	noRetry bool
 	// done, when set, is invoked exactly once after the job reaches a
 	// terminal state (finish or a queued-state cancellation), with that
 	// state and error message, before the job's event stream closes (see
@@ -172,9 +168,6 @@ type JobEvent struct {
 	// failure reason when that state is failed or canceled.
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Attempt numbers a "retry" event: the upcoming attempt (the first run
-	// is attempt 0, the first retry is attempt 1).
-	Attempt int `json:"attempt,omitempty"`
 	// Stack carries the captured stack trace of a "panic" event, so a
 	// strategy panic is diagnosable from the job's event log alone.
 	Stack string `json:"stack,omitempty"`
@@ -185,8 +178,6 @@ type JobEvent struct {
 const (
 	// EventState is the JobEvent type of a job lifecycle transition.
 	EventState = "state"
-	// EventRetry announces a bounded retry after a transient failure.
-	EventRetry = "retry"
 	// EventPanic records a recovered strategy panic, stack attached.
 	EventPanic = "panic"
 	// EventReplay marks a job that was re-enqueued from the journal after a

@@ -16,7 +16,6 @@ type metrics struct {
 	jobsPartial       atomic.Int64
 	jobsFailed        atomic.Int64
 	jobsCanceled      atomic.Int64
-	jobRetries        atomic.Int64
 	panics            atomic.Int64
 	rejectedQueueFull atomic.Int64
 	rejectedDraining  atomic.Int64
@@ -106,8 +105,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		"Jobs that finished with an error (including per-job deadline hits).", m.jobsFailed.Load())
 	writeMetric(w, "profiled_jobs_canceled_total", "counter",
 		"Jobs canceled via DELETE or server shutdown.", m.jobsCanceled.Load())
-	writeMetric(w, "profiled_job_retries_total", "counter",
-		"Job re-runs triggered by transient failures.", m.jobRetries.Load())
 	writeMetric(w, "profiled_panics_total", "counter",
 		"Panics recovered from profiling runs (jobs failed, process survived).", m.panics.Load())
 	writeMetric(w, "profiled_jobs_rejected_queue_full_total", "counter",

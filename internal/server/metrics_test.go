@@ -51,7 +51,6 @@ func TestMetricsSurface(t *testing.T) {
 		"profiled_datasets_created_total",
 		"profiled_degraded",
 		"profiled_idempotent_replays_total",
-		"profiled_job_retries_total",
 		"profiled_jobs_canceled_total",
 		"profiled_jobs_done_total",
 		"profiled_jobs_doomed_in_queue_total",

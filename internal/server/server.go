@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"holistic/internal/core"
-	"holistic/internal/faults"
 )
 
 // maxRetainedJobs bounds the terminal job records kept for status queries;
@@ -64,13 +63,6 @@ type Config struct {
 	// that do not set max_cache_bytes themselves (0 = engine default,
 	// < 0 = unbudgeted).
 	MaxCacheBytes int64
-	// RetryAttempts bounds how often a job failing on a transient error is
-	// re-run on its worker slot before it is finished as failed (0 selects
-	// 2; negative disables retries).
-	RetryAttempts int
-	// RetryBackoff is the sleep before the first retry, doubled per attempt
-	// (<= 0 selects 50ms).
-	RetryBackoff time.Duration
 	// BreakerThreshold is the consecutive-failure count at which the
 	// per-(dataset, algorithm) circuit breaker opens (<= 0 selects 3).
 	BreakerThreshold int
@@ -111,15 +103,6 @@ func (c *Config) applyDefaults() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 2
-	}
-	if c.RetryAttempts < 0 {
-		c.RetryAttempts = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -142,7 +125,7 @@ func (c *Config) jobTimeout(requested float64) time.Duration {
 	return timeout
 }
 
-// Server is the profiling service. Create one with New, expose Handler on an
+// Server is the profiling service. Create one with Open, expose Handler on an
 // http.Server, and stop it with Shutdown.
 type Server struct {
 	cfg     Config
@@ -331,9 +314,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // runJob executes one queued job on a worker goroutine. Failure containment
 // happens here: strategy panics come back from the engine as *core.PanicError
-// (the worker pool and the daemon survive), transient errors are retried with
-// backoff on the same worker slot, and a run stopped by its deadline finishes
-// as partial with the anytime result it accumulated instead of discarding it.
+// (the worker pool and the daemon survive), and a run stopped by its deadline
+// finishes as partial with the anytime result it accumulated instead of
+// discarding it. A job runs exactly once: profiling is deterministic over the
+// input bytes, so a failed run would fail the same way again.
 func (s *Server) runJob(j *job) {
 	// Defense in depth: the engine already converts profiling panics into
 	// errors, but a panic in the server's own post-processing (report
@@ -413,22 +397,10 @@ func (s *Server) runJob(j *job) {
 	var res *core.Result
 	var report *core.Report
 	var err error
-	for attempt := 0; ; attempt++ {
-		if j.exec != nil {
-			res, report, err = j.exec(ctx, opts, obs)
-		} else {
-			res, err = core.RunContext(ctx, j.req.Algorithm, j.src, opts, obs)
-		}
-		if err == nil || j.noRetry || attempt >= s.cfg.RetryAttempts || !faults.IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-		s.metrics.jobRetries.Add(1)
-		j.events.append(JobEvent{Event: core.Event{Type: EventRetry}, Attempt: attempt + 1, Error: err.Error()})
-		s.logf("job %s transient failure (attempt %d/%d): %v", j.id, attempt+1, s.cfg.RetryAttempts, err)
-		select {
-		case <-time.After(s.cfg.RetryBackoff << attempt):
-		case <-ctx.Done():
-		}
+	if j.exec != nil {
+		res, report, err = j.exec(ctx, opts, obs)
+	} else {
+		res, err = core.RunContext(ctx, j.req.Algorithm, j.src, opts, obs)
 	}
 
 	// A recovered panic is surfaced in the event log with its stack and
@@ -788,14 +760,6 @@ func (s *Server) replayIdem(w http.ResponseWriter, prev *job) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Injected admission fault: proves a failing enqueue path surfaces as a
-	// structured 503 with a retry hint, not a dead daemon or a hung client.
-	if err := faults.Inject(faults.ServerEnqueue); err != nil {
-		s.logf("submit rejected (injected fault): %v", err)
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "admission unavailable: " + err.Error()})
-		return
-	}
 	var req jobRequest
 	if !s.decodeBody(w, r, &req) {
 		return

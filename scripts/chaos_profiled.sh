@@ -2,8 +2,8 @@
 # chaos_profiled.sh — fault-injection run against a live profiled daemon:
 # arm injection points via HOLISTIC_FAULTS, then prove the service contains
 # panics (failed jobs, captured stacks, no cache poisoning), reports itself
-# degraded after repeated panics and recovers on the next clean job, retries
-# transient faults to success, maps admission faults to 503 + Retry-After,
+# degraded after repeated panics and recovers on the next clean job, maps a
+# failed admit-journal write to 503 + Retry-After and admits the next job,
 # and still drains cleanly on SIGTERM.
 #
 # Requires curl and jq. Run from the repo root.
@@ -93,7 +93,7 @@ echo "== phase 1: panic containment, watchdog, recovery =="
 # algorithm) pair would otherwise open the default breaker and 422 the
 # recovery submission (that path has its own harness in
 # overload_profiled.sh).
-start_daemon "pli.intersect:panic:3" -retries 0 -breaker-threshold 4
+start_daemon "pli.intersect:panic:3" -breaker-threshold 4
 
 for i in 1 2 3; do
 	set -- $(submit_and_wait)
@@ -124,30 +124,35 @@ echo "clean job succeeded; health recovered"
 
 stop_daemon
 
-echo "== phase 2: transient retry and admission shedding =="
-# The first submit is shed with a structured 503; the one job that gets in
-# hits two transient reader faults and must be retried to success.
-start_daemon "server.enqueue:error:1,reader.io:transient:2" -retries 2 -retry-backoff 10ms
+echo "== phase 2: admit-journal failure sheds with 503 =="
+# A durable daemon journals every admission before the job can run. The
+# first admit write fails (as on a full disk): that submission must be shed
+# with a structured 503, and the next one admitted and run to completion.
+start_daemon "wal.append:error:1" -state-dir "$workdir/state"
 
 code=$(curl -sS -o "$workdir/resp.json" -w '%{http_code}' \
 	-D "$workdir/headers.txt" -X POST -H 'Content-Type: application/json' \
 	--data-binary @"$workdir/req.json" "$base/v1/jobs")
 if [ "$code" != "503" ]; then
-	echo "chaos_profiled: enqueue fault returned $code, want 503" >&2
+	echo "chaos_profiled: failed admit journal returned $code, want 503" >&2
 	exit 1
 fi
-grep -qi '^Retry-After:' "$workdir/headers.txt"
-echo "admission fault shed with 503 + Retry-After"
+retry=$(tr -d '\r' < "$workdir/headers.txt" | sed -n 's/^[Rr]etry-[Aa]fter: *//p')
+if [ -z "$retry" ] || [ "$retry" -lt 1 ] || [ "$retry" -gt 60 ]; then
+	echo "chaos_profiled: 503 Retry-After '$retry', want within [1, 60]" >&2
+	exit 1
+fi
+jq -e '.error | test("state journal unavailable")' "$workdir/resp.json" > /dev/null
+curl -fsS "$base/metrics" | grep -q '^profiled_wal_errors_total 1$'
+echo "admit-journal failure shed with 503 + Retry-After $retry"
 
 set -- $(submit_and_wait)
 if [ "$2" != "done" ]; then
-	echo "chaos_profiled: retried job ended as '$2', want done" >&2
+	echo "chaos_profiled: post-fault job ended as '$2', want done" >&2
 	curl -fsS "$base/v1/jobs/$1" >&2 || true
 	exit 1
 fi
-curl -fsS "$base/v1/jobs/$1/events" | jq -s -e 'map(select(.type == "retry")) | length == 2' > /dev/null
-curl -fsS "$base/metrics" | grep -q '^profiled_job_retries_total 2$'
-echo "transient faults retried to success (2 retry events)"
+echo "next submission admitted and done"
 
 stop_daemon
 

@@ -18,10 +18,10 @@
 #     from a measured offline run of the dataset, so the phase holds on
 #     fast and slow machines alike.
 #
-#   phase 3 — memory watermark: the daemon restarted with
-#     HOLISTIC_FAULTS="mem.watermark:error" behaves as if the heap sat above
-#     the hard watermark: large submissions get 503 + Retry-After, small ones
-#     run degraded, the level gauge reads 2 and /healthz reports degraded.
+#   phase 3 — memory watermark: the daemon restarted with -mem-hard 1 sits
+#     above its hard watermark, since the live heap always exceeds one byte:
+#     large submissions get 503 + Retry-After, small ones run degraded, the
+#     level gauge reads 2 and /healthz reports degraded.
 #
 # Requires curl and jq. Run from the repo root.
 set -eu
@@ -45,12 +45,13 @@ go build -o "$workdir/profile" ./cmd/profile
 
 statedir="$workdir/state"
 
+# start_daemon [extra flags...] — boots profiled on the shared state dir.
 start_daemon() {
 	: > "$workdir/out.log"
 	: > "$workdir/err.log"
 	"$workdir/profiled" -addr 127.0.0.1:0 -workers 2 -queue 8 \
 		-state-dir "$statedir" \
-		-breaker-threshold 1 -breaker-cooldown 2s \
+		-breaker-threshold 1 -breaker-cooldown 2s "$@" \
 		> "$workdir/out.log" 2> "$workdir/err.log" &
 	server_pid=$!
 	addr=""
@@ -311,9 +312,9 @@ curl -fsS "$base/metrics" > "$rdir/metrics.breaker"
 grep -q '^profiled_breaker_trips_total 1$' "$rdir/metrics.breaker"
 echo "phase 2 passed: tripped on one blowout, 422 fast-fail, closed by the trial probe"
 
-echo "== phase 3: hard memory watermark (fault-injected) =="
+echo "== phase 3: hard memory watermark (one byte) =="
 kill_daemon
-HOLISTIC_FAULTS="mem.watermark:error" start_daemon
+start_daemon -mem-hard 1
 
 # Large submission (the hostile CSV is ~470 KiB, past the 256 KiB large-job
 # threshold): refused with 503 + Retry-After.

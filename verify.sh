@@ -107,7 +107,10 @@ echo "== restart-semantics suite (race) =="
 go test -race -count=1 -run 'TestRestart|TestTerminalJob' ./internal/server/
 
 echo "== overload-resilience suite (admission, breakers, watermarks, race) =="
-go test -race -count=1 -run 'TestAdaptiveAdmission|TestAdmissionEstimate|TestDeadlineFromAdmission|TestIdempoten|TestCircuitBreaker|TestMemWatermark|TestOverload' ./internal/server/
+go test -race -count=1 -run 'TestAdaptiveAdmission|TestDeadlineFromAdmission|TestIdempoten|TestCircuitBreaker|TestMemWatermark|TestOverload' ./internal/server/
+
+echo "== deadline-from-admission repeat (race) =="
+go test -race -count=10 -run 'TestDeadlineFromAdmission' ./internal/server/
 
 echo "== profiled service smoke test =="
 ./scripts/smoke_profiled.sh
